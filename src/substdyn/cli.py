@@ -42,7 +42,7 @@ from .errors import (
 from .invariants import (
     DEFAULT_SEED,
     amorphic_complexity,
-    classify,
+    classify_analysis,
     kernel_monoid,
     nonconstant_ap_counts,
     null_witness_search,
@@ -174,12 +174,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.monotonic()
     doc = _load(args.file)
     subst = doc.substitution
-    report = classify(subst)
+    analysis = analyze_pairs(subst)
+    report = classify_analysis(analysis)
 
     d_m: list[int] | None = None
     if args.m_max is not None:
-        pure = pure_base(subst).pure_base
-        d_m = nonconstant_ap_counts(pure, args.m_max)
+        d_m = nonconstant_ap_counts(analysis.pure.pure_base, args.m_max)
 
     if args.json:
         extra = {"report": report.to_dict()}
@@ -335,7 +335,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         print(f"  {label:<24} via {spelled}")
     constants = sum(descriptor.constant_flags)
     print(f"constant elements: {constants}")
-    d_m = nonconstant_ap_counts(pure.pure_base, args.m_max)
+    d_m = descriptor.nonconstant_counts(args.m_max)
     print("nonconstant column counts:")
     for m, value in enumerate(d_m):
         print(f"  d_{m} = {value}")

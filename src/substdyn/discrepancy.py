@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import matrices
-from .core import Substitution, Word
+from .core import Substitution
 from .errors import InternalError
-from .matrices import CountMatrix, GrowthType
+from .matrices import RATE_TOL, CountMatrix, GrowthType
 from .structure import PureBaseResult, pure_base
-
-RATE_TOL = matrices.RATE_TOL
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,6 @@ def pair_rules(subst: Substitution) -> GeneralSubstitution:
     return GeneralSubstitution.from_rules(pairs, tuple(rules))
 
 
-def discrepancy_substitution(subst: Substitution) -> GeneralSubstitution:
-    """Pair substitution of the pure base of ``subst``."""
-    return pair_rules(pure_base(subst).pure_base)
-
-
 @dataclass(frozen=True)
 class DiscrepancyAnalysis:
     """Everything the pair dynamics yield in one pass."""
@@ -170,7 +163,8 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
         return DiscrepancyAnalysis(pure, gs, (), rate_type, MaximalPairSet(()), (1,))
 
     m = gs.incidence()
-    growth = tuple(matrices.growth_types(m, gs.erasing))
+    dec = matrices.decompose(m)
+    growth = tuple(dec.growth_types(gs.erasing))
     top = matrices.max_growth_type(growth)
     rate = top.rate
     if not (abs(rate) <= RATE_TOL or 1.0 - RATE_TOL <= rate <= k + RATE_TOL):
@@ -184,7 +178,6 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     )
     _check_pseudometric(maximal, pure.pure_base.alphabet.size)
 
-    dec = matrices.decompose(m)
     critical_poly: tuple[int, ...] = (1, 0)
     for ci, comp in enumerate(dec.components):
         if abs(dec.radii[ci] - rate) <= RATE_TOL:
@@ -213,13 +206,3 @@ def _check_pseudometric(maximal: tuple[LetterPair, ...], size: int) -> None:
                 raise InternalError(
                     "maximal-growth pairs are not pseudometric-compatible"
                 )
-
-
-def discrepancy_rate_type(subst: Substitution) -> DiscrepancyType:
-    """(lambda_s, d_s) of the pure base's pair substitution."""
-    return analyze_pairs(subst).rate_type
-
-
-def maximal_growth_pairs(subst: Substitution) -> MaximalPairSet:
-    """All pure-base pairs whose growth rate attains lambda_s."""
-    return analyze_pairs(subst).maximal

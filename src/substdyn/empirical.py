@@ -24,7 +24,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .invariants import DEFAULT_SEED, RATE_TOL
+from .invariants import DEFAULT_SEED
+from .matrices import RATE_TOL
 
 #: Hard cap on M^2 * N symbol comparisons per profile.
 COMPARISON_BUDGET = 1 << 38

@@ -20,18 +20,18 @@ from itertools import combinations
 from . import matrices
 from .core import (
     Alphabet,
+    ColumnFamily,
     ColumnMap,
     Substitution,
     Word,
     column_sets,
-    has_coincidence,
     is_primitive,
 )
-from .discrepancy import DiscrepancyAnalysis, LetterPair, analyze_pairs, pair_rules
+from .discrepancy import DiscrepancyAnalysis, analyze_pairs, pair_rules
 from .errors import InternalError, PreconditionError, ResourceLimitError
+from .matrices import RATE_TOL
 from .structure import height, pure_base
 
-RATE_TOL = 1e-9
 #: Fixed seed for every randomized routine (a 64-bit mixing constant).
 DEFAULT_SEED = 0x9E3779B97F4A7C15
 
@@ -136,10 +136,19 @@ def _all_images_coincide(pure: Substitution) -> bool:
 
 def classify(subst: Substitution) -> AnalysisReport:
     """Full analysis with every internal consistency check turned on."""
+    return classify_analysis(analyze_pairs(subst))
+
+
+def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
+    """The report of :func:`classify` on an input ``analyze_pairs`` already ran on.
+
+    Every stage reads ``analysis.pure``; one column-set family gives both
+    the coincidence verdict and the graph condition.
+    """
+    pure = analysis.pure
+    subst = pure.original
     _require(subst, "classify")
     k = subst.length_k
-    analysis: DiscrepancyAnalysis = analyze_pairs(subst)
-    pure = analysis.pure
     letters = pure.pure_base.alphabet.letters
 
     rate = analysis.rate_type.rate_lambda_s
@@ -155,8 +164,9 @@ def classify(subst: Substitution) -> AnalysisReport:
         )
     finite = finite_by_rate
 
-    discrete = has_coincidence(pure.pure_base)
-    graph_ok = graph_condition(subst)
+    family = column_sets(pure.pure_base)
+    discrete = family.has_singleton
+    graph_ok = ColumnSetGraph.build(pure.pure_base, family).condition_holds()
     null_tame = finite or abs(ac - 1.0) <= RATE_TOL
 
     snapped: int | None = None
@@ -167,13 +177,10 @@ def classify(subst: Substitution) -> AnalysisReport:
         snapped = int(nearest)
 
     unpurified: float | None = None
-    if pure.height_h > 1:
+    if pure.height_h > 1:  # then |A| >= h >= 2, so there are letter pairs
         raw = pair_rules(subst)
-        if raw.pair_alphabet:
-            growth = matrices.growth_types(raw.incidence(), raw.erasing)
-            unpurified = matrices.max_growth_type(growth).rate
-        else:
-            unpurified = 0.0
+        growth = matrices.growth_types(raw.incidence(), raw.erasing)
+        unpurified = matrices.max_growth_type(growth).rate
 
     mef = "finite cyclic" if finite else f"Z_{k} x Z/{pure.height_h}Z"
 
@@ -233,14 +240,16 @@ class KernelDescriptor:
     ``words[i]`` spells element i as a composition of generator columns,
     outermost generator first: word (r0, r1, ..) means phi_r0 . phi_r1 . ..
     and corresponds to column index r0 + r1*k + r2*k^2 + ... of the
-    matching power.  The kernel of the fixed point x is exactly
-    {tau(x) : tau in the monoid}, so elements double as sequence labels.
+    matching power.  ``successors[i][r]`` is the index of phi_r . element i.
+    The kernel of the fixed point x is exactly {tau(x) : tau in the monoid},
+    so elements double as sequence labels.
     """
 
     alphabet: Alphabet
     elements: tuple[ColumnMap, ...]
     words: tuple[tuple[int, ...], ...]
     constant_flags: tuple[bool, ...]
+    successors: tuple[tuple[int, ...], ...]
 
     def element_strings(self) -> list[str]:
         out = []
@@ -257,25 +266,32 @@ class KernelDescriptor:
                 out.append(body)
         return out
 
+    def nonconstant_counts(self, m_max: int) -> list[int]:
+        """Exact number of nonconstant column maps of phi^m for m = 0..m_max.
 
-def _monoid_closure(subst: Substitution) -> tuple[list[ColumnMap], list[tuple[int, ...]]]:
-    generators = subst.columns()
-    identity = ColumnMap.identity(subst.alphabet.size)
-    elements = [identity]
-    words: list[tuple[int, ...]] = [()]
-    seen = {identity: 0}
-    cursor = 0
-    while cursor < len(elements):
-        tau = elements[cursor]
-        for r, gen in enumerate(generators):
-            child = gen.compose(tau)
-            if child not in seen:
-                seen[child] = len(elements)
-                elements.append(child)
-                # child = phi_r . tau: the new generator is outermost
-                words.append((r,) + words[cursor])
-        cursor += 1
-    return elements, words
+        Counts are pushed through the monoid: the multiset of columns of
+        phi^{m+1} is obtained from that of phi^m by composing every
+        generator on the outside, so an integer count per monoid element
+        suffices and k^m columns are never materialized.
+        """
+        if m_max < 0:
+            raise ValueError("m_max must be nonnegative")
+        if m_max > _M_MAX_CAP:
+            raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
+        counts = [0] * len(self.elements)
+        counts[0] = 1  # the identity: the single column of phi^0
+        out = []
+        for _ in range(m_max + 1):
+            out.append(
+                sum(c for c, const in zip(counts, self.constant_flags) if not const)
+            )
+            nxt = [0] * len(self.elements)
+            for i, c in enumerate(counts):
+                if c:
+                    for j in self.successors[i]:
+                        nxt[j] += c
+            counts = nxt
+        return out
 
 
 def kernel_monoid(subst: Substitution) -> KernelDescriptor:
@@ -283,51 +299,36 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
     _require(subst, "kernel_monoid")
     if height(subst) != 1:
         raise PreconditionError("kernel_monoid requires height 1; purify first")
-    elements, words = _monoid_closure(subst)
+    generators = subst.columns()
+    identity = ColumnMap.identity(subst.alphabet.size)
+    elements = [identity]
+    words: list[tuple[int, ...]] = [()]
+    successors: list[tuple[int, ...]] = []
+    seen = {identity: 0}
+    for cursor, tau in enumerate(elements):  # grows while it is read
+        row = []
+        for r, gen in enumerate(generators):
+            child = gen.compose(tau)
+            if child not in seen:
+                seen[child] = len(elements)
+                elements.append(child)
+                # child = phi_r . tau: the new generator is outermost
+                words.append((r,) + words[cursor])
+            row.append(seen[child])
+        successors.append(tuple(row))
     return KernelDescriptor(
         alphabet=subst.alphabet,
         elements=tuple(elements),
         words=tuple(words),
         constant_flags=tuple(tau.is_constant for tau in elements),
+        successors=tuple(successors),
     )
 
 
 def nonconstant_ap_counts(subst: Substitution, m_max: int) -> list[int]:
-    """Exact number of nonconstant column maps of phi^m for m = 0..m_max.
-
-    Counts are pushed through the monoid: the multiset of columns of
-    phi^{m+1} is obtained from that of phi^m by composing every generator
-    on the outside, so an integer count per monoid element suffices and
-    k^m columns are never materialized.
-    """
-    _require(subst, "nonconstant_ap_counts")
-    if height(subst) != 1:
-        raise PreconditionError("nonconstant_ap_counts requires height 1; purify first")
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
-    if m_max > _M_MAX_CAP:
-        raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
-    elements, _ = _monoid_closure(subst)
-    index = {tau: i for i, tau in enumerate(elements)}
-    generators = subst.columns()
-    # successor[i][r] = index of phi_r . elements[i]
-    successor = [
-        [index[gen.compose(tau)] for gen in generators] for tau in elements
-    ]
-    nonconstant = [not tau.is_constant for tau in elements]
-
-    counts = [0] * len(elements)
-    counts[0] = 1  # the identity: the single column of phi^0
-    out = []
-    for _ in range(m_max + 1):
-        out.append(sum(c for c, keep in zip(counts, nonconstant) if keep))
-        nxt = [0] * len(elements)
-        for i, c in enumerate(counts):
-            if c:
-                for j in successor[i]:
-                    nxt[j] += c
-        counts = nxt
-    return out
+    """Exact number of nonconstant column maps of phi^m for m = 0..m_max;
+    see :meth:`KernelDescriptor.nonconstant_counts`."""
+    return kernel_monoid(subst).nonconstant_counts(m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +343,44 @@ class ColumnSetGraph:
     vertices: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int, int], ...]  # (source, label j, target)
 
+    @staticmethod
+    def build(pure: Substitution, family: ColumnFamily) -> "ColumnSetGraph":
+        """The graph of a pure base on its column-set family."""
+        position = {s: i for i, s in enumerate(family.sets)}
+        cols = pure.columns()
+        edges = [
+            (i, j, position[col.image(s)])
+            for i, s in enumerate(family.sets)
+            for j, col in enumerate(cols)
+        ]
+        return ColumnSetGraph(vertices=family.sets, edges=tuple(edges))
+
+    def condition_holds(self) -> bool:
+        """The graph condition; see :func:`graph_condition`."""
+        keep = [i for i, s in enumerate(self.vertices) if len(s) >= 2]
+        keep_pos = {v: i for i, v in enumerate(keep)}
+        labeled: list[list[int]] = [[] for _ in keep]
+        for source, _label, target in self.edges:
+            if source in keep_pos and target in keep_pos:
+                labeled[keep_pos[source]].append(keep_pos[target])
+        succ = [sorted(set(ts)) for ts in labeled]
+        components = matrices._tarjan(succ)
+        comp_of = {}
+        for ci, comp in enumerate(components):
+            for v in comp:
+                comp_of[v] = ci
+        for ci, comp in enumerate(components):
+            # internal labeled out-degree of each vertex of the piece
+            degrees = [sum(1 for t in labeled[v] if comp_of[t] == ci) for v in comp]
+            if any(degrees) and any(d != 1 for d in degrees):
+                return False
+        return True
+
 
 def column_set_graph(subst: Substitution) -> ColumnSetGraph:
     _require(subst, "column_set_graph")
     pure = pure_base(subst).pure_base
-    family = column_sets(pure)
-    position = {s: i for i, s in enumerate(family.sets)}
-    cols = pure.columns()
-    edges = [
-        (i, j, position[col.image(s)])
-        for i, s in enumerate(family.sets)
-        for j, col in enumerate(cols)
-    ]
-    return ColumnSetGraph(vertices=family.sets, edges=tuple(edges))
+    return ColumnSetGraph.build(pure, column_sets(pure))
 
 
 def graph_condition(subst: Substitution) -> bool:
@@ -367,30 +393,7 @@ def graph_condition(subst: Substitution) -> bool:
     labeled edge out.  This is exactly when pair counts cannot multiply,
     i.e. when lambda_s <= 1.
     """
-    graph = column_set_graph(subst)
-    keep = [i for i, s in enumerate(graph.vertices) if len(s) >= 2]
-    keep_pos = {v: i for i, v in enumerate(keep)}
-    labeled: list[list[int]] = [[] for _ in keep]
-    for source, _label, target in graph.edges:
-        if source in keep_pos and target in keep_pos:
-            labeled[keep_pos[source]].append(keep_pos[target])
-    succ = [sorted(set(ts)) for ts in labeled]
-    components = matrices._tarjan(succ)
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    for ci, comp in enumerate(components):
-        internal = [
-            (v, t) for v in comp for t in labeled[v] if comp_of[t] == ci
-        ]
-        if not internal:
-            continue
-        for v in comp:
-            degree = sum(1 for t in labeled[v] if comp_of[t] == ci)
-            if degree != 1:
-                return False
-    return True
+    return column_set_graph(subst).condition_holds()
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +498,9 @@ def random_primitive_substitution(
 ) -> Substitution:
     """Rejection-sample a primitive substitution with |A| and k in [2, max].
 
-    Draws that do not purify cleanly -- a cyclic factor larger than
-    min(k, |A|), or a periodic fixed point whose block substitution is
-    not primitive -- are rejected as well, so every returned substitution
-    analyzes without internal errors.
+    Draws with a periodic fixed point, whose block substitution is not
+    primitive, are rejected as well, so every returned substitution has a
+    pure base and can be analyzed.
     """
     letter_pool = "abcdefgh"
     while True:
@@ -513,6 +515,6 @@ def random_primitive_substitution(
             continue
         try:
             pure_base(candidate)
-        except InternalError:
+        except PreconditionError:
             continue
         return candidate

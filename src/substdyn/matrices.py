@@ -97,6 +97,48 @@ class ComponentDecomposition:
     condensation: tuple[tuple[int, ...], ...]  # edges between component ids
     radii: tuple[float, ...]
 
+    def growth_types(self, erasing: set[int] | frozenset[int]) -> list[GrowthType]:
+        """Growth type (rate, degree) of every index.
+
+        The rate of an index is the largest component radius reachable from
+        its component (itself included); the degree is one less than the
+        largest number of components realizing that radius along a single
+        condensation path.  Erasing indices get the conventional (0, 1).
+        """
+        max_reach: list[float | None] = [None] * len(self.components)
+
+        def reach(ci: int) -> float:
+            cached = max_reach[ci]
+            if cached is not None:
+                return cached
+            best = self.radii[ci]
+            for cj in self.condensation[ci]:
+                best = max(best, reach(cj))
+            max_reach[ci] = best
+            return best
+
+        path_counts: dict[tuple[int, float], int] = {}
+
+        def count_on_path(ci: int, rate: float) -> int:
+            key = (ci, rate)
+            if key in path_counts:
+                return path_counts[key]
+            own = 1 if abs(self.radii[ci] - rate) <= RATE_TOL else 0
+            below = max(
+                (count_on_path(cj, rate) for cj in self.condensation[ci]), default=0
+            )
+            path_counts[key] = own + below
+            return own + below
+
+        out = []
+        for a, ci in enumerate(self.component_of):
+            if a in erasing:
+                out.append(GrowthType(0.0, 1))
+                continue
+            rate = reach(ci)
+            out.append(GrowthType(rate, count_on_path(ci, rate) - 1))
+        return out
+
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Iterative Tarjan; components come out in reverse topological order."""
@@ -205,51 +247,9 @@ def decompose(m: CountMatrix) -> ComponentDecomposition:
 
 
 def growth_types(m: CountMatrix, erasing: set[int] | frozenset[int]) -> list[GrowthType]:
-    """Growth type (rate, degree) of every index.
-
-    The rate of an index is the largest component radius reachable from
-    its component (itself included); the degree is one less than the
-    largest number of components realizing that radius along a single
-    condensation path.  Erasing indices get the conventional (0, 1).
-    """
-    n = m.order
-    if n == 0:
-        return []
-    dec = decompose(m)
-    ncomp = len(dec.components)
-
-    max_reach: list[float | None] = [None] * ncomp
-
-    def reach(ci: int) -> float:
-        cached = max_reach[ci]
-        if cached is not None:
-            return cached
-        best = dec.radii[ci]
-        for cj in dec.condensation[ci]:
-            best = max(best, reach(cj))
-        max_reach[ci] = best
-        return best
-
-    path_counts: dict[tuple[int, float], int] = {}
-
-    def count_on_path(ci: int, rate: float) -> int:
-        key = (ci, rate)
-        if key in path_counts:
-            return path_counts[key]
-        own = 1 if abs(dec.radii[ci] - rate) <= RATE_TOL else 0
-        below = max((count_on_path(cj, rate) for cj in dec.condensation[ci]), default=0)
-        path_counts[key] = own + below
-        return own + below
-
-    out = []
-    for a in range(n):
-        if a in erasing:
-            out.append(GrowthType(0.0, 1))
-            continue
-        ci = dec.component_of[a]
-        rate = reach(ci)
-        out.append(GrowthType(rate, count_on_path(ci, rate) - 1))
-    return out
+    """Growth type (rate, degree) of every index; see
+    :meth:`ComponentDecomposition.growth_types`."""
+    return decompose(m).growth_types(erasing)
 
 
 def max_growth_type(types: Iterable[GrowthType]) -> GrowthType:

@@ -12,11 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Alphabet, Substitution, Word, apply, fixed_point_prefix, is_primitive
+from .core import (
+    Alphabet,
+    Substitution,
+    Word,
+    apply,
+    first_letter_cycle,
+    fixed_point_prefix,
+    is_primitive,
+)
 from .errors import InternalError, PreconditionError
-
-_MAX_HEIGHT_ROUNDS = 8
-_BLOCK_SCAN_LIMIT = 4096  # blocks read off the prefix before closure takes over
 
 
 def _require_primitive(subst: Substitution, op: str) -> None:
@@ -25,34 +30,44 @@ def _require_primitive(subst: Substitution, op: str) -> None:
 
 
 def height(subst: Substitution) -> int:
-    """Largest h coprime to the length dividing all return times of x_0.
+    """Largest h coprime to the length k dividing all return times of x_0.
 
-    Return positions are read off fixed-point prefixes of length k^r for
-    r = 2, 3, ...; their gcd can only shrink as the prefix grows, so we
-    stop once it agrees across two successive rounds (or hits 1).
+    Exact, by Dekking's characterisation (1978): h is the largest n <= |A|
+    coprime to k with a labelling c: A -> Z/n and a constant e such that
+    c(seed) = 0 and c(phi(a)_j) = k c(a) + j + e (mod n) for every letter a
+    and column j.  Such a labelling keeps each letter of the fixed point in
+    one position class mod n; e is the phase shift of phi(x), which is not
+    x itself when the seed's first-letter cycle is longer than one.
     """
     _require_primitive(subst, "height")
+    return _dekking_height(subst)
+
+
+def _dekking_height(subst: Substitution) -> int:
+    seed, _ = first_letter_cycle(subst)
+    for n in range(subst.alphabet.size, 1, -1):
+        if math.gcd(n, subst.length_k) == 1:
+            if any(_has_labelling(subst, seed, n, e) for e in range(n)):
+                return n
+    return 1
+
+
+def _has_labelling(subst: Substitution, seed: int, n: int, e: int) -> bool:
+    # c(seed) = 0 fixes c along every edge a -> phi(a)_j; primitivity makes
+    # every letter reachable, so every edge gets checked.
     k = subst.length_k
-    if k == 1:
-        return 1
-    previous = 0
-    for r in range(2, _MAX_HEIGHT_ROUNDS + 1):
-        prefix = fixed_point_prefix(subst, k**r)
-        g = 0
-        for pos in range(1, len(prefix)):
-            if prefix[pos] == prefix[0]:
-                g = math.gcd(g, pos)
-        if g == 1 or (g > 0 and g == previous):
-            break
-        previous = g
-    else:
-        raise InternalError("return-time gcd did not stabilize; prefix cap too small")
-    h = g
-    while (d := math.gcd(h, k)) > 1:
-        h //= d
-    if h > min(k, subst.alphabet.size):
-        raise InternalError(f"height {h} exceeds min(k, alphabet size); bug upstream")
-    return h
+    label: list[int | None] = [None] * subst.alphabet.size
+    label[seed] = 0
+    queue = [seed]
+    for a in queue:
+        for j, b in enumerate(subst.rules[a]):
+            want = (k * label[a] + j + e) % n
+            if label[b] is None:
+                label[b] = want
+                queue.append(b)
+            elif label[b] != want:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -78,24 +93,25 @@ class PureBaseResult:
 
 
 def pure_base(subst: Substitution) -> PureBaseResult:
-    """Induced substitution on h-blocks at positions divisible by h.
+    """Induced substitution psi on h-blocks at positions divisible by h.
 
     Blocks are named by joining their letters (with ``|`` between multi-
-    character letters) and ordered by first occurrence in the fixed-point
-    prefix, then by closure discovery.  The image of a block is the image
-    of its letters chopped into k consecutive h-blocks.
+    character letters) and ordered by first occurrence in the fixed point;
+    the image of a block is the image of its letters chopped into k
+    h-blocks.  The fixed point is fixed by phi^p (p the seed's first-letter
+    cycle length), so each block first occurs in the psi^p-image of a block
+    found before it.  A non-primitive psi means the fixed point is periodic
+    and phi permutes its block phases: PreconditionError, outside the analysis.
     """
     _require_primitive(subst, "pure_base")
-    h = height(subst)
+    h = _dekking_height(subst)
     alphabet = subst.alphabet
     if h == 1:
         decoding = {a: (a,) for a in alphabet.letters}
         return PureBaseResult(1, alphabet, subst, decoding, subst)
 
     k = subst.length_k
-    scan_symbols = min(k**_MAX_HEIGHT_ROUNDS, _BLOCK_SCAN_LIMIT) * h
-    prefix = fixed_point_prefix(subst, scan_symbols)
-
+    _, p = first_letter_cycle(subst)
     blocks: list[Word] = []
     seen: dict[Word, int] = {}
 
@@ -105,37 +121,39 @@ def pure_base(subst: Substitution) -> PureBaseResult:
             blocks.append(block)
         return seen[block]
 
-    for i in range(len(prefix) // h):
-        intern(tuple(prefix[i * h : (i + 1) * h]))
+    def psi(block: Word) -> list[Word]:
+        image = apply(subst, block)
+        return [image[j * h : (j + 1) * h] for j in range(k)]
 
-    cap = alphabet.size**h
+    walked: set[tuple[Word, int]] = set()
+
+    def walk(block: Word, depth: int) -> None:
+        # intern the blocks of psi^depth(block) from left to right; a
+        # (block, depth) walked before can add no new block
+        if depth == 0:
+            intern(block)
+        elif (block, depth) not in walked:
+            walked.add((block, depth))
+            for child in psi(block):
+                walk(child, depth - 1)
+
+    intern(fixed_point_prefix(subst, h))
+    for block in blocks:  # grows while it is walked
+        walk(block, p)
     rules: list[Word] = []
-    cursor = 0
-    while cursor < len(blocks):
-        if len(blocks) > cap:
-            raise InternalError("block closure exceeded the |alphabet|^h bound")
-        image = apply(subst, blocks[cursor])
-        rules.append(tuple(intern(tuple(image[j * h : (j + 1) * h])) for j in range(k)))
-        cursor += 1
+    while len(rules) < len(blocks):  # psi can leave the fixed point's blocks
+        rules.append(tuple(intern(b) for b in psi(blocks[len(rules)])))
 
-    single = all(len(a) == 1 for a in alphabet.letters)
-    joiner = "" if single else "|"
-    names = tuple(joiner.join(alphabet.letters[v] for v in block) for block in blocks)
-    block_alphabet = Alphabet(names)
+    joiner = "" if all(len(a) == 1 for a in alphabet.letters) else "|"
+    spelled = [tuple(alphabet.letters[v] for v in block) for block in blocks]
+    block_alphabet = Alphabet(joiner.join(letters) for letters in spelled)
+    decoding = dict(zip(block_alphabet.letters, spelled))
     induced = Substitution(block_alphabet, tuple(rules))
-    decoding = {
-        name: tuple(alphabet.letters[v] for v in block)
-        for name, block in zip(names, blocks)
-    }
-    try:
-        induced_height = height(induced)
-    except PreconditionError as exc:
-        # happens only when the fixed point is periodic and phi permutes the
-        # block phases; such degenerate systems fall outside the analysis
-        raise InternalError(
+    if not is_primitive(induced):
+        raise PreconditionError(
             "purification produced a non-primitive block substitution "
             "(the fixed point is periodic)"
-        ) from exc
-    if induced_height != 1:
+        )
+    if _dekking_height(induced) != 1:
         raise InternalError("pure base failed to have height 1")
     return PureBaseResult(h, block_alphabet, induced, decoding, subst)

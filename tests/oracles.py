@@ -91,10 +91,23 @@ def brute_column_sets(rules: Rules) -> set[frozenset[str]]:
     return seen
 
 
-def brute_height(rules: Rules, seed: str, n_symbols: int = 4096) -> int:
-    """Coprime part of the gcd of return times in a long prefix."""
+def brute_height(rules: Rules, n_symbols: int = 1 << 15) -> int:
+    """Coprime part of the gcd of return times of x_0 in a long prefix.
+
+    x is the fixed point of phi^p at the first letter, in rule order, that
+    lies on a cycle of the first-letter map; p is that cycle's length.
+    """
+    first = {a: w[0] for a, w in rules.items()}
+
+    def cycle_length(a: str) -> int:
+        b, p = first[a], 1
+        while b != a and p <= len(rules):
+            b, p = first[b], p + 1
+        return p if b == a else 0
+
+    seed = next(a for a in rules if cycle_length(a))
+    x = brute_fixed_point(brute_power(rules, cycle_length(seed)), seed, n_symbols)
     k = len(next(iter(rules.values())))
-    x = brute_fixed_point(rules, seed, n_symbols)
     g = 0
     for pos in range(1, len(x)):
         if x[pos] == x[0]:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import substdyn
 from substdyn import PreconditionError, SpecParseError
 from substdyn.cli import parse_spec, render_spec, run
 
-from conftest import EXAMPLE_RULES
+from conftest import EXAMPLE_RULES, example
 
 E1_TEXT = """\
 # leading comment
@@ -137,6 +138,19 @@ class TestExitCodes:
         path = write_spec(tmp_path, "k1.sub", {"a": "a"})
         assert run(["analyze", path]) == 2
         capsys.readouterr()
+
+    def test_periodic_phase(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "swap.sub", {"a": "bab", "b": "aba"})
+        for command in ("analyze", "kernel"):
+            assert run([command, path]) == 2
+            assert "periodic" in capsys.readouterr().err
+
+    def test_height_above_k(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "h3.sub", {"a": "ab", "b": "ca", "c": "bc"})
+        assert run(["analyze", "--json", path]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["height_h"] == 3
+        assert report["finite_system"]
 
     def test_resource_cap(self, tmp_path, capsys):
         path = write_spec(tmp_path, "e5.sub", EXAMPLE_RULES["e5"])
@@ -321,6 +335,55 @@ class TestKernelCommand:
         assert run(["kernel", path, "--m-max", "3"]) == 0
         out = capsys.readouterr().out
         assert "height 2; kernel computed on the pure base" in out
+
+
+class TestStageCounts:
+    """Each command builds every expensive stage once."""
+
+    STAGES = ("pure_base", "column_sets", "kernel_monoid", "decompose")
+    # (command, example) -> calls of each stage; at height 2 the second
+    # decompose is the unpurified diagnostic's matrix
+    EXPECTED = {
+        ("analyze", "e1"): (1, 1, 1, 1),
+        ("analyze", "e4"): (1, 1, 1, 2),
+        ("kernel", "e1"): (1, 0, 1, 0),
+        ("kernel", "e4"): (1, 0, 1, 0),
+    }
+    MODULES = ("core", "structure", "matrices", "discrepancy", "invariants",
+               "empirical", "cli")
+
+    def count_calls(self, monkeypatch) -> dict[str, int]:
+        calls = dict.fromkeys(self.STAGES + ("compose",), 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        # patch the name in every module that imported it
+        modules = [getattr(substdyn, m) for m in self.MODULES]
+        for name in self.STAGES:
+            home = next(vars(m)[name] for m in modules if name in vars(m))
+            for module in modules:
+                if vars(module).get(name) is home:
+                    monkeypatch.setattr(module, name, counting(name, home))
+        compose = substdyn.ColumnMap.compose
+        monkeypatch.setattr(substdyn.ColumnMap, "compose", counting("compose", compose))
+        return calls
+
+    @pytest.mark.parametrize("command,name", sorted(EXPECTED))
+    def test_stage_calls(self, tmp_path, capsys, monkeypatch, command, name):
+        path = write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name])
+        pure = substdyn.pure_base(example(name)).pure_base
+        monoid_size = len(substdyn.kernel_monoid(pure).elements)
+        argv = ["analyze", "--json", "--m-max", "12"] if command == "analyze" else ["kernel"]
+        calls = self.count_calls(monkeypatch)
+        assert run(argv + [path]) == 0
+        capsys.readouterr()
+        assert tuple(calls[s] for s in self.STAGES) == self.EXPECTED[command, name]
+        # one composition per (element, generator): d_m reuses the closure
+        assert calls["compose"] == monoid_size * pure.length_k
 
 
 class TestOracleCommand:

@@ -12,10 +12,7 @@ from substdyn import (
     RATE_TOL,
     Substitution,
     analyze_pairs,
-    discrepancy_rate_type,
-    discrepancy_substitution,
     has_coincidence,
-    maximal_growth_pairs,
     pair_rules,
     polynomial_text,
     power,
@@ -154,7 +151,7 @@ class TestDifferenceCounting:
 class TestRateAndDegree:
     def test_expected_types(self, example_name):
         rate, degree = EXPECTED_TYPES[example_name]
-        got = discrepancy_rate_type(example(example_name))
+        got = analyze_pairs(example(example_name)).rate_type
         assert got.rate_lambda_s == pytest.approx(rate, abs=1e-8)
         assert got.degree_d_s == degree
 
@@ -165,7 +162,7 @@ class TestRateAndDegree:
             for i, letter in enumerate(base.alphabet.letters)
         }
         expected = brute_lambda_s(oracle_rules)
-        got = discrepancy_rate_type(example(example_name)).rate_lambda_s
+        got = analyze_pairs(example(example_name)).rate_type.rate_lambda_s
         assert got == pytest.approx(expected, abs=1e-8)
 
     def test_e3_per_pair_types(self):
@@ -181,16 +178,16 @@ class TestRateAndDegree:
 
     def test_rate_power_identity(self, example_name):
         subst = example(example_name)
-        rate = discrepancy_rate_type(subst).rate_lambda_s
+        rate = analyze_pairs(subst).rate_type.rate_lambda_s
         for n in (2, 3):
-            powered = discrepancy_rate_type(power(subst, n)).rate_lambda_s
+            powered = analyze_pairs(power(subst, n)).rate_type.rate_lambda_s
             assert powered == pytest.approx(rate**n, rel=1e-8)
 
     def test_rate_lands_in_allowed_range(self):
         rng = random.Random(424242)
         for _ in range(100):
             subst = random_primitive_substitution(rng)
-            rate = discrepancy_rate_type(subst).rate_lambda_s
+            rate = analyze_pairs(subst).rate_type.rate_lambda_s
             k = pure_base(subst).pure_base.length_k
             assert rate == pytest.approx(0.0, abs=RATE_TOL) or (
                 1.0 - RATE_TOL <= rate <= k + RATE_TOL
@@ -198,11 +195,11 @@ class TestRateAndDegree:
 
     def test_zero_rate_means_identical_images(self):
         subst = Substitution.from_strings({"a": "ab", "b": "ab"})
-        assert discrepancy_rate_type(subst).rate_lambda_s == 0.0
+        assert analyze_pairs(subst).rate_type.rate_lambda_s == 0.0
 
     def test_full_rate_means_no_coincidence(self, example_name):
         subst = example(example_name)
-        rate = discrepancy_rate_type(subst).rate_lambda_s
+        rate = analyze_pairs(subst).rate_type.rate_lambda_s
         base = pure_base(subst).pure_base
         hits_k = abs(rate - base.length_k) <= RATE_TOL
         assert hits_k == (not has_coincidence(base))
@@ -212,13 +209,13 @@ class TestMaximalPairs:
     def test_expected_sets(self, example_name):
         subst = example(example_name)
         letters = pure_base(subst).pure_base.alphabet.letters
-        got = [p.name(letters) for p in maximal_growth_pairs(subst).pairs]
+        got = [p.name(letters) for p in analyze_pairs(subst).maximal.pairs]
         assert got == EXPECTED_MAXIMAL[example_name]
 
     def test_e2_set_is_transitive(self):
         # S must satisfy: {a,b} in S implies {a,c} or {b,c} in S for all c
         got = {
-            (p.lo, p.hi) for p in maximal_growth_pairs(example("e2")).pairs
+            (p.lo, p.hi) for p in analyze_pairs(example("e2")).maximal.pairs
         }
         assert got == {(0, 1), (0, 2)}
         for a, b in got:
@@ -240,8 +237,8 @@ class TestPowerIdentity:
     @pytest.mark.parametrize("n", [2, 3])
     def test_discrepancy_of_power_is_power_of_discrepancy(self, example_name, n):
         subst = example(example_name)
-        direct = discrepancy_substitution(power(subst, n))
-        iterated = discrepancy_substitution(subst).power(n)
+        direct = pair_rules(pure_base(power(subst, n)).pure_base)
+        iterated = pair_rules(pure_base(subst).pure_base).power(n)
         assert direct.pair_alphabet == iterated.pair_alphabet
         assert direct.rules == iterated.rules
         assert direct.erasing == iterated.erasing

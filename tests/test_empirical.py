@@ -14,12 +14,12 @@ from substdyn import (
     ResourceLimitError,
     SeparationProfile,
     Substitution,
+    analyze_pairs,
     default_nu_grid,
     fit_slope,
     fixed_point_prefix,
     kernel_monoid,
     lipschitz_ratio_probe,
-    maximal_growth_pairs,
     mismatch_density,
     pair_filter_table,
     pure_base,
@@ -86,7 +86,7 @@ class TestMismatchDensity:
     def test_filtered_never_exceeds_plain(self):
         subst = example("e2")
         table = pair_filter_table(
-            subst.alphabet.size, maximal_growth_pairs(subst)
+            subst.alphabet.size, analyze_pairs(subst).maximal
         )
         sample = OrbitSample.from_substitution(subst, 32, 2048)
         for i in range(0, 32, 5):
@@ -96,7 +96,7 @@ class TestMismatchDensity:
 
     def test_filter_table_is_symmetric_without_diagonal(self):
         subst = example("e2")
-        table = pair_filter_table(subst.alphabet.size, maximal_growth_pairs(subst))
+        table = pair_filter_table(subst.alphabet.size, analyze_pairs(subst).maximal)
         assert np.array_equal(table, table.T)
         assert not table.diagonal().any()
         # S = {(ab), (ac)} for this rule set

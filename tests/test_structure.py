@@ -9,8 +9,10 @@ import pytest
 from substdyn import (
     PreconditionError,
     Substitution,
+    classify,
     fixed_point_prefix,
     height,
+    is_primitive,
     power,
     pure_base,
     random_primitive_substitution,
@@ -37,8 +39,7 @@ class TestHeight:
 
     def test_matches_oracle(self, example_name):
         rules = EXAMPLE_RULES[example_name]
-        seed = min(rules)
-        assert height(example(example_name)) == brute_height(rules, seed)
+        assert height(example(example_name)) == brute_height(rules)
 
     def test_requires_primitive(self):
         with pytest.raises(PreconditionError):
@@ -62,6 +63,46 @@ class TestHeight:
         result = pure_base(subst)
         assert result.block_alphabet.letters == ("abc",)
         assert result.pure_base.rule_strings() == ["abc -> abc abc abc abc"]
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            # the return-time gcd of x_0 is 2 up to length 27 and 1 after
+            {"a": "caa", "b": "beb", "c": "beb", "d": "eda", "e": "ecd"},
+            {"a": "dca", "b": "cba", "c": "bcb", "d": "dab"},
+        ],
+    )
+    def test_late_odd_return_is_height_one(self, rules):
+        assert height(Substitution.from_strings(rules)) == 1
+
+    def test_height_above_k(self):
+        # fixed point (abc)(abc)...: height 3 > k = 2, still a finite system
+        subst = Substitution.from_strings({"a": "ab", "b": "ca", "c": "bc"})
+        assert height(subst) == 3
+        report = classify(subst)
+        assert report.height_h == 3
+        assert report.finite_system
+
+    def test_phase_shift_needs_the_constant(self):
+        # first-letter cycle a -> b -> a: phi(x) is x shifted by one, so the
+        # labelling c(a) = 0, c(b) = 1 holds with e = 1 only
+        subst = Substitution.from_strings({"a": "bab", "b": "aba"})
+        assert height(subst) == 2
+
+    def test_random_raw_draws_match_long_prefix_oracle(self):
+        rng = random.Random(2718)
+        draws = 0
+        while draws < 500:
+            size, k = rng.randint(2, 6), rng.randint(2, 5)
+            letters = "abcdef"[:size]
+            rules = {
+                a: "".join(rng.choice(letters) for _ in range(k)) for a in letters
+            }
+            subst = Substitution.from_strings(rules)
+            if not is_primitive(subst):
+                continue
+            draws += 1
+            assert height(subst) == brute_height(rules), rules
 
 
 class TestPureBase:
@@ -104,6 +145,11 @@ class TestPureBase:
         )
         assert decoded == original_tokens
         assert len(decoded) == n_blocks * result.height_h
+
+    def test_periodic_phase_is_a_precondition(self):
+        # blocks ab -> ba ba ba -> ab ab ab: phi swaps the two block phases
+        with pytest.raises(PreconditionError, match="periodic"):
+            pure_base(Substitution.from_strings({"a": "bab", "b": "aba"}))
 
     def test_random_substitutions_purify(self):
         rng = random.Random(314159)
