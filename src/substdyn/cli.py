@@ -32,7 +32,7 @@ from .empirical import (
     write_density_csv,
     write_profile_csv,
 )
-from .discrepancy import analyze_pairs
+from .discrepancy import DiscrepancyAnalysis, analyze_pairs
 from .errors import (
     EstimationError,
     PreconditionError,
@@ -245,7 +245,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     doc = _load(args.file)
     subst = doc.substitution
-    exact = amorphic_complexity(subst)
+    analysis = analyze_pairs(subst)
+    exact = amorphic_complexity(subst, analysis)
     grid = _build_grid(args.nu_max, args.nu_min)
     profile = separation_profile(
         subst, m_points=args.points, window_n=args.window, nu_grid=grid
@@ -256,12 +257,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ratio: float | None = None
     if not math.isinf(exact) and exact > 0:
         try:
-            ratio = lipschitz_ratio_probe(subst, seed=args.seed)
+            ratio = lipschitz_ratio_probe(subst, seed=args.seed, analysis=analysis)
         except (PreconditionError, EstimationError):
             ratio = None
 
     if args.density_csv:
-        _emit_density_rows(subst, args.density_csv)
+        _emit_density_rows(analysis, args.density_csv)
 
     print(f"exact ac: {_fmt(exact)}")
     print("nu        count")
@@ -283,8 +284,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_density_rows(subst: Substitution, path: str) -> None:
-    analysis = analyze_pairs(subst)
+def _emit_density_rows(analysis: DiscrepancyAnalysis, path: str) -> None:
     pure = analysis.pure.pure_base
     table = pair_filter_table(pure.alphabet.size, analysis.maximal)
     sample = OrbitSample.from_substitution(pure, 16, 4096)

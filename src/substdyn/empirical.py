@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Substitution, Word, apply, fixed_point_prefix
-from .discrepancy import MaximalPairSet, analyze_pairs
+from .discrepancy import DiscrepancyAnalysis, MaximalPairSet, analyze_pairs
 from .errors import (
     EstimationError,
     InternalError,
@@ -186,15 +186,18 @@ def lipschitz_ratio_probe(
     samples: int = 64,
     window_n: int = 1 << 14,
     seed: int = DEFAULT_SEED,
+    analysis: DiscrepancyAnalysis | None = None,
 ) -> float:
     """Minimum sampled ratio (S-restricted density) / (plain density).
 
     The two densities are Lipschitz-equivalent on infinite discrete-
     spectrum systems, so the minimum should stay clear of zero.  Each
     sampled pair is also pushed once through the substitution and the
-    ratio must not drop by more than 0.05 on the way.
+    ratio must not drop by more than 0.05 on the way.  ``analysis`` is
+    ``analyze_pairs(subst)`` when the caller already has it.
     """
-    analysis = analyze_pairs(subst)
+    if analysis is None:
+        analysis = analyze_pairs(subst)
     rate = analysis.rate_type.rate_lambda_s
     k = subst.length_k
     if rate <= RATE_TOL or rate >= k - RATE_TOL:

@@ -104,10 +104,16 @@ def _ac_from_rate(rate: float, k: int) -> float:
     return math.log(k) / (math.log(k) - math.log(rate))
 
 
-def amorphic_complexity(subst: Substitution) -> float:
-    """log k / (log k - log lambda_s); 0 when finite, inf when lambda_s = k."""
+def amorphic_complexity(
+    subst: Substitution, analysis: DiscrepancyAnalysis | None = None
+) -> float:
+    """log k / (log k - log lambda_s); 0 when finite, inf when lambda_s = k.
+
+    ``analysis`` is ``analyze_pairs(subst)`` when the caller already has it.
+    """
     _require(subst, "amorphic_complexity")
-    analysis = analyze_pairs(subst)
+    if analysis is None:
+        analysis = analyze_pairs(subst)
     return _ac_from_rate(analysis.rate_type.rate_lambda_s, subst.length_k)
 
 

@@ -4,7 +4,7 @@ Everything here works on plain ``{letter: image}`` dicts of single-character
 strings and favors obviousness over speed: words are materialized, columns
 are enumerated one by one, and eigenvalues come from numpy.  None of the
 package's own machinery is imported, so agreement between the two routes is
-meaningful.
+meaningful.  Matrices are nested lists of ints.
 """
 
 from __future__ import annotations
@@ -125,3 +125,28 @@ def brute_is_primitive(rules: Rules, horizon: int = 12) -> bool:
             return True
         reach = {a: {c for b in reach[a] for c in rules[b]} for a in letters}
     return all(len(reach[a]) == len(letters) for a in letters)
+
+
+def faddeev_leverrier(rows: list[list[int]]) -> tuple[int, ...]:
+    """Coefficients (monic, descending powers) of det(tI - M), O(n^4).
+
+    Faddeev-LeVerrier over Python integers: M_1 = M, c_s = -tr(M_s)/s,
+    M_{s+1} = M (M_s + c_s I); every division is asserted exact.
+    """
+    n = len(rows)
+    coeffs = [1]
+    work = [list(row) for row in rows]
+    for step in range(1, n + 1):
+        trace = sum(work[i][i] for i in range(n))
+        assert trace % step == 0, "Faddeev-LeVerrier produced a non-exact division"
+        c = -(trace // step)
+        coeffs.append(c)
+        if step == n:
+            break
+        for i in range(n):
+            work[i][i] += c
+        work = [
+            [sum(rows[i][t] * work[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return tuple(coeffs)

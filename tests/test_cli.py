@@ -340,14 +340,21 @@ class TestKernelCommand:
 class TestStageCounts:
     """Each command builds every expensive stage once."""
 
-    STAGES = ("pure_base", "column_sets", "kernel_monoid", "decompose")
+    STAGES = ("pure_base", "column_sets", "kernel_monoid", "decompose",
+              "characteristic_polynomial")
     # (command, example) -> calls of each stage; at height 2 the second
     # decompose is the unpurified diagnostic's matrix
     EXPECTED = {
-        ("analyze", "e1"): (1, 1, 1, 1),
-        ("analyze", "e4"): (1, 1, 1, 2),
-        ("kernel", "e1"): (1, 0, 1, 0),
-        ("kernel", "e4"): (1, 0, 1, 0),
+        ("analyze", "e1"): (1, 1, 1, 1, 1),
+        ("analyze", "e4"): (1, 1, 1, 2, 1),
+        ("kernel", "e1"): (1, 0, 1, 0, 0),
+        ("kernel", "e4"): (1, 0, 1, 0, 0),
+        ("verify", "e1"): (1, 0, 0, 1, 1),
+    }
+    ARGV = {
+        "analyze": ["analyze", "--json", "--m-max", "12"],
+        "kernel": ["kernel"],
+        "verify": ["verify", "--points", "32", "--window", "1024"],
     }
     MODULES = ("core", "structure", "matrices", "discrepancy", "invariants",
                "empirical", "cli")
@@ -377,13 +384,50 @@ class TestStageCounts:
         path = write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name])
         pure = substdyn.pure_base(example(name)).pure_base
         monoid_size = len(substdyn.kernel_monoid(pure).elements)
-        argv = ["analyze", "--json", "--m-max", "12"] if command == "analyze" else ["kernel"]
+        argv = self.ARGV[command] + [path]
+        if command == "verify":
+            argv += ["--density-csv", str(tmp_path / "density.csv")]
         calls = self.count_calls(monkeypatch)
-        assert run(argv + [path]) == 0
+        assert run(argv) == 0
         capsys.readouterr()
         assert tuple(calls[s] for s in self.STAGES) == self.EXPECTED[command, name]
         # one composition per (element, generator): d_m reuses the closure
-        assert calls["compose"] == monoid_size * pure.length_k
+        assert calls["compose"] == calls["kernel_monoid"] * monoid_size * pure.length_k
+
+
+class TestCharacteristicPolynomialCheck:
+    """A wrong residue from the modular routine exits 4 and names the stage."""
+
+    def analyze_with_residues(self, tmp_path, capsys, monkeypatch, corrupt):
+        residues = substdyn.matrices._charpoly_residues
+
+        def wrong(entries, primes):
+            rows = residues(entries, primes)
+            corrupt(rows, primes)
+            return rows
+
+        monkeypatch.setattr(substdyn.matrices, "_charpoly_residues", wrong)
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        assert run(["analyze", path]) == 4
+        return capsys.readouterr().err
+
+    def test_one_prime_off_fails_the_check_prime(self, tmp_path, capsys, monkeypatch):
+        def corrupt(rows, primes):
+            rows[0, 0] = (rows[0, 0] + 1) % primes[0]
+
+        order = len(substdyn.analyze_pairs(example("e1")).critical_poly) - 1
+        err = self.analyze_with_residues(tmp_path, capsys, monkeypatch, corrupt)
+        assert f"characteristic_polynomial: order {order} " in err
+        assert "check prime" in err
+
+    def test_every_prime_off_fails_the_trace(self, tmp_path, capsys, monkeypatch):
+        def corrupt(rows, primes):
+            n = rows.shape[1] - 1
+            rows[:, n - 1] = (rows[:, n - 1] + 1) % primes
+
+        err = self.analyze_with_residues(tmp_path, capsys, monkeypatch, corrupt)
+        assert "characteristic_polynomial: order" in err
+        assert "-trace" in err
 
 
 class TestOracleCommand:

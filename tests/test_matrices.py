@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -13,6 +14,7 @@ from substdyn import (
     CountMatrix,
     GrowthType,
     RATE_TOL,
+    Substitution,
     characteristic_polynomial,
     decompose,
     evaluate_polynomial,
@@ -22,8 +24,10 @@ from substdyn import (
     polynomial_text,
     spectral_radius,
 )
+from substdyn.matrices import _prime
 
 from conftest import example
+from oracles import faddeev_leverrier
 
 
 def random_irreducible(rng: random.Random, n: int) -> CountMatrix:
@@ -151,6 +155,19 @@ class TestGrowthTypes:
             max_growth_type([])
 
 
+def charpoly_vs_oracle(rows: list[list[int]]) -> None:
+    got = characteristic_polynomial(CountMatrix.from_rows(rows))
+    assert got == faddeev_leverrier(rows)
+
+
+#: A Dekking-labelled input (height 2) whose critical pair component has
+#: order 50.
+DEKKING_A8_K5 = {
+    "a": "adedh", "b": "hcbch", "c": "fbcbg", "d": "chdac",
+    "e": "efefe", "f": "dedhf", "g": "cagaf", "h": "aghdb",
+}
+
+
 class TestCharacteristicPolynomial:
     def test_known_polynomials(self):
         fib = CountMatrix.from_rows([[1, 1], [1, 0]])
@@ -170,6 +187,47 @@ class TestCharacteristicPolynomial:
                 int(c) for c in sympy.Matrix(m.entries).charpoly(lam).all_coeffs()
             )
             assert characteristic_polynomial(m) == expected
+
+    @pytest.mark.parametrize("density", [0.15, 1.0])
+    def test_matches_faddeev_leverrier_sweep(self, density):
+        rng = random.Random(20261018)
+        for n in range(1, 31):
+            rows = [
+                [rng.randint(1, 9) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            charpoly_vs_oracle(rows)
+
+    def test_edge_cases(self):
+        charpoly_vs_oracle([[0] * 4 for _ in range(4)])
+        # strictly upper triangular: nilpotent, t^n
+        charpoly_vs_oracle([[int(j > i) * (i + j) for j in range(5)] for i in range(5)])
+        perm = [2, 0, 4, 1, 3]
+        charpoly_vs_oracle([[int(perm[i] == j) for j in range(5)] for i in range(5)])
+        # block-diagonal: the subdiagonal entry below the first block is 0
+        # and the column under it is empty, so that step has no pivot
+        charpoly_vs_oracle([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]])
+        # the same blocks on {0, 2} and {1, 3}: the pivot search must swap
+        charpoly_vs_oracle([[1, 0, 2, 0], [0, 5, 0, 6], [3, 0, 4, 0], [0, 7, 0, 8]])
+        # entries that vanish mod the first primes, and entries past int64
+        p, q = _prime(0), _prime(1)
+        charpoly_vs_oracle([[p, 1, 0], [2 * p, q, p * q], [0, 3, p]])
+        charpoly_vs_oracle([[10**30, 1], [7, 10**30 + 5]])
+
+    def test_pinned_order_50_critical_block(self):
+        from substdyn import analyze_pairs
+
+        analysis = analyze_pairs(Substitution.from_strings(DEKKING_A8_K5))
+        assert analysis.pure.height_h == 2
+        coeffs = analysis.critical_poly
+        n = len(coeffs) - 1
+        assert n == 50
+        assert -coeffs[1] == 7  # trace
+        assert (-1) ** n * coeffs[-1] == 0  # determinant
+        # Faddeev-LeVerrier gives the same digest
+        assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == (
+            "0477bae2e4770c4629bfffbf4ca2b9d9e919e038568e0db31c7d5fcac495915f"
+        )
 
     def test_evaluation(self):
         coeffs = (1, -3, 0)  # t^2 - 3t
