@@ -2,43 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .core import (
-    WORD_BUDGET,
-    Alphabet,
-    ColumnFamily,
-    ColumnMap,
-    Substitution,
-    Word,
-    apply,
-    column_sets,
-    first_letter_cycle,
-    fixed_point_prefix,
-    has_coincidence,
-    incidence_matrix,
-    is_primitive,
-    power,
-)
-from .discrepancy import (
-    DiscrepancyAnalysis,
-    DiscrepancyType,
-    GeneralSubstitution,
-    LetterPair,
-    MaximalPairSet,
-    analyze_pairs,
-    pair_rules,
-)
+from .core import WORD_BUDGET, Alphabet, Substitution
+from .discrepancy import analyze_pairs
 from .empirical import (
     COMPARISON_BUDGET,
-    OrbitSample,
-    SeparationProfile,
-    default_nu_grid,
     fit_slope,
     lipschitz_ratio_probe,
-    mismatch_density,
-    pair_filter_table,
     separation_profile,
-    write_density_csv,
-    write_profile_csv,
 )
 from .errors import (
     EstimationError,
@@ -51,12 +21,8 @@ from .errors import (
 from .invariants import (
     DEFAULT_SEED,
     AnalysisReport,
-    ColumnSetGraph,
-    KernelDescriptor,
-    NullnessWitness,
     amorphic_complexity,
     classify,
-    column_set_graph,
     graph_condition,
     kernel_monoid,
     nonconstant_ap_counts,
@@ -64,88 +30,33 @@ from .invariants import (
     random_primitive_substitution,
     synthesize_target_ac,
 )
-from .matrices import (
-    RADIUS_TOL,
-    RATE_TOL,
-    ComponentDecomposition,
-    CountMatrix,
-    GrowthType,
-    characteristic_polynomial,
-    decompose,
-    evaluate_polynomial,
-    growth_types,
-    max_growth_type,
-    polynomial_text,
-    spectral_radius,
-)
-from .structure import PureBaseResult, height, pure_base
+from .structure import height, pure_base
 
 __all__ = [
     "COMPARISON_BUDGET",
-    "RADIUS_TOL",
-    "RATE_TOL",
+    "DEFAULT_SEED",
     "WORD_BUDGET",
     "Alphabet",
     "AnalysisReport",
-    "ColumnFamily",
-    "ColumnMap",
-    "ColumnSetGraph",
-    "ComponentDecomposition",
-    "CountMatrix",
-    "DEFAULT_SEED",
-    "DiscrepancyAnalysis",
-    "DiscrepancyType",
     "EstimationError",
-    "GeneralSubstitution",
-    "GrowthType",
     "InternalError",
-    "KernelDescriptor",
-    "LetterPair",
-    "MaximalPairSet",
-    "NullnessWitness",
-    "OrbitSample",
     "PreconditionError",
-    "PureBaseResult",
     "ResourceLimitError",
-    "SeparationProfile",
     "SpecParseError",
     "SubstError",
     "Substitution",
-    "Word",
     "amorphic_complexity",
     "analyze_pairs",
-    "apply",
-    "characteristic_polynomial",
     "classify",
-    "column_set_graph",
-    "column_sets",
-    "decompose",
-    "default_nu_grid",
-    "evaluate_polynomial",
-    "first_letter_cycle",
     "fit_slope",
-    "fixed_point_prefix",
     "graph_condition",
-    "growth_types",
-    "has_coincidence",
     "height",
-    "incidence_matrix",
-    "is_primitive",
     "kernel_monoid",
     "lipschitz_ratio_probe",
-    "max_growth_type",
-    "mismatch_density",
     "nonconstant_ap_counts",
     "null_witness_search",
-    "pair_filter_table",
-    "pair_rules",
-    "polynomial_text",
-    "power",
     "pure_base",
     "random_primitive_substitution",
     "separation_profile",
-    "spectral_radius",
     "synthesize_target_ac",
-    "write_density_csv",
-    "write_profile_csv",
 ]

@@ -323,9 +323,10 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     pure = pure_base(doc.substitution)
+    descriptor = kernel_monoid(pure.pure_base)
+    d_m = descriptor.nonconstant_counts(args.m_max)  # checks m_max before any output
     if pure.height_h > 1:
         print(f"height {pure.height_h}; kernel computed on the pure base")
-    descriptor = kernel_monoid(pure.pure_base)
     labels = descriptor.element_strings()
     print(f"kernel monoid: {len(labels)} element(s)")
     for label, word in zip(labels, descriptor.words):
@@ -335,7 +336,6 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         print(f"  {label:<24} via {spelled}")
     constants = sum(descriptor.constant_flags)
     print(f"constant elements: {constants}")
-    d_m = descriptor.nonconstant_counts(args.m_max)
     print("nonconstant column counts:")
     for m, value in enumerate(d_m):
         print(f"  d_{m} = {value}")

@@ -1,4 +1,4 @@
-"""Words, constant-length substitutions, column maps and column sets.
+"""Words, constant-length substitutions and column sets.
 
 Letters are arbitrary text tokens.  Internally every letter is a dense
 index ``0 .. size-1`` into an :class:`Alphabet` and words are tuples of
@@ -8,11 +8,9 @@ the tokens again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, ResourceLimitError
-from .matrices import CountMatrix
 
 #: Longest word any operation is allowed to materialize (symbols).
 WORD_BUDGET = 1 << 26
@@ -63,55 +61,6 @@ class Alphabet:
         return f"Alphabet({list(self.letters)!r})"
 
 
-@dataclass(frozen=True)
-class ColumnMap:
-    """A total map letter -> letter, stored as a tuple indexed by letter."""
-
-    mapping: tuple[int, ...]
-
-    def __call__(self, letter: int) -> int:
-        return self.mapping[letter]
-
-    def compose(self, inner: "ColumnMap") -> "ColumnMap":
-        """self after inner: ``(self . inner)(a) = self(inner(a))``."""
-        return ColumnMap(tuple(self.mapping[v] for v in inner.mapping))
-
-    def image(self, letters: frozenset[int]) -> frozenset[int]:
-        return frozenset(self.mapping[a] for a in letters)
-
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.mapping)) == 1
-
-    @staticmethod
-    def identity(size: int) -> "ColumnMap":
-        return ColumnMap(tuple(range(size)))
-
-
-@dataclass(frozen=True)
-class ColumnFamily:
-    """All image sets of the full alphabet under iterated column maps.
-
-    ``sets`` is recorded in breadth-first discovery order (the full
-    alphabet first) so that reports are reproducible.
-    """
-
-    sets: tuple[frozenset[int], ...]
-
-    def __contains__(self, s: frozenset[int]) -> bool:
-        return s in set(self.sets)
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    @property
-    def has_singleton(self) -> bool:
-        return any(len(s) == 1 for s in self.sets)
-
-
 class Substitution:
     """A constant-length substitution: one length-k image word per letter."""
 
@@ -152,17 +101,9 @@ class Substitution:
             indexed.append(tuple(alphabet.index(tok) for tok in image))
         return cls(alphabet, indexed)
 
-    def column(self, i: int) -> ColumnMap:
-        """The i-th column map, sending each letter to position i of its image."""
-        if not 0 <= i < self.length_k:
-            raise ValueError(f"column index {i} out of range")
-        return ColumnMap(tuple(rule[i] for rule in self.rules))
-
-    def columns(self) -> list[ColumnMap]:
-        return [self.column(i) for i in range(self.length_k)]
-
-    def word_to_tokens(self, word: Word) -> list[str]:
-        return [self.alphabet.letters[a] for a in word]
+    def columns(self) -> list[tuple[int, ...]]:
+        """The k column maps; map i sends each letter to position i of its image."""
+        return list(zip(*self.rules))
 
     def rule_strings(self) -> list[str]:
         """Human-readable rules, compact when all tokens are single chars."""
@@ -209,31 +150,6 @@ def _apply_prefix(subst: Substitution, word: Sequence[int], limit: int) -> list[
     return out[:limit]
 
 
-def power(subst: Substitution, n: int) -> Substitution:
-    """The substitution phi^n, of length k^n."""
-    if n < 1:
-        raise ValueError("power requires n >= 1")
-    if subst.length_k**n > WORD_BUDGET:
-        raise ResourceLimitError(
-            f"phi^{n} has rule length {subst.length_k}^{n}, over the "
-            f"{WORD_BUDGET}-symbol budget"
-        )
-    rules = list(subst.rules)
-    for _ in range(n - 1):
-        rules = [apply(subst, r) for r in rules]
-    return Substitution(subst.alphabet, rules)
-
-
-def incidence_matrix(subst: Substitution) -> CountMatrix:
-    """Matrix whose entry (a, b) counts occurrences of a in phi(b)."""
-    size = subst.alphabet.size
-    entries = [[0] * size for _ in range(size)]
-    for b, rule in enumerate(subst.rules):
-        for a in rule:
-            entries[a][b] += 1
-    return CountMatrix.from_rows(entries)
-
-
 def is_primitive(subst: Substitution) -> bool:
     """True iff some power of the incidence matrix is entrywise positive.
 
@@ -269,8 +185,12 @@ def is_primitive(subst: Substitution) -> bool:
     return all(r == full for r in rows)
 
 
-def column_sets(subst: Substitution) -> ColumnFamily:
-    """Closure of {alphabet} under images of the k column maps (BFS order)."""
+def column_sets(subst: Substitution) -> tuple[frozenset[int], ...]:
+    """Closure of {alphabet} under images of the k column maps.
+
+    Sets come in breadth-first discovery order, the full alphabet first, so
+    that reports are reproducible.
+    """
     cols = subst.columns()
     start = frozenset(range(subst.alphabet.size))
     seen = {start}
@@ -279,17 +199,12 @@ def column_sets(subst: Substitution) -> ColumnFamily:
     while queue:
         current = queue.pop(0)
         for col in cols:
-            img = col.image(current)
+            img = frozenset(col[a] for a in current)
             if img not in seen:
                 seen.add(img)
                 order.append(img)
                 queue.append(img)
-    return ColumnFamily(tuple(order))
-
-
-def has_coincidence(subst: Substitution) -> bool:
-    """True iff some iterated column map is constant (a singleton column set)."""
-    return column_sets(subst).has_singleton
+    return tuple(order)
 
 
 def first_letter_cycle(subst: Substitution) -> tuple[int, int]:

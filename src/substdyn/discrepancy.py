@@ -67,20 +67,6 @@ class GeneralSubstitution:
                     changed = True
         return GeneralSubstitution(pair_alphabet, rules, frozenset(erasing))
 
-    def apply(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for p in word:
-            out.extend(self.rules[p])
-        return tuple(out)
-
-    def power(self, n: int) -> "GeneralSubstitution":
-        if n < 1:
-            raise ValueError("power requires n >= 1")
-        rules = self.rules
-        for _ in range(n - 1):
-            rules = tuple(self.apply(r) for r in rules)
-        return GeneralSubstitution.from_rules(self.pair_alphabet, rules)
-
     def incidence(self) -> CountMatrix:
         n = len(self.pair_alphabet)
         entries = [[0] * n for _ in range(n)]
@@ -95,21 +81,6 @@ class GeneralSubstitution:
             image = "".join(self.pair_alphabet[q].name(letters) for q in rule)
             out.append(f"{self.pair_alphabet[p].name(letters)} -> {image or 'eps'}")
         return out
-
-
-@dataclass(frozen=True)
-class DiscrepancyType:
-    """(lambda_s, d_s): pair-count growth is Theta(n^d_s * lambda_s^n)."""
-
-    rate_lambda_s: float
-    degree_d_s: int
-
-
-@dataclass(frozen=True)
-class MaximalPairSet:
-    """Pairs of the pure base whose growth rate attains lambda_s."""
-
-    pairs: tuple[LetterPair, ...]
 
 
 def pair_rules(subst: Substitution) -> GeneralSubstitution:
@@ -143,8 +114,8 @@ class DiscrepancyAnalysis:
     pure: PureBaseResult
     pairs: GeneralSubstitution
     growth: tuple[GrowthType, ...]
-    rate_type: DiscrepancyType
-    maximal: MaximalPairSet
+    rate_type: GrowthType  # (lambda_s, d_s)
+    maximal: tuple[LetterPair, ...]  # the pairs whose growth rate attains lambda_s
     critical_poly: tuple[int, ...]
 
 
@@ -159,17 +130,15 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     gs = pair_rules(pure.pure_base)
     k = subst.length_k
     if not gs.pair_alphabet:
-        rate_type = DiscrepancyType(0.0, 1)
-        return DiscrepancyAnalysis(pure, gs, (), rate_type, MaximalPairSet(()), (1,))
+        return DiscrepancyAnalysis(pure, gs, (), GrowthType(0.0, 1), (), (1,))
 
     m = gs.incidence()
     dec = matrices.decompose(m)
     growth = tuple(dec.growth_types(gs.erasing))
-    top = matrices.max_growth_type(growth)
-    rate = top.rate
+    rate_type = matrices.max_growth_type(growth)
+    rate = rate_type.rate
     if not (abs(rate) <= RATE_TOL or 1.0 - RATE_TOL <= rate <= k + RATE_TOL):
         raise InternalError(f"discrepancy rate {rate} outside {{0}} u [1, {k}]")
-    rate_type = DiscrepancyType(rate, top.degree)
 
     maximal = tuple(
         gs.pair_alphabet[p]
@@ -186,9 +155,7 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
             )
             critical_poly = matrices.characteristic_polynomial(block)
             break
-    return DiscrepancyAnalysis(
-        pure, gs, growth, rate_type, MaximalPairSet(maximal), critical_poly
-    )
+    return DiscrepancyAnalysis(pure, gs, growth, rate_type, maximal, critical_poly)
 
 
 def _check_pseudometric(maximal: tuple[LetterPair, ...], size: int) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Substitution, Word, apply, fixed_point_prefix
-from .discrepancy import DiscrepancyAnalysis, MaximalPairSet, analyze_pairs
+from .discrepancy import DiscrepancyAnalysis, LetterPair, analyze_pairs
 from .errors import (
     EstimationError,
     InternalError,
@@ -66,10 +66,10 @@ class OrbitSample:
         return self._array[i : i + self.window_n]
 
 
-def pair_filter_table(size: int, pairs: MaximalPairSet) -> np.ndarray:
+def pair_filter_table(size: int, pairs: tuple[LetterPair, ...]) -> np.ndarray:
     """Boolean lookup P[a, b] = True iff {a, b} is one of the given pairs."""
     table = np.zeros((size, size), dtype=bool)
-    for p in pairs.pairs:
+    for p in pairs:
         table[p.lo, p.hi] = True
         table[p.hi, p.lo] = True
     return table
@@ -198,7 +198,7 @@ def lipschitz_ratio_probe(
     """
     if analysis is None:
         analysis = analyze_pairs(subst)
-    rate = analysis.rate_type.rate_lambda_s
+    rate = analysis.rate_type.rate
     k = subst.length_k
     if rate <= RATE_TOL or rate >= k - RATE_TOL:
         raise PreconditionError(

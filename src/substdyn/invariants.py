@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import matrices
-from .core import (
-    Alphabet,
-    ColumnFamily,
-    ColumnMap,
-    Substitution,
-    Word,
-    column_sets,
-    is_primitive,
-)
+from .core import WORD_BUDGET, Alphabet, Substitution, Word, column_sets, is_primitive
 from .discrepancy import DiscrepancyAnalysis, analyze_pairs, pair_rules
 from .errors import InternalError, PreconditionError, ResourceLimitError
 from .matrices import RATE_TOL
@@ -114,7 +106,7 @@ def amorphic_complexity(
     _require(subst, "amorphic_complexity")
     if analysis is None:
         analysis = analyze_pairs(subst)
-    return _ac_from_rate(analysis.rate_type.rate_lambda_s, subst.length_k)
+    return _ac_from_rate(analysis.rate_type.rate, subst.length_k)
 
 
 def _all_images_coincide(pure: Substitution) -> bool:
@@ -157,8 +149,8 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
     k = subst.length_k
     letters = pure.pure_base.alphabet.letters
 
-    rate = analysis.rate_type.rate_lambda_s
-    d_s = analysis.rate_type.degree_d_s
+    rate = analysis.rate_type.rate
+    d_s = analysis.rate_type.degree
     ac = _ac_from_rate(rate, k)
 
     finite_by_rate = rate <= RATE_TOL
@@ -171,7 +163,7 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
     finite = finite_by_rate
 
     family = column_sets(pure.pure_base)
-    discrete = family.has_singleton
+    discrete = any(len(s) == 1 for s in family)
     graph_ok = ColumnSetGraph.build(pure.pure_base, family).condition_holds()
     null_tame = finite or abs(ac - 1.0) <= RATE_TOL
 
@@ -207,7 +199,7 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
         null_and_tame=null_tame,
         graph_condition=graph_ok,
         mef=mef,
-        maximal_pairs=tuple(p.name(letters) for p in analysis.maximal.pairs),
+        maximal_pairs=tuple(p.name(letters) for p in analysis.maximal),
         unpurified_rate=unpurified,
     )
     _assert_report_consistency(report)
@@ -243,6 +235,9 @@ def _assert_report_consistency(r: AnalysisReport) -> None:
 class KernelDescriptor:
     """The monoid of iterated column maps together with shortest words.
 
+    Each element is a column map, a tuple indexed by letter; element 0 is
+    the identity.
+
     ``words[i]`` spells element i as a composition of generator columns,
     outermost generator first: word (r0, r1, ..) means phi_r0 . phi_r1 . ..
     and corresponds to column index r0 + r1*k + r2*k^2 + ... of the
@@ -252,7 +247,7 @@ class KernelDescriptor:
     """
 
     alphabet: Alphabet
-    elements: tuple[ColumnMap, ...]
+    elements: tuple[tuple[int, ...], ...]
     words: tuple[tuple[int, ...], ...]
     constant_flags: tuple[bool, ...]
     successors: tuple[tuple[int, ...], ...]
@@ -260,14 +255,14 @@ class KernelDescriptor:
     def element_strings(self) -> list[str]:
         out = []
         for tau, flag in zip(self.elements, self.constant_flags):
-            if tau.mapping == tuple(range(len(tau.mapping))):
+            if tau == tuple(range(len(tau))):
                 out.append("id")
             elif flag:
-                out.append(f"const {self.alphabet.letters[tau.mapping[0]]}")
+                out.append(f"const {self.alphabet.letters[tau[0]]}")
             else:
                 body = ", ".join(
                     f"{self.alphabet.letters[a]}->{self.alphabet.letters[b]}"
-                    for a, b in enumerate(tau.mapping)
+                    for a, b in enumerate(tau)
                 )
                 out.append(body)
         return out
@@ -281,7 +276,7 @@ class KernelDescriptor:
         suffices and k^m columns are never materialized.
         """
         if m_max < 0:
-            raise ValueError("m_max must be nonnegative")
+            raise PreconditionError(f"m_max must be nonnegative, got {m_max}")
         if m_max > _M_MAX_CAP:
             raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
         counts = [0] * len(self.elements)
@@ -306,7 +301,7 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
     if height(subst) != 1:
         raise PreconditionError("kernel_monoid requires height 1; purify first")
     generators = subst.columns()
-    identity = ColumnMap.identity(subst.alphabet.size)
+    identity = tuple(range(subst.alphabet.size))
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
     successors: list[tuple[int, ...]] = []
@@ -314,7 +309,7 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
     for cursor, tau in enumerate(elements):  # grows while it is read
         row = []
         for r, gen in enumerate(generators):
-            child = gen.compose(tau)
+            child = tuple(map(gen.__getitem__, tau))  # phi_r . tau
             if child not in seen:
                 seen[child] = len(elements)
                 elements.append(child)
@@ -326,7 +321,7 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
         alphabet=subst.alphabet,
         elements=tuple(elements),
         words=tuple(words),
-        constant_flags=tuple(tau.is_constant for tau in elements),
+        constant_flags=tuple(len(set(tau)) == 1 for tau in elements),
         successors=tuple(successors),
     )
 
@@ -350,16 +345,18 @@ class ColumnSetGraph:
     edges: tuple[tuple[int, int, int], ...]  # (source, label j, target)
 
     @staticmethod
-    def build(pure: Substitution, family: ColumnFamily) -> "ColumnSetGraph":
-        """The graph of a pure base on its column-set family."""
-        position = {s: i for i, s in enumerate(family.sets)}
+    def build(
+        pure: Substitution, family: tuple[frozenset[int], ...]
+    ) -> "ColumnSetGraph":
+        """The graph of a pure base on its column sets."""
+        position = {s: i for i, s in enumerate(family)}
         cols = pure.columns()
         edges = [
-            (i, j, position[col.image(s)])
-            for i, s in enumerate(family.sets)
+            (i, j, position[frozenset(col[a] for a in s)])
+            for i, s in enumerate(family)
             for j, col in enumerate(cols)
         ]
-        return ColumnSetGraph(vertices=family.sets, edges=tuple(edges))
+        return ColumnSetGraph(vertices=family, edges=tuple(edges))
 
     def condition_holds(self) -> bool:
         """The graph condition; see :func:`graph_condition`."""
@@ -383,12 +380,6 @@ class ColumnSetGraph:
         return True
 
 
-def column_set_graph(subst: Substitution) -> ColumnSetGraph:
-    _require(subst, "column_set_graph")
-    pure = pure_base(subst).pure_base
-    return ColumnSetGraph.build(pure, column_sets(pure))
-
-
 def graph_condition(subst: Substitution) -> bool:
     """True iff no two distinct cycles of pair-preserving edges share a vertex.
 
@@ -399,7 +390,9 @@ def graph_condition(subst: Substitution) -> bool:
     labeled edge out.  This is exactly when pair counts cannot multiply,
     i.e. when lambda_s <= 1.
     """
-    return column_set_graph(subst).condition_holds()
+    _require(subst, "graph_condition")
+    pure = pure_base(subst).pure_base
+    return ColumnSetGraph.build(pure, column_sets(pure)).condition_holds()
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +407,17 @@ def synthesize_target_ac(k: int, n: int, l: int) -> Substitution:
     times per step and lambda_s = l exactly); the remaining columns are
     constants arranged so both letters occur in both images whenever
     possible.  The result is primitive, of height 1, and is re-analyzed
-    before being returned.
+    before being returned.  A rule length k^n over ``WORD_BUDGET`` raises
+    ResourceLimitError before anything is built.
     """
     if k < 2 or n < 1:
         raise PreconditionError("synthesize_target_ac needs k >= 2 and n >= 1")
+    # k^n >= 2^n, so a large n is refused before k^n is computed
+    if n >= WORD_BUDGET.bit_length() or k**n > WORD_BUDGET:
+        raise ResourceLimitError(
+            f"synthesize_target_ac: rule length {k}^{n} exceeds the "
+            f"{WORD_BUDGET}-symbol budget"
+        )
     length = k**n
     if not 1 <= l < length:
         raise PreconditionError("synthesize_target_ac needs 1 <= l < k^n")
@@ -465,11 +465,13 @@ def null_witness_search(
     """First (G, a, b) with {a,b}^t contained in the patterns of x along G.
 
     G runs over t-subsets of [0, window) in lexicographic order, letter
-    pairs in lexicographic order.  A witness proves the prefix is not
+    pairs in lexicographic order; the window must hold t positions.  A witness proves the prefix is not
     t-null; ``None`` is only evidence, limited by prefix and window.
     """
     if t < 1:
         raise PreconditionError("t must be at least 1")
+    if window < t:
+        raise PreconditionError(f"window {window} cannot hold {t} positions")
     if t > 3 or window > 32:
         raise ResourceLimitError("witness search budget: t <= 3 and window <= 32")
     if len(prefix) < 4 * window:

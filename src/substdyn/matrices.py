@@ -53,30 +53,9 @@ class CountMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def mul(self, other: "CountMatrix") -> "CountMatrix":
-        n = self.order
-        a, b = self.entries, other.entries
-        return CountMatrix(
-            tuple(
-                tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    def pow(self, n: int) -> "CountMatrix":
-        if n < 1:
-            raise ValueError("pow requires n >= 1")
-        result = self
-        for _ in range(n - 1):
-            result = result.mul(self)
-        return result
-
     def column_sums(self) -> tuple[int, ...]:
         n = self.order
         return tuple(sum(self.entries[i][j] for i in range(n)) for j in range(n))
-
-    def l1_norm(self) -> int:
-        return sum(sum(row) for row in self.entries)
 
 
 @dataclass(frozen=True)
@@ -85,9 +64,6 @@ class GrowthType:
 
     rate: float
     degree: int
-
-    def sort_key(self) -> tuple[float, int]:
-        return (self.rate, self.degree)
 
 
 @dataclass(frozen=True)

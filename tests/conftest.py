@@ -11,6 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from substdyn import Substitution
 
+from oracles import tuple_power
+
 EXAMPLE_RULES: dict[str, dict[str, str]] = {
     "e1": {"a": "aac", "b": "acc", "c": "aab"},
     "e2": {"a": "baac", "b": "bbca", "c": "bcba"},
@@ -25,6 +27,11 @@ EXAMPLE_RULES: dict[str, dict[str, str]] = {
 
 def example(name: str) -> Substitution:
     return Substitution.from_strings(EXAMPLE_RULES[name])
+
+
+def power(subst: Substitution, n: int) -> Substitution:
+    """The substitution phi^n, of length k^n."""
+    return Substitution(subst.alphabet, tuple_power(subst.rules, n))
 
 
 def pure_base_single_char(subst: Substitution) -> Substitution:

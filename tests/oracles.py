@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here works on plain ``{letter: image}`` dicts of single-character
-strings and favors obviousness over speed: words are materialized, columns
-are enumerated one by one, and eigenvalues come from numpy.  None of the
-package's own machinery is imported, so agreement between the two routes is
-meaningful.  Matrices are nested lists of ints.
+strings (the ``tuple_*`` helpers on tuples of int-tuple images) and favors
+obviousness over speed: words are materialized, columns are enumerated one
+by one, and eigenvalues come from numpy.  None of the package's own
+machinery is imported, so agreement between the two routes is meaningful.
+Matrices are nested lists of ints.
 """
 
 from __future__ import annotations
@@ -26,6 +27,24 @@ def brute_power(rules: Rules, n: int) -> Rules:
     for _ in range(n):
         out = {a: brute_apply(rules, w) for a, w in out.items()}
     return out
+
+
+def tuple_power(rules: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Images of the n-th power of a substitution on letters 0 .. len(rules)-1.
+
+    ``rules[a]`` is the image of letter a as a tuple of letters; images may
+    be empty or uneven, as in a pair substitution.
+    """
+    out = tuple((a,) for a in range(len(rules)))
+    for _ in range(n):
+        out = tuple(tuple(b for a in word for b in rules[a]) for word in out)
+    return out
+
+
+def tuple_incidence(rules: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Matrix whose entry (a, b) counts occurrences of letter a in ``rules[b]``."""
+    size = len(rules)
+    return [[rules[b].count(a) for b in range(size)] for a in range(size)]
 
 
 def brute_fixed_point(rules: Rules, seed: str, n_symbols: int) -> str:

@@ -157,6 +157,23 @@ class TestExitCodes:
         assert run(["analyze", path, "--m-max", "65"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["analyze", "kernel"])
+    def test_negative_m_max(self, tmp_path, capsys, command):
+        path = write_spec(tmp_path, "e5.sub", EXAMPLE_RULES["e5"])
+        assert run([command, path, "--m-max", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m_max" in captured.err
+
+    def test_one_letter_is_a_finite_system(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "one.sub", {"a": "aa"})
+        assert run(["analyze", "--json", path]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["finite_system"]
+        assert report["ac"] == 0
+        assert run(["kernel", path]) == 0
+        assert "kernel monoid: 1 element(s)" in capsys.readouterr().out
+
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         capsys.readouterr()
@@ -317,6 +334,10 @@ class TestSynthesizeCommand:
         assert run(["synthesize", "--k", "2", "--n", "2", "--l", "4"]) == 2
         capsys.readouterr()
 
+    def test_rule_length_over_word_budget(self, capsys):
+        assert run(["synthesize", "--k", "10", "--n", "30", "--l", "1"]) == 3
+        assert "budget" in capsys.readouterr().err
+
 
 class TestKernelCommand:
     def test_e6_monoid(self, tmp_path, capsys):
@@ -342,14 +363,16 @@ class TestStageCounts:
 
     STAGES = ("pure_base", "column_sets", "kernel_monoid", "decompose",
               "characteristic_polynomial")
-    # (command, example) -> calls of each stage; at height 2 the second
-    # decompose is the unpurified diagnostic's matrix
+    # (command, example) -> calls of each stage, then of Substitution.columns;
+    # at height 2 the second decompose is the unpurified diagnostic's matrix.
+    # The generators are read once each by column_sets, the column-set graph
+    # and kernel_monoid; d_m reuses the monoid's closure.
     EXPECTED = {
-        ("analyze", "e1"): (1, 1, 1, 1, 1),
-        ("analyze", "e4"): (1, 1, 1, 2, 1),
-        ("kernel", "e1"): (1, 0, 1, 0, 0),
-        ("kernel", "e4"): (1, 0, 1, 0, 0),
-        ("verify", "e1"): (1, 0, 0, 1, 1),
+        ("analyze", "e1"): (1, 1, 1, 1, 1, 3),
+        ("analyze", "e4"): (1, 1, 1, 2, 1, 3),
+        ("kernel", "e1"): (1, 0, 1, 0, 0, 1),
+        ("kernel", "e4"): (1, 0, 1, 0, 0, 1),
+        ("verify", "e1"): (1, 0, 0, 1, 1, 0),
     }
     ARGV = {
         "analyze": ["analyze", "--json", "--m-max", "12"],
@@ -360,7 +383,7 @@ class TestStageCounts:
                "empirical", "cli")
 
     def count_calls(self, monkeypatch) -> dict[str, int]:
-        calls = dict.fromkeys(self.STAGES + ("compose",), 0)
+        calls = dict.fromkeys(self.STAGES + ("columns",), 0)
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -375,24 +398,23 @@ class TestStageCounts:
             for module in modules:
                 if vars(module).get(name) is home:
                     monkeypatch.setattr(module, name, counting(name, home))
-        compose = substdyn.ColumnMap.compose
-        monkeypatch.setattr(substdyn.ColumnMap, "compose", counting("compose", compose))
+        columns = substdyn.Substitution.columns
+        monkeypatch.setattr(
+            substdyn.Substitution, "columns", counting("columns", columns)
+        )
         return calls
 
     @pytest.mark.parametrize("command,name", sorted(EXPECTED))
     def test_stage_calls(self, tmp_path, capsys, monkeypatch, command, name):
         path = write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name])
-        pure = substdyn.pure_base(example(name)).pure_base
-        monoid_size = len(substdyn.kernel_monoid(pure).elements)
         argv = self.ARGV[command] + [path]
         if command == "verify":
             argv += ["--density-csv", str(tmp_path / "density.csv")]
         calls = self.count_calls(monkeypatch)
         assert run(argv) == 0
         capsys.readouterr()
-        assert tuple(calls[s] for s in self.STAGES) == self.EXPECTED[command, name]
-        # one composition per (element, generator): d_m reuses the closure
-        assert calls["compose"] == calls["kernel_monoid"] * monoid_size * pure.length_k
+        got = tuple(calls[s] for s in self.STAGES + ("columns",))
+        assert got == self.EXPECTED[command, name]
 
 
 class TestCharacteristicPolynomialCheck:
@@ -436,6 +458,13 @@ class TestOracleCommand:
         assert run(["oracle", path]) == 0
         out = capsys.readouterr().out
         assert "witness: gaps [0, 1]" in out
+
+    def test_window_shorter_than_t(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "tm.sub", EXAMPLE_RULES["thue_morse"])
+        assert run(["oracle", path, "--window", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "window" in captured.err
 
     def test_periodic_word_reports_none(self, tmp_path, capsys):
         path = write_spec(tmp_path, "per.sub", {"a": "ab", "b": "ab"})

@@ -7,30 +7,32 @@ import random
 import pytest
 
 from substdyn import (
+    WORD_BUDGET,
     Alphabet,
-    ColumnMap,
     PreconditionError,
     ResourceLimitError,
     Substitution,
-    WORD_BUDGET,
+    kernel_monoid,
+    pure_base,
+    random_primitive_substitution,
+)
+from substdyn.core import (
     apply,
     column_sets,
     first_letter_cycle,
     fixed_point_prefix,
-    has_coincidence,
-    incidence_matrix,
     is_primitive,
-    power,
-    random_primitive_substitution,
 )
+from substdyn.matrices import CountMatrix
 
-from conftest import EXAMPLE_RULES, example
+from conftest import EXAMPLE_RULES, example, power
 from oracles import (
     brute_apply,
     brute_column_sets,
     brute_fixed_point,
     brute_is_primitive,
     brute_power,
+    tuple_incidence,
 )
 
 
@@ -81,45 +83,40 @@ class TestApplicationAndPowers:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_power_matches_iterated_oracle(self, example_name, n):
+        # n applications of the substitution to a one-letter word
         subst = example(example_name)
-        powered = power(subst, n)
         oracle = brute_power(EXAMPLE_RULES[example_name], n)
-        assert powered.length_k == subst.length_k**n
         for letter in subst.alphabet.letters:
-            idx = subst.alphabet.index(letter)
-            assert as_string(subst, powered.rules[idx]) == oracle[letter]
-
-    def test_power_rejects_n_below_one(self):
-        with pytest.raises(ValueError):
-            power(example("e1"), 0)
-        with pytest.raises(ValueError):
-            power(example("e1"), -1)
+            word = (subst.alphabet.index(letter),)
+            for _ in range(n):
+                word = apply(subst, word)
+            assert len(word) == subst.length_k**n
+            assert as_string(subst, word) == oracle[letter]
 
     def test_incidence_column_sums_equal_length(self, example_subst):
-        m = incidence_matrix(example_subst)
+        m = CountMatrix.from_rows(tuple_incidence(example_subst.rules))
         assert all(s == example_subst.length_k for s in m.column_sums())
 
 
 class TestColumns:
     def test_columns_read_positions(self):
         subst = example("e4")  # 0 -> 010, 1 -> 102, 2 -> 201
-        assert subst.column(0).mapping == (0, 1, 2)
-        assert subst.column(1).mapping == (1, 0, 0)
-        assert subst.column(2).mapping == (0, 2, 1)
-        with pytest.raises(ValueError):
-            subst.column(3)
+        assert subst.columns() == [(0, 1, 2), (1, 0, 0), (0, 2, 1)]
 
     def test_compose_order(self):
-        # compose(inner) applies inner first: (f . g)(x) = f(g(x))
-        f = ColumnMap((1, 0, 2))
-        g = ColumnMap((2, 2, 0))
-        assert f.compose(g).mapping == tuple(f(g(x)) for x in range(3))
+        # the kernel monoid composes a new column outermost: phi_r . tau
+        for name in sorted(EXAMPLE_RULES):
+            subst = pure_base(example(name)).pure_base
+            kd = kernel_monoid(subst)
+            cols = subst.columns()
+            for tau, row in zip(kd.elements, kd.successors):
+                for col, child in zip(cols, row):
+                    assert kd.elements[child] == tuple(col[v] for v in tau)
 
     def test_identity_and_constant(self):
-        ident = ColumnMap.identity(3)
-        assert ident.mapping == (0, 1, 2)
-        assert not ident.is_constant
-        assert ColumnMap((1, 1, 1)).is_constant
+        kd = kernel_monoid(example("e5"))
+        assert kd.elements[0] == (0, 1, 2)
+        assert kd.constant_flags == (False, True, True, True)
 
     def test_column_sets_match_oracle(self, example_name):
         subst = example(example_name)
@@ -130,9 +127,11 @@ class TestColumns:
         assert got == brute_column_sets(EXAMPLE_RULES[example_name])
 
     def test_coincidence_verdicts(self):
-        assert has_coincidence(example("e5"))
-        assert has_coincidence(example("e1"))
-        assert not has_coincidence(example("thue_morse"))
+        # a singleton column set is a coincidence; the oracle agrees
+        for name, expected in (("e5", True), ("e1", True), ("thue_morse", False)):
+            assert any(len(s) == 1 for s in column_sets(example(name))) == expected
+            oracle = brute_column_sets(EXAMPLE_RULES[name])
+            assert any(len(s) == 1 for s in oracle) == expected
 
 
 class TestPrimitivity:

@@ -7,21 +7,17 @@ import random
 import pytest
 
 from substdyn import (
-    GeneralSubstitution,
-    LetterPair,
-    RATE_TOL,
     Substitution,
     analyze_pairs,
-    has_coincidence,
-    pair_rules,
-    polynomial_text,
-    power,
     pure_base,
     random_primitive_substitution,
 )
+from substdyn.core import column_sets
+from substdyn.discrepancy import GeneralSubstitution, LetterPair, pair_rules
+from substdyn.matrices import RATE_TOL, polynomial_text
 
-from conftest import EXAMPLE_RULES, example, pure_base_single_char
-from oracles import brute_diff_count, brute_lambda_s
+from conftest import example, power, pure_base_single_char
+from oracles import brute_diff_count, brute_lambda_s, tuple_power
 
 EXPECTED_RULES = {
     "e1": ["(ab) -> (ac)", "(ac) -> (bc)", "(bc) -> (ac)(bc)"],
@@ -90,11 +86,6 @@ class TestGeneralSubstitution:
         g = GeneralSubstitution.from_rules(pairs, rules)
         assert g.erasing == frozenset({0, 1})
 
-    def test_apply_concatenates(self):
-        pairs = (LetterPair(0, 1), LetterPair(0, 2))
-        g = GeneralSubstitution.from_rules(pairs, ((0, 1), (1,)))
-        assert g.apply((0, 1, 0)) == (0, 1, 1, 0, 1)
-
     def test_incidence_counts(self):
         pairs = (LetterPair(0, 1), LetterPair(0, 2))
         g = GeneralSubstitution.from_rules(pairs, ((0, 0, 1), (1,)))
@@ -137,7 +128,8 @@ class TestDifferenceCounting:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_pure_base_pair_lengths_match_oracle(self, example_name, n):
         base = pure_as_single_char(example_name)
-        g = pair_rules(base).power(n)
+        g = pair_rules(base)
+        powered = tuple_power(g.rules, n)
         letters = base.alphabet.letters
         oracle_rules = {
             letters[i]: "".join(letters[s] for s in base.rules[i])
@@ -145,15 +137,15 @@ class TestDifferenceCounting:
         }
         for idx, pair in enumerate(g.pair_alphabet):
             a, b = letters[pair.lo], letters[pair.hi]
-            assert len(g.rules[idx]) == brute_diff_count(oracle_rules, a, b, n)
+            assert len(powered[idx]) == brute_diff_count(oracle_rules, a, b, n)
 
 
 class TestRateAndDegree:
     def test_expected_types(self, example_name):
         rate, degree = EXPECTED_TYPES[example_name]
         got = analyze_pairs(example(example_name)).rate_type
-        assert got.rate_lambda_s == pytest.approx(rate, abs=1e-8)
-        assert got.degree_d_s == degree
+        assert got.rate == pytest.approx(rate, abs=1e-8)
+        assert got.degree == degree
 
     def test_rate_matches_numpy_oracle(self, example_name):
         base = pure_as_single_char(example_name)
@@ -162,7 +154,7 @@ class TestRateAndDegree:
             for i, letter in enumerate(base.alphabet.letters)
         }
         expected = brute_lambda_s(oracle_rules)
-        got = analyze_pairs(example(example_name)).rate_type.rate_lambda_s
+        got = analyze_pairs(example(example_name)).rate_type.rate
         assert got == pytest.approx(expected, abs=1e-8)
 
     def test_e3_per_pair_types(self):
@@ -178,16 +170,16 @@ class TestRateAndDegree:
 
     def test_rate_power_identity(self, example_name):
         subst = example(example_name)
-        rate = analyze_pairs(subst).rate_type.rate_lambda_s
+        rate = analyze_pairs(subst).rate_type.rate
         for n in (2, 3):
-            powered = analyze_pairs(power(subst, n)).rate_type.rate_lambda_s
+            powered = analyze_pairs(power(subst, n)).rate_type.rate
             assert powered == pytest.approx(rate**n, rel=1e-8)
 
     def test_rate_lands_in_allowed_range(self):
         rng = random.Random(424242)
         for _ in range(100):
             subst = random_primitive_substitution(rng)
-            rate = analyze_pairs(subst).rate_type.rate_lambda_s
+            rate = analyze_pairs(subst).rate_type.rate
             k = pure_base(subst).pure_base.length_k
             assert rate == pytest.approx(0.0, abs=RATE_TOL) or (
                 1.0 - RATE_TOL <= rate <= k + RATE_TOL
@@ -195,27 +187,28 @@ class TestRateAndDegree:
 
     def test_zero_rate_means_identical_images(self):
         subst = Substitution.from_strings({"a": "ab", "b": "ab"})
-        assert analyze_pairs(subst).rate_type.rate_lambda_s == 0.0
+        assert analyze_pairs(subst).rate_type.rate == 0.0
 
     def test_full_rate_means_no_coincidence(self, example_name):
         subst = example(example_name)
-        rate = analyze_pairs(subst).rate_type.rate_lambda_s
+        rate = analyze_pairs(subst).rate_type.rate
         base = pure_base(subst).pure_base
         hits_k = abs(rate - base.length_k) <= RATE_TOL
-        assert hits_k == (not has_coincidence(base))
+        coincidence = any(len(s) == 1 for s in column_sets(base))
+        assert hits_k == (not coincidence)
 
 
 class TestMaximalPairs:
     def test_expected_sets(self, example_name):
         subst = example(example_name)
         letters = pure_base(subst).pure_base.alphabet.letters
-        got = [p.name(letters) for p in analyze_pairs(subst).maximal.pairs]
+        got = [p.name(letters) for p in analyze_pairs(subst).maximal]
         assert got == EXPECTED_MAXIMAL[example_name]
 
     def test_e2_set_is_transitive(self):
         # S must satisfy: {a,b} in S implies {a,c} or {b,c} in S for all c
         got = {
-            (p.lo, p.hi) for p in analyze_pairs(example("e2")).maximal.pairs
+            (p.lo, p.hi) for p in analyze_pairs(example("e2")).maximal
         }
         assert got == {(0, 1), (0, 2)}
         for a, b in got:
@@ -238,7 +231,10 @@ class TestPowerIdentity:
     def test_discrepancy_of_power_is_power_of_discrepancy(self, example_name, n):
         subst = example(example_name)
         direct = pair_rules(pure_base(power(subst, n)).pure_base)
-        iterated = pair_rules(pure_base(subst).pure_base).power(n)
+        base_pairs = pair_rules(pure_base(subst).pure_base)
+        iterated = GeneralSubstitution.from_rules(
+            base_pairs.pair_alphabet, tuple_power(base_pairs.rules, n)
+        )
         assert direct.pair_alphabet == iterated.pair_alphabet
         assert direct.rules == iterated.rules
         assert direct.erasing == iterated.erasing

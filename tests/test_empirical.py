@@ -9,21 +9,22 @@ import pytest
 
 from substdyn import (
     EstimationError,
-    OrbitSample,
     PreconditionError,
     ResourceLimitError,
-    SeparationProfile,
     Substitution,
     analyze_pairs,
-    default_nu_grid,
     fit_slope,
-    fixed_point_prefix,
     kernel_monoid,
     lipschitz_ratio_probe,
+    separation_profile,
+)
+from substdyn.core import fixed_point_prefix
+from substdyn.empirical import (
+    OrbitSample,
+    SeparationProfile,
+    default_nu_grid,
     mismatch_density,
     pair_filter_table,
-    pure_base,
-    separation_profile,
     write_density_csv,
     write_profile_csv,
 )
@@ -108,7 +109,7 @@ class TestMismatchDensity:
         n = 5**7
         prefix = fixed_point_prefix(subst, n)
         g = kernel_monoid(subst).elements[1]  # 0->0, 1->2, 2->0
-        mapped = tuple(g(s) for s in prefix)
+        mapped = tuple(g[s] for s in prefix)
         sample = OrbitSample(mapped + (0,) * n, n, (0, n))
         density = mismatch_density(sample, 0, n)
         # g(x)_i != 0 exactly when x_i = 1, and letter 1 has frequency 1/4

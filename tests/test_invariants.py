@@ -10,25 +10,24 @@ import pytest
 from substdyn import (
     DEFAULT_SEED,
     PreconditionError,
-    RATE_TOL,
     ResourceLimitError,
     Substitution,
     amorphic_complexity,
     classify,
-    column_set_graph,
-    fixed_point_prefix,
     graph_condition,
     height,
     kernel_monoid,
     nonconstant_ap_counts,
     null_witness_search,
-    power,
     pure_base,
     random_primitive_substitution,
     synthesize_target_ac,
 )
+from substdyn.core import column_sets, fixed_point_prefix
+from substdyn.invariants import ColumnSetGraph
+from substdyn.matrices import RATE_TOL
 
-from conftest import EXAMPLE_RULES, example
+from conftest import EXAMPLE_RULES, example, power
 from oracles import brute_column_count
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -173,7 +172,7 @@ class TestKernelMonoid:
         assert len(elements) <= subst.alphabet.size**subst.alphabet.size
         for f in kd.elements:
             for g in kd.elements:
-                assert f.compose(g) in elements
+                assert tuple(f[v] for v in g) in elements
 
     def test_requires_height_one(self):
         with pytest.raises(PreconditionError):
@@ -222,9 +221,19 @@ class TestNonconstantApCounts:
         with pytest.raises(ResourceLimitError):
             nonconstant_ap_counts(example("e5"), 65)
 
+    def test_negative_m_max(self):
+        with pytest.raises(PreconditionError):
+            nonconstant_ap_counts(example("e5"), -1)
+
     def test_requires_height_one(self):
         with pytest.raises(PreconditionError):
             nonconstant_ap_counts(example("e4"), 3)
+
+
+def column_set_graph(subst: Substitution) -> ColumnSetGraph:
+    """The graph that graph_condition decides, built on the pure base."""
+    pure = pure_base(subst).pure_base
+    return ColumnSetGraph.build(pure, column_sets(pure))
 
 
 class TestGraphCondition:
@@ -282,6 +291,13 @@ class TestSynthesizer:
         with pytest.raises(PreconditionError):
             synthesize_target_ac(1, 2, 1)
 
+    def test_rule_length_over_word_budget(self):
+        # k^n > 2^63: refused before any image list is built
+        with pytest.raises(ResourceLimitError):
+            synthesize_target_ac(10, 30, 1)
+        with pytest.raises(ResourceLimitError):
+            synthesize_target_ac(2, 64, 3)
+
     def test_small_grid(self):
         for k, n, l in [(2, 2, 2), (2, 3, 5), (3, 2, 4), (3, 2, 8)]:
             r = classify(synthesize_target_ac(k, n, l))
@@ -327,6 +343,12 @@ class TestNullWitness:
             null_witness_search(prefix, 2, 33)
         with pytest.raises(PreconditionError):
             null_witness_search(prefix[:60], 2, 16)
+        # the window must hold t positions
+        with pytest.raises(PreconditionError):
+            null_witness_search(prefix, 2, 0)
+        with pytest.raises(PreconditionError):
+            null_witness_search(prefix, 3, 2)
+        assert null_witness_search(prefix, 2, 2) is None  # window = t is allowed
 
 
 class TestRandomGenerator:

@@ -10,15 +10,13 @@ from substdyn import (
     PreconditionError,
     Substitution,
     classify,
-    fixed_point_prefix,
     height,
-    is_primitive,
-    power,
     pure_base,
     random_primitive_substitution,
 )
+from substdyn.core import fixed_point_prefix, is_primitive
 
-from conftest import EXAMPLE_RULES, example
+from conftest import EXAMPLE_RULES, example, power
 from oracles import brute_height
 
 EXPECTED_HEIGHTS = {
