@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from . import __version__
 from .core import Alphabet, Substitution, fixed_point_prefix
 from .empirical import (
-    OrbitSample,
-    default_nu_grid,
-    fit_slope,
+    build_nu_grid,
     lipschitz_ratio_probe,
     mismatch_density,
+    orbit_windows,
     pair_filter_table,
     separation_profile,
     write_density_csv,
@@ -228,26 +227,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_grid(nu_max: float, nu_min: float) -> tuple[float, ...]:
-    if not (0 < nu_min <= nu_max <= 1):
-        raise PreconditionError("need 0 < nu-min <= nu-max <= 1")
-    grid = []
-    value = nu_max
-    # extend to just below nu-min so a rounded bound like 0.004 still
-    # admits the exact power 0.25 * 2^-6 = 0.00390625
-    while value >= nu_min * 0.95:
-        grid.append(value)
-        value /= math.sqrt(2.0)
-    return tuple(grid)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     doc = _load(args.file)
     subst = doc.substitution
     analysis = analyze_pairs(subst)
     exact = amorphic_complexity(subst, analysis)
-    grid = _build_grid(args.nu_max, args.nu_min)
+    grid = build_nu_grid(args.nu_max, args.nu_min)
     profile = separation_profile(
         subst, m_points=args.points, window_n=args.window, nu_grid=grid
     )
@@ -287,12 +273,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _emit_density_rows(analysis: DiscrepancyAnalysis, path: str) -> None:
     pure = analysis.pure.pure_base
     table = pair_filter_table(pure.alphabet.size, analysis.maximal)
-    sample = OrbitSample.from_substitution(pure, 16, 4096)
+    windows = orbit_windows(pure, 16, 4096)
     rows = []
     for i in range(16):
         for j in range(i + 1, 16):
-            d1 = mismatch_density(sample, i, j)
-            ds = mismatch_density(sample, i, j, table)
+            d1 = mismatch_density(windows[i], windows[j])
+            ds = mismatch_density(windows[i], windows[j], table)
             rows.append((i, j, d1, ds))
     write_density_csv(rows, path)
 

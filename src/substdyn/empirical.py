@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Substitution, Word, apply, fixed_point_prefix
+from .core import Substitution, fixed_point_prefix
 from .discrepancy import DiscrepancyAnalysis, LetterPair, analyze_pairs
 from .errors import (
     EstimationError,
@@ -34,36 +34,33 @@ _MIN_POINTS = 32
 _MIN_WINDOW = 1 << 10
 
 
-def default_nu_grid() -> tuple[float, ...]:
-    """Geometric grid 0.25, 0.25/sqrt(2), ..., down to ~0.004 (13 values)."""
-    return tuple(0.25 * (0.5**0.5) ** t for t in range(13))
+def build_nu_grid(nu_max: float = 0.25, nu_min: float = 0.004) -> tuple[float, ...]:
+    """Geometric grid nu_max, nu_max/sqrt(2), ... down to about nu_min.
+
+    The defaults give the 13 values 0.25 down to 0.25 * 2^-6 = 0.00390625.
+    """
+    if not (0 < nu_min <= nu_max <= 1):
+        raise PreconditionError("need 0 < nu-min <= nu-max <= 1")
+    grid = []
+    value = nu_max
+    # extend to just below nu-min so a rounded bound like 0.004 still
+    # admits the exact power 0.25 * 2^-6 = 0.00390625
+    while value >= nu_min * 0.95:
+        grid.append(value)
+        value /= math.sqrt(2.0)
+    return tuple(grid)
 
 
-class OrbitSample:
-    """Windows of one long prefix standing in for orbit points T^i x."""
+def orbit_windows(subst: Substitution, m_points: int, window_n: int) -> np.ndarray:
+    """Windows of one long prefix standing in for orbit points T^i x.
 
-    def __init__(self, prefix: Word, window_n: int, offsets: tuple[int, ...]):
-        if window_n < 1:
-            raise ValueError("window must be positive")
-        for i in offsets:
-            if not 0 <= i <= len(prefix) - window_n:
-                raise ValueError(f"offset {i} does not fit a window of {window_n}")
-        self.prefix = tuple(prefix)
-        self.window_n = window_n
-        self.offsets = tuple(offsets)
-        self._array = np.asarray(self.prefix, dtype=np.int16)
-
-    @classmethod
-    def from_substitution(
-        cls, subst: Substitution, m_points: int, window_n: int
-    ) -> "OrbitSample":
-        prefix = fixed_point_prefix(subst, m_points + window_n)
-        return cls(prefix, window_n, tuple(range(m_points)))
-
-    def window(self, i: int) -> np.ndarray:
-        if not 0 <= i <= len(self.prefix) - self.window_n:
-            raise ValueError(f"offset {i} out of range")
-        return self._array[i : i + self.window_n]
+    Row i is ``x[i : i + window_n]`` of the fixed point x, for i < m_points:
+    a read-only view into one int16 array of m_points + window_n symbols.
+    """
+    if window_n < 1:
+        raise ValueError("window must be positive")
+    prefix = np.asarray(fixed_point_prefix(subst, m_points + window_n), dtype=np.int16)
+    return sliding_window_view(prefix, window_n)[:m_points]
 
 
 def pair_filter_table(size: int, pairs: tuple[LetterPair, ...]) -> np.ndarray:
@@ -76,18 +73,16 @@ def pair_filter_table(size: int, pairs: tuple[LetterPair, ...]) -> np.ndarray:
 
 
 def mismatch_density(
-    sample: OrbitSample, i: int, j: int, pair_filter: np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray, pair_filter: np.ndarray | None = None
 ) -> float:
-    """Fraction of window positions where the two orbit points disagree.
+    """Fraction of positions where two equal-length windows disagree.
 
     With a filter, only positions whose unordered letter pair is flagged
     count; that is the sampled version of the S-restricted density.
     """
-    a = sample.window(i)
-    b = sample.window(j)
     if pair_filter is None:
-        return float(np.count_nonzero(a != b)) / sample.window_n
-    return float(np.count_nonzero(pair_filter[a, b])) / sample.window_n
+        return float(np.count_nonzero(a != b)) / len(a)
+    return float(np.count_nonzero(pair_filter[a, b])) / len(a)
 
 
 @dataclass
@@ -102,8 +97,8 @@ class SeparationProfile:
     fit_range: tuple[int, int] | None = None
 
 
-def _density_matrix(arr: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
-    windows = sliding_window_view(arr, window_n)[:m_points]
+def _density_matrix(windows: np.ndarray) -> np.ndarray:
+    m_points, window_n = windows.shape
     out = np.empty((m_points, m_points), dtype=np.float64)
     for i in range(m_points):
         out[i] = np.count_nonzero(windows != windows[i], axis=1)
@@ -138,9 +133,8 @@ def separation_profile(
         raise ResourceLimitError(
             f"M^2*N = {m_points**2 * window_n} exceeds {COMPARISON_BUDGET}"
         )
-    grid = tuple(nu_grid) if nu_grid is not None else default_nu_grid()
-    sample = OrbitSample.from_substitution(subst, m_points, window_n)
-    density = _density_matrix(sample._array, m_points, window_n)
+    grid = tuple(nu_grid) if nu_grid is not None else build_nu_grid()
+    density = _density_matrix(orbit_windows(subst, m_points, window_n))
     counts = tuple(_greedy_count(density, nu) for nu in grid)
     profile = SeparationProfile(grid, counts, m_points, window_n)
     try:
@@ -207,9 +201,10 @@ def lipschitz_ratio_probe(
     pure = analysis.pure.pure_base
     size = pure.alphabet.size
     table = pair_filter_table(size, analysis.maximal)
+    rules = np.asarray(pure.rules, dtype=np.int16)
 
     m_pool = max(4 * samples, 64)
-    sample = OrbitSample.from_substitution(pure, m_pool, window_n)
+    windows = orbit_windows(pure, m_pool, window_n)
     rng = random.Random(seed)
 
     best = math.inf
@@ -221,18 +216,18 @@ def lipschitz_ratio_probe(
         j = rng.randrange(m_pool)
         if i == j:
             continue
-        d1 = mismatch_density(sample, i, j)
+        d1 = mismatch_density(windows[i], windows[j])
         if d1 < 0.01:
             continue
-        ds = mismatch_density(sample, i, j, table)
+        ds = mismatch_density(windows[i], windows[j], table)
         ratio = ds / d1
         accepted += 1
         best = min(best, ratio)
 
-        image_i = np.asarray(apply(pure, tuple(sample.window(i))), dtype=np.int16)
-        image_j = np.asarray(apply(pure, tuple(sample.window(j))), dtype=np.int16)
-        img_d1 = float(np.count_nonzero(image_i != image_j)) / len(image_i)
-        img_ds = float(np.count_nonzero(table[image_i, image_j])) / len(image_i)
+        image_i = rules[windows[i]].ravel()
+        image_j = rules[windows[j]].ravel()
+        img_d1 = mismatch_density(image_i, image_j)
+        img_ds = mismatch_density(image_i, image_j, table)
         if img_d1 > 0 and (img_ds / img_d1) < ratio - 0.05:
             raise InternalError(
                 "density ratio dropped under the substitution beyond slack"

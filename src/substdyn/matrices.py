@@ -49,10 +49,6 @@ class CountMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
     def column_sums(self) -> tuple[int, ...]:
         n = self.order
         return tuple(sum(self.entries[i][j] for i in range(n)) for j in range(n))

@@ -84,13 +84,6 @@ class PureBaseResult:
     decoding: dict[str, tuple[str, ...]]
     original: Substitution
 
-    def decode_word(self, word: Word) -> tuple[str, ...]:
-        """Flatten a word over block letters into original letters."""
-        out: list[str] = []
-        for b in word:
-            out.extend(self.decoding[self.block_alphabet.letters[b]])
-        return tuple(out)
-
 
 def pure_base(subst: Substitution) -> PureBaseResult:
     """Induced substitution psi on h-blocks at positions divisible by h.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import substdyn
 from substdyn import PreconditionError, SpecParseError
 from substdyn.cli import parse_spec, render_spec, run
+from substdyn.empirical import separation_profile, write_profile_csv
 
 from conftest import EXAMPLE_RULES, example
 
@@ -308,6 +309,53 @@ class TestVerifyCommand:
         path = write_spec(tmp_path, "e5.sub", EXAMPLE_RULES["e5"])
         assert run(["verify", path, "--nu-min", "0"]) == 2
         capsys.readouterr()
+
+    def test_default_grid_is_the_library_grid(self, tmp_path, capsys):
+        """At the default --nu-max/--nu-min, verify samples separation_profile's grid."""
+        path = write_spec(tmp_path, "e5.sub", EXAMPLE_RULES["e5"])
+        cli_csv = tmp_path / "cli.csv"
+        argv = ["verify", path, "--points", "32", "--window", "1024", "--csv", str(cli_csv)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        library_csv = tmp_path / "library.csv"
+        write_profile_csv(separation_profile(example("e5"), 32, 1024), str(library_csv))
+        assert cli_csv.read_bytes() == library_csv.read_bytes()
+
+
+class TestVerifyGolden:
+    """verify's stdout and both CSV files, pinned byte for byte."""
+
+    # sha256 of stdout without its elapsed: line, of --csv and of --density-csv
+    PINS = {
+        "e1": (
+            "29d8e64d543f8d3887a17282991ddb1c03ce070d775eeec69346ca22bde356e3",
+            "02c29fac6fc76ba584a8db57bacc19d51d41920acb2f4bbe437a8f8c7d9ce6e0",
+            "a0263547fd66e3e8e0d7413b2d59466184c505e60cef70d812d34c656ed2ac74",
+        ),
+        "e3": (
+            "f96d406f7eb54daf86dffdf92ab805ea0b852ce35073eac4eb3959546a4b46a2",
+            "4946c84d1322222360e633de8cf04e260c3fef9bd270b9d866e8336431fb1568",
+            "dd0b1215e00cf635a2202b1ee38f6ded35ecb6bb33b5264d90a7e3665a8be2ab",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_outputs(self, tmp_path, capsys, name):
+        path = write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name])
+        profile, density = tmp_path / "profile.csv", tmp_path / "density.csv"
+        argv = ["verify", path, "--points", "64", "--window", "2048", "--seed", "7",
+                "--csv", str(profile), "--density-csv", str(density)]
+        assert run(argv) == 0
+        out = "".join(
+            line
+            for line in capsys.readouterr().out.splitlines(keepends=True)
+            if not line.startswith("elapsed:")
+        )
+        got = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (out.encode(), profile.read_bytes(), density.read_bytes())
+        )
+        assert got == self.PINS[name]
 
 
 class TestSynthesizeCommand:

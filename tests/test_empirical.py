@@ -20,10 +20,10 @@ from substdyn import (
 )
 from substdyn.core import fixed_point_prefix
 from substdyn.empirical import (
-    OrbitSample,
     SeparationProfile,
-    default_nu_grid,
+    build_nu_grid,
     mismatch_density,
+    orbit_windows,
     pair_filter_table,
     write_density_csv,
     write_profile_csv,
@@ -34,7 +34,7 @@ from conftest import example
 
 class TestNuGrid:
     def test_shape_and_endpoints(self):
-        grid = default_nu_grid()
+        grid = build_nu_grid()
         assert len(grid) == 13
         assert grid[0] == 0.25
         assert grid[-1] == pytest.approx(0.25 * 0.5**6, rel=1e-12)  # ~0.0039
@@ -43,45 +43,44 @@ class TestNuGrid:
 
 
 class TestOrbitSample:
-    def test_windows_slice_the_prefix(self):
-        sample = OrbitSample(tuple(range(10)), 4, (0, 3))
-        assert tuple(sample.window(3)) == (3, 4, 5, 6)
+    """Orbit points T^i x as the rows of orbit_windows."""
 
-    def test_offset_bounds(self):
-        with pytest.raises(ValueError):
-            OrbitSample(tuple(range(10)), 4, (7,))
-        sample = OrbitSample(tuple(range(10)), 4, (0,))
-        with pytest.raises(ValueError):
-            sample.window(7)
+    def test_windows_slice_the_prefix(self):
+        subst = example("e1")
+        windows = orbit_windows(subst, 8, 16)
+        assert windows.shape == (8, 16)
+        prefix = fixed_point_prefix(subst, 8 + 16)
+        for i in range(8):
+            assert tuple(windows[i]) == prefix[i : i + 16]
 
     def test_from_substitution(self):
         subst = example("e5")
-        sample = OrbitSample.from_substitution(subst, 16, 64)
-        assert sample.offsets == tuple(range(16))
+        windows = orbit_windows(subst, 16, 64)
+        assert windows.dtype == np.int16
+        assert np.shares_memory(windows[0], windows[15])  # views of one prefix
         prefix = fixed_point_prefix(subst, 16 + 64)
-        assert tuple(sample.window(5)) == prefix[5 : 5 + 64]
+        assert tuple(windows[5]) == prefix[5 : 5 + 64]
 
 
 class TestMismatchDensity:
     def test_zero_on_equal_windows(self):
-        sample = OrbitSample.from_substitution(example("e1"), 8, 128)
-        assert mismatch_density(sample, 3, 3) == 0.0
+        windows = orbit_windows(example("e1"), 8, 128)
+        assert mismatch_density(windows[3], windows[3]) == 0.0
 
     def test_one_on_disjoint_letters(self):
-        sample = OrbitSample((0, 0, 1, 1), 2, (0, 2))
-        assert mismatch_density(sample, 0, 2) == 1.0
+        assert mismatch_density(np.array([0, 0]), np.array([1, 1])) == 1.0
 
     def test_symmetry(self):
-        sample = OrbitSample.from_substitution(example("e3"), 32, 1024)
+        w = orbit_windows(example("e3"), 32, 1024)
         for i, j in [(0, 7), (3, 19), (11, 30)]:
-            assert mismatch_density(sample, i, j) == mismatch_density(sample, j, i)
+            assert mismatch_density(w[i], w[j]) == mismatch_density(w[j], w[i])
 
     def test_triangle_inequality(self):
-        sample = OrbitSample.from_substitution(example("e2"), 24, 2048)
+        w = orbit_windows(example("e2"), 24, 2048)
         for i, j, k in [(0, 5, 17), (2, 9, 23), (1, 14, 20)]:
-            dij = mismatch_density(sample, i, j)
-            djk = mismatch_density(sample, j, k)
-            dik = mismatch_density(sample, i, k)
+            dij = mismatch_density(w[i], w[j])
+            djk = mismatch_density(w[j], w[k])
+            dik = mismatch_density(w[i], w[k])
             assert dik <= dij + djk + 1e-12
 
     def test_filtered_never_exceeds_plain(self):
@@ -89,11 +88,11 @@ class TestMismatchDensity:
         table = pair_filter_table(
             subst.alphabet.size, analyze_pairs(subst).maximal
         )
-        sample = OrbitSample.from_substitution(subst, 32, 2048)
+        w = orbit_windows(subst, 32, 2048)
         for i in range(0, 32, 5):
             for j in range(1, 32, 7):
-                filtered = mismatch_density(sample, i, j, table)
-                assert filtered <= mismatch_density(sample, i, j) + 1e-12
+                filtered = mismatch_density(w[i], w[j], table)
+                assert filtered <= mismatch_density(w[i], w[j]) + 1e-12
 
     def test_filter_table_is_symmetric_without_diagonal(self):
         subst = example("e2")
@@ -109,9 +108,8 @@ class TestMismatchDensity:
         n = 5**7
         prefix = fixed_point_prefix(subst, n)
         g = kernel_monoid(subst).elements[1]  # 0->0, 1->2, 2->0
-        mapped = tuple(g[s] for s in prefix)
-        sample = OrbitSample(mapped + (0,) * n, n, (0, n))
-        density = mismatch_density(sample, 0, n)
+        mapped = np.array([g[s] for s in prefix], dtype=np.int16)
+        density = mismatch_density(mapped, np.zeros(n, dtype=np.int16))
         # g(x)_i != 0 exactly when x_i = 1, and letter 1 has frequency 1/4
         assert density == pytest.approx(0.25, abs=0.02)
 
@@ -254,6 +252,10 @@ class TestLipschitzProbe:
         a = lipschitz_ratio_probe(example("e3"), samples=32, window_n=4096, seed=5)
         b = lipschitz_ratio_probe(example("e3"), samples=32, window_n=4096, seed=5)
         assert a == b
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(ValueError):
+            lipschitz_ratio_probe(example("e1"), window_n=0)
 
     def test_rejects_extreme_rates(self):
         with pytest.raises(PreconditionError):

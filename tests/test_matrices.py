@@ -46,7 +46,7 @@ class TestCountMatrix:
     def test_column_sums(self):
         m = CountMatrix.from_rows([[1, 2], [3, 4]])
         assert m.column_sums() == (4, 6)
-        assert m[1, 0] == 3
+        assert m.entries[1][0] == 3
 
 
 class TestSpectralRadius:

@@ -136,7 +136,11 @@ class TestPureBase:
         result = pure_base(subst)
         n_blocks = 10_000
         pure_prefix = fixed_point_prefix(result.pure_base, n_blocks)
-        decoded = result.decode_word(pure_prefix)
+        decoded = tuple(
+            letter
+            for b in pure_prefix
+            for letter in result.decoding[result.block_alphabet.letters[b]]
+        )
         original = fixed_point_prefix(subst, len(decoded))
         original_tokens = tuple(
             subst.alphabet.letters[s] for s in original
