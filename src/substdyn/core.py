@@ -215,26 +215,13 @@ def first_letter_cycle(subst: Substitution) -> tuple[int, int]:
     phi^p then has a one-sided fixed point starting at that letter.
     """
     first = [rule[0] for rule in subst.rules]
-    on_cycle: list[int] = []
-    for a in range(subst.alphabet.size):
-        # iterate far enough to land on the eventual cycle
-        x = a
-        for _ in range(subst.alphabet.size):
+    for seed in range(len(first)):
+        x = first[seed]
+        for p in range(1, len(first) + 1):
+            if x == seed:
+                return seed, p
             x = first[x]
-        cycle = {x}
-        y = first[x]
-        while y != x:
-            cycle.add(y)
-            y = first[y]
-        if a in cycle:
-            on_cycle.append(a)
-    seed = min(on_cycle)
-    p = 1
-    x = first[seed]
-    while x != seed:
-        x = first[x]
-        p += 1
-    return seed, p
+    raise AssertionError("a map of a finite set into itself has a cycle")
 
 
 def fixed_point_prefix(subst: Substitution, n_symbols: int) -> Word:

@@ -86,9 +86,10 @@ class GeneralSubstitution:
 def pair_rules(subst: Substitution) -> GeneralSubstitution:
     """Pair substitution of ``subst`` as-is, with no purification.
 
-    Only meaningful for height-1 inputs; exposed separately because the
-    unpurified matrix is a useful diagnostic for larger heights (its
-    dominant eigenvalue overshoots the true rate).
+    Only meaningful for height-1 inputs.  At height h > 1 the unpurified
+    matrix overshoots the true rate to exactly k: pairs of letters in
+    different Dekking classes mod h differ at every position of their
+    images, so they span a closed block whose columns all sum to k.
     """
     size = subst.alphabet.size
     pairs = tuple(LetterPair(a, b) for a, b in combinations(range(size), 2))

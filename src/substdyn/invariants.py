@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import matrices
 from .core import WORD_BUDGET, Alphabet, Substitution, Word, column_sets, is_primitive
-from .discrepancy import DiscrepancyAnalysis, analyze_pairs, pair_rules
+from .discrepancy import DiscrepancyAnalysis, analyze_pairs
 from .errors import InternalError, PreconditionError, ResourceLimitError
 from .matrices import RATE_TOL
 from .structure import height, pure_base
@@ -66,26 +66,10 @@ class AnalysisReport:
     unpurified_rate: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet),
-            "length_k": self.length_k,
-            "primitive": self.primitive,
-            "height_h": self.height_h,
-            "pure_base_rules": list(self.pure_base_rules),
-            "discrepancy_rules": list(self.discrepancy_rules),
-            "lambda_s": self.lambda_s,
-            "lambda_s_polynomial": self.lambda_s_polynomial,
-            "lambda_s_integer": self.lambda_s_integer,
-            "d_s": self.d_s,
-            "ac": "infinity" if math.isinf(self.ac) else self.ac,
-            "finite_system": self.finite_system,
-            "discrete_spectrum": self.discrete_spectrum,
-            "null_and_tame": self.null_and_tame,
-            "graph_condition": self.graph_condition,
-            "mef": self.mef,
-            "maximal_pairs": list(self.maximal_pairs),
-            "unpurified_rate": self.unpurified_rate,
-        }
+        # shallow on purpose: json.dumps writes the tuple fields as lists
+        out = dict(vars(self))
+        out["ac"] = "infinity" if math.isinf(self.ac) else self.ac
+        return out
 
 
 def _ac_from_rate(rate: float, k: int) -> float:
@@ -174,11 +158,12 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
     ) == 0:
         snapped = int(nearest)
 
-    unpurified: float | None = None
-    if pure.height_h > 1:  # then |A| >= h >= 2, so there are letter pairs
-        raw = pair_rules(subst)
-        growth = matrices.growth_types(raw.incidence(), raw.erasing)
-        unpurified = matrices.max_growth_type(growth).rate
+    # At height h > 1, letters of different Dekking classes c (mod h) have
+    # images that differ everywhere: c(phi(a)_j) - c(phi(b)_j) = k (c(a) - c(b))
+    # and gcd(k, h) = 1.  Those pairs form a closed block of the raw pair
+    # matrix whose columns all sum to k, the most any column can sum to, so
+    # the raw pair rate is exactly k (Dekking 1978).
+    unpurified = float(k) if pure.height_h > 1 else None
 
     mef = "finite cyclic" if finite else f"Z_{k} x Z/{pure.height_h}Z"
 

@@ -83,44 +83,27 @@ class ComponentDecomposition:
         its component (itself included); the degree is one less than the
         largest number of components realizing that radius along a single
         condensation path.  Erasing indices get the conventional (0, 1).
+        One pass over the components, sinks first, settles both: a reach is
+        the max of the own radius and the successors' reaches, and a count
+        adds the own tie to the largest count of a successor whose reach
+        ties (ties within RATE_TOL).
         """
-        max_reach: list[float | None] = [None] * len(self.components)
-
-        def reach(ci: int) -> float:
-            cached = max_reach[ci]
-            if cached is not None:
-                return cached
-            best = self.radii[ci]
-            for cj in self.condensation[ci]:
-                best = max(best, reach(cj))
-            max_reach[ci] = best
-            return best
-
-        path_counts: dict[tuple[int, float], int] = {}
-
-        def count_on_path(ci: int, rate: float) -> int:
-            key = (ci, rate)
-            if key in path_counts:
-                return path_counts[key]
-            own = 1 if abs(self.radii[ci] - rate) <= RATE_TOL else 0
-            below = max(
-                (count_on_path(cj, rate) for cj in self.condensation[ci]), default=0
-            )
-            path_counts[key] = own + below
-            return own + below
-
-        out = []
-        for a, ci in enumerate(self.component_of):
-            if a in erasing:
-                out.append(GrowthType(0.0, 1))
-                continue
-            rate = reach(ci)
-            out.append(GrowthType(rate, count_on_path(ci, rate) - 1))
-        return out
+        reach: list[float] = []
+        count: list[int] = []
+        for radius, succ in zip(self.radii, self.condensation):
+            top = max([radius] + [reach[cj] for cj in succ])
+            below = [count[cj] for cj in succ if abs(reach[cj] - top) <= RATE_TOL]
+            reach.append(top)
+            count.append(int(abs(radius - top) <= RATE_TOL) + max(below, default=0))
+        return [
+            GrowthType(0.0, 1) if a in erasing else GrowthType(reach[ci], count[ci] - 1)
+            for a, ci in enumerate(self.component_of)
+        ]
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
+    """Iterative Tarjan; components come out in reverse topological order,
+    sinks first: each after every component it reaches."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
@@ -198,7 +181,11 @@ def spectral_radius(m: CountMatrix) -> float:
 
 
 def decompose(m: CountMatrix) -> ComponentDecomposition:
-    """SCC condensation of the growth digraph with one radius per component."""
+    """SCC condensation of the growth digraph with one radius per component.
+
+    Components are numbered sinks first, so every condensation edge points
+    to a smaller id; :meth:`ComponentDecomposition.growth_types` relies on it.
+    """
     n = m.order
     succ = [[b for b in range(n) if m.entries[b][a] > 0] for a in range(n)]
     components = _tarjan(succ)

@@ -169,3 +169,45 @@ def faddeev_leverrier(rows: list[list[int]]) -> tuple[int, ...]:
             for i in range(n)
         ]
     return tuple(coeffs)
+
+
+def recursive_growth_types(
+    radii: tuple[float, ...],
+    condensation: tuple[tuple[int, ...], ...],
+    component_of: tuple[int, ...],
+    erasing: frozenset[int],
+    tol: float = 1e-9,
+) -> list[tuple[float, int]]:
+    """(rate, degree) of every index by recursion over a condensation DAG.
+
+    The rate of an index is the largest radius reachable from its component;
+    the degree is one less than the most components with a radius within
+    ``tol`` of that rate on one condensation path, counted by a recursion
+    memoised on (component, rate).  Erasing indices get (0.0, 1).  The
+    recursion is as deep as the longest condensation path.
+    """
+    max_reach: dict[int, float] = {}
+
+    def reach(ci: int) -> float:
+        if ci not in max_reach:
+            max_reach[ci] = max([radii[ci]] + [reach(cj) for cj in condensation[ci]])
+        return max_reach[ci]
+
+    path_counts: dict[tuple[int, float], int] = {}
+
+    def count_on_path(ci: int, rate: float) -> int:
+        key = (ci, rate)
+        if key not in path_counts:
+            own = 1 if abs(radii[ci] - rate) <= tol else 0
+            below = max((count_on_path(cj, rate) for cj in condensation[ci]), default=0)
+            path_counts[key] = own + below
+        return path_counts[key]
+
+    out = []
+    for a, ci in enumerate(component_of):
+        if a in erasing:
+            out.append((0.0, 1))
+        else:
+            rate = reach(ci)
+            out.append((rate, count_on_path(ci, rate) - 1))
+    return out

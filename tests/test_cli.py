@@ -409,18 +409,19 @@ class TestKernelCommand:
 class TestStageCounts:
     """Each command builds every expensive stage once."""
 
-    STAGES = ("pure_base", "column_sets", "kernel_monoid", "decompose",
-              "characteristic_polynomial")
+    STAGES = ("pure_base", "column_sets", "kernel_monoid", "pair_rules",
+              "decompose", "characteristic_polynomial")
     # (command, example) -> calls of each stage, then of Substitution.columns;
-    # at height 2 the second decompose is the unpurified diagnostic's matrix.
-    # The generators are read once each by column_sets, the column-set graph
-    # and kernel_monoid; d_m reuses the monoid's closure.
+    # at height 2 the unpurified rate is k by Dekking's labelling, so the raw
+    # pair matrix is never built.  The generators are read once each by
+    # column_sets, the column-set graph and kernel_monoid; d_m reuses the
+    # monoid's closure.
     EXPECTED = {
-        ("analyze", "e1"): (1, 1, 1, 1, 1, 3),
-        ("analyze", "e4"): (1, 1, 1, 2, 1, 3),
-        ("kernel", "e1"): (1, 0, 1, 0, 0, 1),
-        ("kernel", "e4"): (1, 0, 1, 0, 0, 1),
-        ("verify", "e1"): (1, 0, 0, 1, 1, 0),
+        ("analyze", "e1"): (1, 1, 1, 1, 1, 1, 3),
+        ("analyze", "e4"): (1, 1, 1, 1, 1, 1, 3),
+        ("kernel", "e1"): (1, 0, 1, 0, 0, 0, 1),
+        ("kernel", "e4"): (1, 0, 1, 0, 0, 0, 1),
+        ("verify", "e1"): (1, 0, 0, 1, 1, 1, 0),
     }
     ARGV = {
         "analyze": ["analyze", "--json", "--m-max", "12"],

@@ -188,6 +188,11 @@ class TestFixedPoints:
         # fixed point of phi^2, which maps 0 -> 0010 and 1 -> 1010
         assert prefix == tuple(int(c) for c in "00100010")
 
+    def test_seed_skips_a_letter_off_the_cycle(self):
+        # first letters 0 -> 1 -> 2 -> 1: the least letter on the cycle is 1
+        subst = Substitution.from_strings({"0": "10", "1": "20", "2": "10"})
+        assert first_letter_cycle(subst) == (1, 2)
+
     def test_fixed_seed(self):
         seed, p = first_letter_cycle(example("period_doubling"))
         assert (seed, p) == (0, 1)

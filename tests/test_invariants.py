@@ -24,11 +24,13 @@ from substdyn import (
     synthesize_target_ac,
 )
 from substdyn.core import column_sets, fixed_point_prefix
+from substdyn.discrepancy import pair_rules
 from substdyn.invariants import ColumnSetGraph
-from substdyn.matrices import RATE_TOL
+from substdyn.matrices import RATE_TOL, growth_types, max_growth_type
 
 from conftest import EXAMPLE_RULES, example, power
 from oracles import brute_column_count
+from test_matrices import DEKKING_A8_K5
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -89,6 +91,19 @@ class TestClassify:
 
     def test_unpurified_rate_absent_at_height_one(self):
         assert classify(example("e1")).unpurified_rate is None
+
+    def test_unpurified_rate_is_exactly_k(self):
+        rng = random.Random(6)
+        draws = [random_primitive_substitution(rng) for _ in range(4000)]
+        tall = [s for s in draws if height(s) > 1]
+        assert len(tall) >= 10
+        for subst in [example("e4"), Substitution.from_strings(DEKKING_A8_K5)] + tall:
+            k = subst.length_k
+            assert classify(subst).unpurified_rate == float(k)
+            # the raw pair substitution's own growth types agree
+            raw = pair_rules(subst)
+            rate = max_growth_type(growth_types(raw.incidence(), raw.erasing)).rate
+            assert rate == pytest.approx(k, abs=1e-9)
 
     def test_finite_system(self):
         r = classify(Substitution.from_strings({"a": "ab", "b": "ab"}))

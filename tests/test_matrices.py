@@ -26,7 +26,7 @@ from substdyn.matrices import (
 from substdyn.matrices import _prime
 
 from conftest import example
-from oracles import faddeev_leverrier, tuple_incidence
+from oracles import faddeev_leverrier, recursive_growth_types, tuple_incidence
 
 
 def random_irreducible(rng: random.Random, n: int) -> CountMatrix:
@@ -132,6 +132,57 @@ class TestGrowthTypes:
     def test_nilpotent_rates_are_zero(self):
         m = CountMatrix.from_rows([[0, 1], [0, 0]])
         assert all(t.rate == pytest.approx(0.0, abs=1e-9) for t in growth_types(m, frozenset()))
+
+    def test_matches_recursive_oracle_on_repeated_blocks(self):
+        # A block, its transpose and its copies under other letter orders get
+        # their radii from separate power-iteration runs, so equal rates can
+        # differ in the last bits and the counts must group them by RATE_TOL.
+        rng = random.Random(2718)
+        pool = [[[0]], [[1]], [[2]], [[0, 1], [1, 0]], [[1, 1], [1, 0]],
+                [[0, 1], [2, 1]], [[0, 2], [1, 0]]]
+        for n in (2, 3, 3, 4):
+            block = random_irreducible(rng, n).entries
+            pool += [list(map(list, block)), list(map(list, zip(*block)))]
+        for _ in range(400):
+            blocks = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+            n = sum(len(b) for b in blocks)
+            rows = [[0] * n for _ in range(n)]
+            starts = []
+            at = 0
+            for b in blocks:
+                starts.append(at)
+                for i, row in enumerate(b):
+                    rows[at + i][at:at + len(b)] = row
+                at += len(b)
+            # edges run from earlier blocks to later ones only
+            for bi in range(len(blocks)):
+                for bj in range(bi + 1, len(blocks)):
+                    if rng.random() < 0.4:
+                        rows[starts[bj] + rng.randrange(len(blocks[bj]))][
+                            starts[bi] + rng.randrange(len(blocks[bi]))
+                        ] = rng.randint(1, 2)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m = CountMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+            erasing = frozenset(a for a in range(n) if rng.random() < 0.1)
+            dec = decompose(m)
+            got = [(t.rate, t.degree) for t in dec.growth_types(erasing)]
+            want = recursive_growth_types(
+                dec.radii, dec.condensation, dec.component_of, erasing, RATE_TOL
+            )
+            assert got == want
+
+    def test_long_chain_needs_no_recursion(self):
+        # 0 -> 1 -> ... -> n-1, with a loop of weight 2 at the sink: one
+        # component per index, and every index grows like 2^n
+        n = 2000
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            rows[i + 1][i] = 1
+        rows[n - 1][n - 1] = 2
+        dec = decompose(CountMatrix.from_rows(rows))
+        assert len(dec.components) == n
+        assert dec.growth_types(frozenset()) == [GrowthType(2.0, 0)] * n
 
     def test_max_growth_type(self):
         top = max_growth_type(
