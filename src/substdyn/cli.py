@@ -40,10 +40,10 @@ from .errors import (
 )
 from .invariants import (
     DEFAULT_SEED,
+    ColumnSetGraph,
     amorphic_complexity,
     classify_analysis,
     kernel_monoid,
-    nonconstant_ap_counts,
     null_witness_search,
     synthesize_target_ac,
 )
@@ -174,11 +174,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     subst = doc.substitution
     analysis = analyze_pairs(subst)
-    report = classify_analysis(analysis)
-
+    graph = ColumnSetGraph.build(analysis.pure.pure_base)
     d_m: list[int] | None = None
     if args.m_max is not None:
-        d_m = nonconstant_ap_counts(analysis.pure.pure_base, args.m_max)
+        d_m = graph.nonconstant_counts(args.m_max)
+    report = classify_analysis(analysis, graph)
 
     if args.json:
         extra = {"report": report.to_dict()}
@@ -231,9 +231,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     doc = _load(args.file)
     subst = doc.substitution
+    grid = build_nu_grid(args.nu_max, args.nu_min)
     analysis = analyze_pairs(subst)
     exact = amorphic_complexity(subst, analysis)
-    grid = build_nu_grid(args.nu_max, args.nu_min)
     profile = separation_profile(
         subst, m_points=args.points, window_n=args.window, nu_grid=grid
     )
@@ -309,8 +309,9 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     pure = pure_base(doc.substitution)
+    # checks m_max before the monoid is built and before any output
+    d_m = ColumnSetGraph.build(pure.pure_base).nonconstant_counts(args.m_max)
     descriptor = kernel_monoid(pure.pure_base)
-    d_m = descriptor.nonconstant_counts(args.m_max)  # checks m_max before any output
     if pure.height_h > 1:
         print(f"height {pure.height_h}; kernel computed on the pure base")
     labels = descriptor.element_strings()

@@ -3,11 +3,11 @@
 This module turns the pair-growth data into the quantities one actually
 quotes about the system: the amorphic complexity ``log k / (log k - log
 lambda_s)``, finiteness and discrete-spectrum verdicts, nullness/tameness,
-the kernel monoid of iterated column maps with its exact nonconstant
-column counts, the column-set graph criterion for ``lambda_s <= 1``, a
-synthesizer hitting any target complexity of the form ``n log k / (n log
-k - log l)``, and a brute-force witness search that can certify a prefix
-is not null.
+the column-set graph with the criterion for ``lambda_s <= 1`` and the
+exact nonconstant column counts, the kernel monoid of iterated column
+maps, a synthesizer hitting any target complexity of the form ``n log k /
+(n log k - log l)``, and a brute-force witness search that can certify a
+prefix is not null.
 """
 
 from __future__ import annotations
@@ -118,14 +118,17 @@ def _all_images_coincide(pure: Substitution) -> bool:
 
 def classify(subst: Substitution) -> AnalysisReport:
     """Full analysis with every internal consistency check turned on."""
-    return classify_analysis(analyze_pairs(subst))
+    analysis = analyze_pairs(subst)
+    return classify_analysis(analysis, ColumnSetGraph.build(analysis.pure.pure_base))
 
 
-def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
-    """The report of :func:`classify` on an input ``analyze_pairs`` already ran on.
+def classify_analysis(
+    analysis: DiscrepancyAnalysis, graph: ColumnSetGraph
+) -> AnalysisReport:
+    """The report of :func:`classify` from the stages the caller already built.
 
-    Every stage reads ``analysis.pure``; one column-set family gives both
-    the coincidence verdict and the graph condition.
+    ``graph`` is the column-set graph of ``analysis.pure.pure_base``; its
+    vertices give the coincidence verdict and its edges the graph condition.
     """
     pure = analysis.pure
     subst = pure.original
@@ -146,9 +149,8 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
         )
     finite = finite_by_rate
 
-    family = column_sets(pure.pure_base)
-    discrete = any(len(s) == 1 for s in family)
-    graph_ok = ColumnSetGraph.build(pure.pure_base, family).condition_holds()
+    discrete = any(len(s) == 1 for s in graph.vertices)
+    graph_ok = graph.condition_holds()
     null_tame = finite or abs(ac - 1.0) <= RATE_TOL
 
     snapped: int | None = None
@@ -212,7 +214,7 @@ def _assert_report_consistency(r: AnalysisReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Kernel monoid and nonconstant column counts
+# Kernel monoid
 # ---------------------------------------------------------------------------
 
 
@@ -226,57 +228,23 @@ class KernelDescriptor:
     ``words[i]`` spells element i as a composition of generator columns,
     outermost generator first: word (r0, r1, ..) means phi_r0 . phi_r1 . ..
     and corresponds to column index r0 + r1*k + r2*k^2 + ... of the
-    matching power.  ``successors[i][r]`` is the index of phi_r . element i.
-    The kernel of the fixed point x is exactly {tau(x) : tau in the monoid},
-    so elements double as sequence labels.
+    matching power.  The kernel of the fixed point x is exactly
+    {tau(x) : tau in the monoid}, so elements double as sequence labels.
     """
 
     alphabet: Alphabet
     elements: tuple[tuple[int, ...], ...]
     words: tuple[tuple[int, ...], ...]
     constant_flags: tuple[bool, ...]
-    successors: tuple[tuple[int, ...], ...]
 
     def element_strings(self) -> list[str]:
-        out = []
-        for tau, flag in zip(self.elements, self.constant_flags):
-            if tau == tuple(range(len(tau))):
-                out.append("id")
-            elif flag:
-                out.append(f"const {self.alphabet.letters[tau[0]]}")
+        letters = self.alphabet.letters
+        out = ["id"]
+        for tau, flag in zip(self.elements[1:], self.constant_flags[1:]):
+            if flag:
+                out.append(f"const {letters[tau[0]]}")
             else:
-                body = ", ".join(
-                    f"{self.alphabet.letters[a]}->{self.alphabet.letters[b]}"
-                    for a, b in enumerate(tau)
-                )
-                out.append(body)
-        return out
-
-    def nonconstant_counts(self, m_max: int) -> list[int]:
-        """Exact number of nonconstant column maps of phi^m for m = 0..m_max.
-
-        Counts are pushed through the monoid: the multiset of columns of
-        phi^{m+1} is obtained from that of phi^m by composing every
-        generator on the outside, so an integer count per monoid element
-        suffices and k^m columns are never materialized.
-        """
-        if m_max < 0:
-            raise PreconditionError(f"m_max must be nonnegative, got {m_max}")
-        if m_max > _M_MAX_CAP:
-            raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
-        counts = [0] * len(self.elements)
-        counts[0] = 1  # the identity: the single column of phi^0
-        out = []
-        for _ in range(m_max + 1):
-            out.append(
-                sum(c for c, const in zip(counts, self.constant_flags) if not const)
-            )
-            nxt = [0] * len(self.elements)
-            for i, c in enumerate(counts):
-                if c:
-                    for j in self.successors[i]:
-                        nxt[j] += c
-            counts = nxt
+                out.append(", ".join(f"{letters[a]}->{letters[b]}" for a, b in enumerate(tau)))
         return out
 
 
@@ -289,51 +257,43 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
     identity = tuple(range(subst.alphabet.size))
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
-    successors: list[tuple[int, ...]] = []
-    seen = {identity: 0}
+    seen = {identity}
     for cursor, tau in enumerate(elements):  # grows while it is read
-        row = []
         for r, gen in enumerate(generators):
             child = tuple(map(gen.__getitem__, tau))  # phi_r . tau
             if child not in seen:
-                seen[child] = len(elements)
+                seen.add(child)
                 elements.append(child)
                 # child = phi_r . tau: the new generator is outermost
                 words.append((r,) + words[cursor])
-            row.append(seen[child])
-        successors.append(tuple(row))
     return KernelDescriptor(
         alphabet=subst.alphabet,
         elements=tuple(elements),
         words=tuple(words),
         constant_flags=tuple(len(set(tau)) == 1 for tau in elements),
-        successors=tuple(successors),
     )
 
 
-def nonconstant_ap_counts(subst: Substitution, m_max: int) -> list[int]:
-    """Exact number of nonconstant column maps of phi^m for m = 0..m_max;
-    see :meth:`KernelDescriptor.nonconstant_counts`."""
-    return kernel_monoid(subst).nonconstant_counts(m_max)
-
-
 # ---------------------------------------------------------------------------
-# Column-set graph condition
+# Column-set graph: the graph condition and nonconstant column counts
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ColumnSetGraph:
-    """Column sets of the pure base with one labeled edge per column map."""
+    """Column sets of the pure base with one labeled edge per column map.
+
+    Vertex 0 is the full alphabet; an edge (i, j, t) says column map j
+    sends column set i onto column set t.
+    """
 
     vertices: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int, int], ...]  # (source, label j, target)
 
     @staticmethod
-    def build(
-        pure: Substitution, family: tuple[frozenset[int], ...]
-    ) -> "ColumnSetGraph":
+    def build(pure: Substitution) -> "ColumnSetGraph":
         """The graph of a pure base on its column sets."""
+        family = column_sets(pure)
         position = {s: i for i, s in enumerate(family)}
         cols = pure.columns()
         edges = [
@@ -342,6 +302,31 @@ class ColumnSetGraph:
             for j, col in enumerate(cols)
         ]
         return ColumnSetGraph(vertices=family, edges=tuple(edges))
+
+    def nonconstant_counts(self, m_max: int) -> list[int]:
+        """Exact number d_m of nonconstant column maps of phi^m, m = 0..m_max.
+
+        Each column of phi^m composes m generator columns, and the end of
+        its label path from vertex 0 is the image of the alphabet, so the
+        column is nonconstant iff that vertex has two letters or more.
+        Counts are pushed along the edges, one integer per vertex, so the
+        k^m columns are never materialized.
+        """
+        if m_max < 0:
+            raise PreconditionError(f"m_max must be nonnegative, got {m_max}")
+        if m_max > _M_MAX_CAP:
+            raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
+        wide = [len(s) >= 2 for s in self.vertices]
+        counts = [0] * len(self.vertices)
+        counts[0] = 1  # the identity, the single column of phi^0, maps onto A
+        out = []
+        for _ in range(m_max + 1):
+            out.append(sum(c for c, w in zip(counts, wide) if w))
+            nxt = [0] * len(counts)
+            for source, _label, target in self.edges:
+                nxt[target] += counts[source]
+            counts = nxt
+        return out
 
     def condition_holds(self) -> bool:
         """The graph condition; see :func:`graph_condition`."""
@@ -376,8 +361,16 @@ def graph_condition(subst: Substitution) -> bool:
     i.e. when lambda_s <= 1.
     """
     _require(subst, "graph_condition")
-    pure = pure_base(subst).pure_base
-    return ColumnSetGraph.build(pure, column_sets(pure)).condition_holds()
+    return ColumnSetGraph.build(pure_base(subst).pure_base).condition_holds()
+
+
+def nonconstant_ap_counts(subst: Substitution, m_max: int) -> list[int]:
+    """Exact number of nonconstant column maps of phi^m for m = 0..m_max;
+    see :meth:`ColumnSetGraph.nonconstant_counts`."""
+    _require(subst, "nonconstant_ap_counts")
+    if height(subst) != 1:
+        raise PreconditionError("nonconstant_ap_counts requires height 1; purify first")
+    return ColumnSetGraph.build(subst).nonconstant_counts(m_max)
 
 
 # ---------------------------------------------------------------------------

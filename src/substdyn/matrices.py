@@ -364,7 +364,7 @@ def characteristic_polynomial(m: CountMatrix) -> tuple[int, ...]:
     return tuple(reversed(coeffs))
 
 
-def polynomial_text(coeffs: Sequence[int], var: str = "t") -> str:
+def polynomial_text(coeffs: Sequence[int]) -> str:
     """Render integer coefficients (descending powers) like ``t^2 - t - 1``."""
     degree = len(coeffs) - 1
     parts: list[str] = []
@@ -377,7 +377,7 @@ def polynomial_text(coeffs: Sequence[int], var: str = "t") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}{var}" if p == 1 else f"{head}{var}^{p}"
+            body = f"{head}t" if p == 1 else f"{head}t^{p}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

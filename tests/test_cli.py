@@ -185,6 +185,44 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestRefusedBeforeTheStage:
+    """A bad parameter exits before the expensive stage that would use it."""
+
+    def count(self, monkeypatch, name) -> list:
+        calls = []
+        stage = getattr(substdyn.cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(substdyn.cli, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("m_max,code", [("-1", 2), ("65", 3)])
+    def test_kernel_m_max(self, tmp_path, capsys, monkeypatch, m_max, code):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        calls = self.count(monkeypatch, "kernel_monoid")
+        assert run(["kernel", path, "--m-max", m_max]) == code
+        assert capsys.readouterr().out == ""
+        assert calls == []
+
+    def test_analyze_negative_m_max(self, tmp_path, capsys, monkeypatch):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        calls = self.count(monkeypatch, "classify_analysis")
+        assert run(["analyze", path, "--m-max", "-1"]) == 2
+        assert "m_max" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("flag,value", [("--nu-max", "2"), ("--nu-min", "0")])
+    def test_verify_nu_grid(self, tmp_path, capsys, monkeypatch, flag, value):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        calls = self.count(monkeypatch, "analyze_pairs")
+        assert run(["verify", path, flag, value]) == 2
+        assert "nu-min" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestAnalyzeOutput:
     def test_e1_text_report(self, tmp_path, capsys):
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
@@ -358,6 +396,57 @@ class TestVerifyGolden:
         assert got == self.PINS[name]
 
 
+class TestExactGolden:
+    """analyze --json and kernel output on every example, pinned."""
+
+    # stable_hash of analyze --json --m-max 12, sha256 of kernel --m-max 12
+    PINS = {
+        "e1": (
+            "36c9f146bbf5fda5b0f0afcf55aa93b10d0fe7628eeeb278a5d5a39c8e375fde",
+            "1494622aa71c48d35294e5b5a97925a85c49031e16e437e940ce5f918d615b9d",
+        ),
+        "e2": (
+            "0ebb93faba9b7a5ad2be8761ac26cb724050e2e1f244c8b18431de4343b7cbb6",
+            "57802fdba01ad6ca9c8b305b54bf4aa9351a92f2c79d5ed52ba0cd5f9c811324",
+        ),
+        "e3": (
+            "9de33387c3630145920cbd103827d02ffdea83e53d59827506965b1139600dfe",
+            "9efbfffcc5fdfa922a22bb0a2945066c3d9165a431cd6bd8c8e5b6cd0389a231",
+        ),
+        "e4": (
+            "0d0f7834a7733a300fcfdbd04e2000d26beb47c936f7b568a6504efc52ea3d9f",
+            "a5285a355fc82df53fb5f9e250171ff98bc51a6c69a120f174b376fa84c6cb5d",
+        ),
+        "e5": (
+            "b3954552ade5e6d88a2c32e0c540e12b324d58a41445f55f003c49c15f431484",
+            "35422afbe9219548264566db394094cfa99c2144886776ab234b62cb9112c97b",
+        ),
+        "e6": (
+            "a3ad828b076253eaa4e695e3b9af2615fc50acdda20fafcc7362564d88941973",
+            "1ebf45c0afa1a1cfd32a548836f32bdd2c38f225b561421cbe9495209b617d63",
+        ),
+        "period_doubling": (
+            "57c1b0419c6835f110911596ad1bc3208c1b3524de770dbe557b5999fe80b432",
+            "6fe69ff95dccd60cadf56b6f1ca17e1a11b86670956d58ab48e09b20b46b49f2",
+        ),
+        "thue_morse": (
+            "280a4b11e11c96a609df7de158896e572b31690ce527b3abf34ce5f3df46d518",
+            "905721d1a56b4d5abd95d7eae0a31d0ffcf0e97fa4b3c20f1812a645acc31702",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_RULES))
+    def test_outputs(self, tmp_path, capsys, monkeypatch, name):
+        # stable_hash covers the source name, so it is a fixed relative path
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name])
+        assert run(["analyze", "--json", "--m-max", "12", f"{name}.sub"]) == 0
+        stable = json.loads(capsys.readouterr().out)["stable_hash"]
+        assert run(["kernel", "--m-max", "12", f"{name}.sub"]) == 0
+        kernel = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (stable, kernel) == self.PINS[name]
+
+
 class TestSynthesizeCommand:
     def test_stdout_spec(self, capsys):
         assert run(["synthesize", "--k", "2", "--n", "4", "--l", "3"]) == 0
@@ -413,14 +502,15 @@ class TestStageCounts:
               "decompose", "characteristic_polynomial")
     # (command, example) -> calls of each stage, then of Substitution.columns;
     # at height 2 the unpurified rate is k by Dekking's labelling, so the raw
-    # pair matrix is never built.  The generators are read once each by
-    # column_sets, the column-set graph and kernel_monoid; d_m reuses the
-    # monoid's closure.
+    # pair matrix is never built.  One column-set graph gives the graph
+    # condition, the coincidence verdict and d_m, so analyze builds no
+    # monoid and kernel builds it only for its listing.  The generators are
+    # read once each by column_sets, the graph's edges and kernel_monoid.
     EXPECTED = {
-        ("analyze", "e1"): (1, 1, 1, 1, 1, 1, 3),
-        ("analyze", "e4"): (1, 1, 1, 1, 1, 1, 3),
-        ("kernel", "e1"): (1, 0, 1, 0, 0, 0, 1),
-        ("kernel", "e4"): (1, 0, 1, 0, 0, 0, 1),
+        ("analyze", "e1"): (1, 1, 0, 1, 1, 1, 2),
+        ("analyze", "e4"): (1, 1, 0, 1, 1, 1, 2),
+        ("kernel", "e1"): (1, 1, 1, 0, 0, 0, 3),
+        ("kernel", "e4"): (1, 1, 1, 0, 0, 0, 3),
         ("verify", "e1"): (1, 0, 0, 1, 1, 1, 0),
     }
     ARGV = {

@@ -104,14 +104,17 @@ class TestColumns:
         assert subst.columns() == [(0, 1, 2), (1, 0, 0), (0, 2, 1)]
 
     def test_compose_order(self):
-        # the kernel monoid composes a new column outermost: phi_r . tau
+        # words[i] = (r0, r1, ..) spells elements[i] = phi_r0 . phi_r1 . ..,
+        # outermost generator first
         for name in sorted(EXAMPLE_RULES):
             subst = pure_base(example(name)).pure_base
             kd = kernel_monoid(subst)
             cols = subst.columns()
-            for tau, row in zip(kd.elements, kd.successors):
-                for col, child in zip(cols, row):
-                    assert kd.elements[child] == tuple(col[v] for v in tau)
+            for tau, word in zip(kd.elements, kd.words):
+                folded = tuple(range(subst.alphabet.size))
+                for r in reversed(word):
+                    folded = tuple(cols[r][v] for v in folded)
+                assert folded == tau
 
     def test_identity_and_constant(self):
         kd = kernel_monoid(example("e5"))

@@ -23,7 +23,7 @@ from substdyn import (
     random_primitive_substitution,
     synthesize_target_ac,
 )
-from substdyn.core import column_sets, fixed_point_prefix
+from substdyn.core import fixed_point_prefix
 from substdyn.discrepancy import pair_rules
 from substdyn.invariants import ColumnSetGraph
 from substdyn.matrices import RATE_TOL, growth_types, max_growth_type
@@ -203,6 +203,23 @@ class TestNonconstantApCounts:
         counts = nonconstant_ap_counts(subst, m)
         assert counts[m] == brute_column_count(EXAMPLE_RULES[example_name], m)
 
+    def test_matches_brute_enumeration_on_random_draws(self):
+        # the graph's counts against phi^m built symbol by symbol
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 200:
+            subst = random_primitive_substitution(rng, max_letters=4, max_k=4)
+            if height(subst) != 1:
+                continue
+            letters = subst.alphabet.letters
+            rules = {
+                a: "".join(letters[b] for b in image)
+                for a, image in zip(letters, subst.rules)
+            }
+            expected = [brute_column_count(rules, m) for m in range(5)]
+            assert nonconstant_ap_counts(subst, 4) == expected
+            checked += 1
+
     def test_frozen_sequences(self):
         assert nonconstant_ap_counts(example("e1"), 5) == [1, 2, 3, 5, 8, 13]
         assert nonconstant_ap_counts(example("e6"), 5) == [1, 2, 3, 4, 5, 6]
@@ -247,8 +264,7 @@ class TestNonconstantApCounts:
 
 def column_set_graph(subst: Substitution) -> ColumnSetGraph:
     """The graph that graph_condition decides, built on the pure base."""
-    pure = pure_base(subst).pure_base
-    return ColumnSetGraph.build(pure, column_sets(pure))
+    return ColumnSetGraph.build(pure_base(subst).pure_base)
 
 
 class TestGraphCondition:
