@@ -23,6 +23,7 @@ from . import __version__
 from .core import Alphabet, Substitution, fixed_point_prefix
 from .empirical import (
     build_nu_grid,
+    check_sample_size,
     lipschitz_ratio_probe,
     mismatch_density,
     orbit_windows,
@@ -42,6 +43,7 @@ from .invariants import (
     DEFAULT_SEED,
     ColumnSetGraph,
     amorphic_complexity,
+    check_witness_search,
     classify_analysis,
     kernel_monoid,
     null_witness_search,
@@ -232,6 +234,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     subst = doc.substitution
     grid = build_nu_grid(args.nu_max, args.nu_min)
+    check_sample_size(args.points, args.window)
     analysis = analyze_pairs(subst)
     exact = amorphic_complexity(subst, analysis)
     profile = separation_profile(
@@ -332,6 +335,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     subst = doc.substitution
+    check_witness_search(args.t, args.window)
     length = max(4 * args.window, 4096)
     prefix = fixed_point_prefix(subst, length)
     witness = null_witness_search(prefix, args.t, args.window)

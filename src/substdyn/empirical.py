@@ -27,7 +27,9 @@ from .errors import (
 from .invariants import DEFAULT_SEED
 from .matrices import RATE_TOL
 
-#: Hard cap on M^2 * N symbol comparisons per profile.
+#: Hard cap on the sample size M^2 * N of a profile: M^2 window pairs of N
+#: symbols each.  The densities take O(M * (M + N)) work plus an M x M
+#: matrix, so the cap bounds the sample, not the arithmetic.
 COMPARISON_BUDGET = 1 << 38
 
 _MIN_POINTS = 32
@@ -51,15 +53,20 @@ def build_nu_grid(nu_max: float = 0.25, nu_min: float = 0.004) -> tuple[float, .
     return tuple(grid)
 
 
+def _orbit_prefix(subst: Substitution, m_points: int, window_n: int) -> np.ndarray:
+    """The int16 prefix of m_points + window_n symbols behind orbit_windows."""
+    if window_n < 1:
+        raise ValueError("window must be positive")
+    return np.asarray(fixed_point_prefix(subst, m_points + window_n), dtype=np.int16)
+
+
 def orbit_windows(subst: Substitution, m_points: int, window_n: int) -> np.ndarray:
     """Windows of one long prefix standing in for orbit points T^i x.
 
     Row i is ``x[i : i + window_n]`` of the fixed point x, for i < m_points:
     a read-only view into one int16 array of m_points + window_n symbols.
     """
-    if window_n < 1:
-        raise ValueError("window must be positive")
-    prefix = np.asarray(fixed_point_prefix(subst, m_points + window_n), dtype=np.int16)
+    prefix = _orbit_prefix(subst, m_points, window_n)
     return sliding_window_view(prefix, window_n)[:m_points]
 
 
@@ -97,21 +104,56 @@ class SeparationProfile:
     fit_range: tuple[int, int] | None = None
 
 
-def _density_matrix(windows: np.ndarray) -> np.ndarray:
-    m_points, window_n = windows.shape
+def _density_matrix(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
+    """Plain mismatch densities between the windows prefix[i : i + N], i < M.
+
+    The count of (i, i + D) depends on the lag D through the prefix sums C
+    of ``prefix[m] != prefix[m + D]``: it is C[i + N] - C[i].  Each lag
+    fills the band (i, i + D) and its mirror (i + D, i) with the same
+    integers, so the matrix is exactly symmetric.
+    """
     out = np.empty((m_points, m_points), dtype=np.float64)
-    for i in range(m_points):
-        out[i] = np.count_nonzero(windows != windows[i], axis=1)
+    flat = out.reshape(-1)
+    length = m_points + window_n - 1
+    sums = np.zeros(length + 1, dtype=np.int64)
+    for lag in range(m_points):
+        differs = prefix[: length - lag] != prefix[lag:length]
+        np.cumsum(differs, out=sums[1 : length - lag + 1])
+        band = sums[window_n : window_n + m_points - lag] - sums[: m_points - lag]
+        stop = (m_points - lag) * (m_points + 1)
+        flat[lag : lag + stop : m_points + 1] = band
+        flat[lag * m_points : lag * m_points + stop : m_points + 1] = band
     out /= window_n
     return out
 
 
 def _greedy_count(density: np.ndarray, nu: float) -> int:
-    kept: list[int] = []
+    """Size of the greedy nu-separated subset, scanned in index order.
+
+    An index is kept when its density to every kept index is >= nu.  Since
+    the matrix is symmetric, "close to some kept index" is the union of the
+    kept rows of ``density < nu``, so one mask replaces the pairwise test.
+    """
+    close = density < nu
+    blocked = np.zeros(density.shape[0], dtype=bool)
+    count = 0
     for idx in range(density.shape[0]):
-        if all(density[idx, j] >= nu for j in kept):
-            kept.append(idx)
-    return len(kept)
+        if not blocked[idx]:
+            count += 1
+            blocked |= close[idx]
+    return count
+
+
+def check_sample_size(m_points: int, window_n: int) -> None:
+    """Refuse an orbit sample that separation_profile cannot take."""
+    if m_points < _MIN_POINTS:
+        raise PreconditionError(f"need at least {_MIN_POINTS} orbit points")
+    if window_n < _MIN_WINDOW:
+        raise PreconditionError(f"need a window of at least {_MIN_WINDOW}")
+    if m_points * m_points * window_n > COMPARISON_BUDGET:
+        raise ResourceLimitError(
+            f"M^2*N = {m_points**2 * window_n} exceeds {COMPARISON_BUDGET}"
+        )
 
 
 def separation_profile(
@@ -125,16 +167,10 @@ def separation_profile(
     Deterministic: points are scanned in index order and kept when at
     mismatch density >= nu from everything kept so far.
     """
-    if m_points < _MIN_POINTS:
-        raise PreconditionError(f"need at least {_MIN_POINTS} orbit points")
-    if window_n < _MIN_WINDOW:
-        raise PreconditionError(f"need a window of at least {_MIN_WINDOW}")
-    if m_points * m_points * window_n > COMPARISON_BUDGET:
-        raise ResourceLimitError(
-            f"M^2*N = {m_points**2 * window_n} exceeds {COMPARISON_BUDGET}"
-        )
+    check_sample_size(m_points, window_n)
     grid = tuple(nu_grid) if nu_grid is not None else build_nu_grid()
-    density = _density_matrix(orbit_windows(subst, m_points, window_n))
+    prefix = _orbit_prefix(subst, m_points, window_n)
+    density = _density_matrix(prefix, m_points, window_n)
     counts = tuple(_greedy_count(density, nu) for nu in grid)
     profile = SeparationProfile(grid, counts, m_points, window_n)
     try:
@@ -204,7 +240,10 @@ def lipschitz_ratio_probe(
     rules = np.asarray(pure.rules, dtype=np.int16)
 
     m_pool = max(4 * samples, 64)
-    windows = orbit_windows(pure, m_pool, window_n)
+    prefix = _orbit_prefix(pure, m_pool, window_n)
+    windows = sliding_window_view(prefix, window_n)
+    # the image of window i is the slice [k*i, k*(i + N)) of the prefix's image
+    image = rules[prefix].ravel()
     rng = random.Random(seed)
 
     best = math.inf
@@ -224,8 +263,8 @@ def lipschitz_ratio_probe(
         accepted += 1
         best = min(best, ratio)
 
-        image_i = rules[windows[i]].ravel()
-        image_j = rules[windows[j]].ravel()
+        image_i = image[k * i : k * (i + window_n)]
+        image_j = image[k * j : k * (j + window_n)]
         img_d1 = mismatch_density(image_i, image_j)
         img_ds = mismatch_density(image_i, image_j, table)
         if img_d1 > 0 and (img_ds / img_d1) < ratio - 0.05:

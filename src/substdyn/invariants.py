@@ -437,6 +437,16 @@ class NullnessWitness:
     letters: tuple[int, int]
 
 
+def check_witness_search(t: int, window: int) -> None:
+    """Refuse a (t, window) that null_witness_search cannot take."""
+    if t < 1:
+        raise PreconditionError("t must be at least 1")
+    if window < t:
+        raise PreconditionError(f"window {window} cannot hold {t} positions")
+    if t > 3 or window > 32:
+        raise ResourceLimitError("witness search budget: t <= 3 and window <= 32")
+
+
 def null_witness_search(
     prefix: Word, t: int, window: int
 ) -> NullnessWitness | None:
@@ -446,12 +456,7 @@ def null_witness_search(
     pairs in lexicographic order; the window must hold t positions.  A witness proves the prefix is not
     t-null; ``None`` is only evidence, limited by prefix and window.
     """
-    if t < 1:
-        raise PreconditionError("t must be at least 1")
-    if window < t:
-        raise PreconditionError(f"window {window} cannot hold {t} positions")
-    if t > 3 or window > 32:
-        raise ResourceLimitError("witness search budget: t <= 3 and window <= 32")
+    check_witness_search(t, window)
     if len(prefix) < 4 * window:
         raise PreconditionError("prefix must be at least 4x the window")
     letters = sorted(set(prefix))

@@ -211,3 +211,22 @@ def recursive_growth_types(
             rate = reach(ci)
             out.append((rate, count_on_path(ci, rate) - 1))
     return out
+
+
+def brute_density_matrix(windows: np.ndarray) -> np.ndarray:
+    """Plain mismatch densities between all rows, one row of pairs at a time."""
+    m_points, window_n = windows.shape
+    out = np.empty((m_points, m_points), dtype=np.float64)
+    for i in range(m_points):
+        out[i] = np.count_nonzero(windows != windows[i], axis=1)
+    out /= window_n
+    return out
+
+
+def brute_greedy_count(density: np.ndarray, nu: float) -> int:
+    """Greedy nu-separated subset in index order, tested against every kept index."""
+    kept: list[int] = []
+    for idx in range(density.shape[0]):
+        if all(density[idx, j] >= nu for j in kept):
+            kept.append(idx)
+    return len(kept)

@@ -223,6 +223,38 @@ class TestRefusedBeforeTheStage:
         assert calls == []
 
 
+    @pytest.mark.parametrize(
+        "size,code",
+        [
+            (["--points", "16"], 2),
+            (["--window", "512"], 2),
+            (["--points", "8192", "--window", "8192"], 3),
+        ],
+    )
+    def test_verify_sample_size(self, tmp_path, capsys, monkeypatch, size, code):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        calls = self.count(monkeypatch, "analyze_pairs")
+        assert run(["verify", path, *size]) == code
+        assert capsys.readouterr().out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "params,code",
+        [
+            (["--window", "2000000"], 3),
+            (["--t", "0"], 2),
+            (["--t", "3", "--window", "2"], 2),
+            (["--t", "4"], 3),
+        ],
+    )
+    def test_oracle_parameters(self, tmp_path, capsys, monkeypatch, params, code):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        calls = self.count(monkeypatch, "fixed_point_prefix")
+        assert run(["oracle", path, *params]) == code
+        assert capsys.readouterr().out == ""
+        assert calls == []
+
+
 class TestAnalyzeOutput:
     def test_e1_text_report(self, tmp_path, capsys):
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from substdyn import (
     EstimationError,
@@ -16,11 +18,15 @@ from substdyn import (
     fit_slope,
     kernel_monoid,
     lipschitz_ratio_probe,
+    random_primitive_substitution,
     separation_profile,
 )
 from substdyn.core import fixed_point_prefix
 from substdyn.empirical import (
     SeparationProfile,
+    _density_matrix,
+    _greedy_count,
+    _orbit_prefix,
     build_nu_grid,
     mismatch_density,
     orbit_windows,
@@ -30,6 +36,7 @@ from substdyn.empirical import (
 )
 
 from conftest import example
+from oracles import brute_density_matrix, brute_greedy_count
 
 
 class TestNuGrid:
@@ -159,6 +166,24 @@ class TestSeparationProfile:
                 if idx not in kept:
                     assert any(dist(windows[idx], windows[j]) < nu for j in kept)
 
+    # (M, N): M not a power of two, M > N, M = 1 and N = 1
+    SIZES = ((1, 1), (1, 40), (3, 1), (37, 11), (45, 128), (64, 64), (100, 7))
+
+    @pytest.mark.parametrize("draw", range(21))
+    def test_kernels_match_brute_force(self, draw):
+        rng = random.Random(9100 + draw)
+        subst = random_primitive_substitution(rng, max_letters=6, max_k=5)
+        m, n = self.SIZES[draw % len(self.SIZES)]
+        prefix = _orbit_prefix(subst, m, n)
+        density = _density_matrix(prefix, m, n)
+        brute = brute_density_matrix(sliding_window_view(prefix, n)[:m])
+        assert density.tobytes() == brute.tobytes()
+        assert np.array_equal(density, density.T)
+        entries = np.unique(density)
+        ties = rng.sample(list(entries), min(8, len(entries)))
+        for nu in build_nu_grid() + tuple(ties):
+            assert _greedy_count(density, nu) == brute_greedy_count(brute, nu)
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             separation_profile(example("e5"), m_points=16)
@@ -247,6 +272,11 @@ class TestLipschitzProbe:
         # five percent of the plain density on sampled pairs
         ratio = lipschitz_ratio_probe(example("e2"))
         assert ratio >= 0.05
+
+    def test_e2_pinned_floats(self):
+        assert lipschitz_ratio_probe(example("e2")) == 0.5937185085656701
+        ratio = lipschitz_ratio_probe(example("e2"), seed=7, window_n=2048)
+        assert ratio == 0.5769764216366158
 
     def test_deterministic(self):
         a = lipschitz_ratio_probe(example("e3"), samples=32, window_n=4096, seed=5)
