@@ -315,20 +315,21 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     # checks m_max before the monoid is built and before any output
     d_m = ColumnSetGraph.build(pure.pure_base).nonconstant_counts(args.m_max)
     descriptor = kernel_monoid(pure.pure_base)
+    # each label is overwritten by its line, so the two lists never coexist
+    lines = descriptor.element_strings()
+    phi = [f"phi_{r}" for r in range(pure.pure_base.length_k)]
+    for i, word in enumerate(descriptor.words):
+        spelled = " . ".join(map(phi.__getitem__, word)) if word else "(empty word)"
+        lines[i] = f"  {lines[i]:<24} via {spelled}"
+    lines.insert(0, f"kernel monoid: {len(descriptor.elements)} element(s)")
     if pure.height_h > 1:
-        print(f"height {pure.height_h}; kernel computed on the pure base")
-    labels = descriptor.element_strings()
-    print(f"kernel monoid: {len(labels)} element(s)")
-    for label, word in zip(labels, descriptor.words):
-        spelled = (
-            " . ".join(f"phi_{r}" for r in word) if word else "(empty word)"
-        )
-        print(f"  {label:<24} via {spelled}")
-    constants = sum(descriptor.constant_flags)
-    print(f"constant elements: {constants}")
-    print("nonconstant column counts:")
-    for m, value in enumerate(d_m):
-        print(f"  d_{m} = {value}")
+        lines.insert(0, f"height {pure.height_h}; kernel computed on the pure base")
+    lines.append(f"constant elements: {sum(descriptor.constant_flags)}")
+    lines.append("nonconstant column counts:")
+    lines.extend(f"  d_{m} = {value}" for m, value in enumerate(d_m))
+    listing = "\n".join(lines)
+    del lines  # only the listing is alive while the stream copies it
+    print(listing)
     return 0
 
 

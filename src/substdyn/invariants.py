@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from . import matrices
 from .core import WORD_BUDGET, Alphabet, Substitution, Word, column_sets, is_primitive
 from .discrepancy import DiscrepancyAnalysis, analyze_pairs
@@ -239,38 +241,80 @@ class KernelDescriptor:
 
     def element_strings(self) -> list[str]:
         letters = self.alphabet.letters
+        # maps_to[a][b] spells "a->b"; element tau reads row a at column tau[a]
+        maps_to = [[f"{a}->{b}" for b in letters] for a in letters]
         out = ["id"]
         for tau, flag in zip(self.elements[1:], self.constant_flags[1:]):
             if flag:
                 out.append(f"const {letters[tau[0]]}")
             else:
-                out.append(", ".join(f"{letters[a]}->{letters[b]}" for a, b in enumerate(tau)))
+                out.append(", ".join(map(list.__getitem__, maps_to, tau)))
         return out
 
 
+#: Most elements :func:`kernel_monoid` may enumerate.  The monoid can reach
+#: |A|^|A| column maps (46,656 on six letters, 10^10 on ten).
+KERNEL_BUDGET = 1 << 20
+
+# Children gathered at once: bounds the temporary arrays of a wide level.
+_GATHER_ROWS = 1 << 12
+
+
 def kernel_monoid(subst: Substitution) -> KernelDescriptor:
-    """Closure of {id} under composition with the k column maps."""
+    """Closure of {id} under composition with the k column maps.
+
+    The closure is breadth first, one level at a time: level L holds the
+    elements whose shortest word has L letters.  One numpy gather applies
+    all k generators to the frontier; child q*k + r is phi_r . (frontier
+    element q), and a child is kept the first time it is seen.  So elements
+    are listed by word length, then by parent, then by generator, and each
+    word is a shortest one.  A wide frontier is gathered a block of parents
+    at a time, about ``_GATHER_ROWS`` children per block, and the closure
+    raises ResourceLimitError as soon as a block takes it past
+    ``KERNEL_BUDGET`` elements.
+    """
     _require(subst, "kernel_monoid")
     if height(subst) != 1:
         raise PreconditionError("kernel_monoid requires height 1; purify first")
-    generators = subst.columns()
-    identity = tuple(range(subst.alphabet.size))
+    size, k = subst.alphabet.size, subst.length_k
+    letter = np.min_scalar_type(size - 1)  # uint8 up to 256 letters
+    gens = np.array(subst.columns(), dtype=letter)  # gens[r, a] = phi_r(a)
+    identity = tuple(range(size))
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
+    flags = [size == 1]
     seen = {identity}
-    for cursor, tau in enumerate(elements):  # grows while it is read
-        for r, gen in enumerate(generators):
-            child = tuple(map(gen.__getitem__, tau))  # phi_r . tau
-            if child not in seen:
-                seen.add(child)
-                elements.append(child)
-                # child = phi_r . tau: the new generator is outermost
-                words.append((r,) + words[cursor])
+    frontier = np.array([identity], dtype=letter)
+    first = 0  # index of the frontier's first element
+    parents = max(1, _GATHER_ROWS // k)
+    while len(frontier):
+        level = []
+        for lo in range(0, len(frontier), parents):
+            children = gens[:, frontier[lo:lo + parents]].swapaxes(0, 1).reshape(-1, size)
+            kept = []
+            # zip over the columns builds each row's tuple with no list between
+            for i, child in enumerate(zip(*children.T.tolist())):
+                if child not in seen:
+                    seen.add(child)
+                    elements.append(child)
+                    kept.append(i)
+                    flags.append(child.count(child[0]) == size)
+                    # child = phi_r . parent: the new generator is outermost
+                    q, r = divmod(i, k)
+                    words.append((r,) + words[first + lo + q])
+            if len(elements) > KERNEL_BUDGET:
+                raise ResourceLimitError(
+                    f"kernel_monoid: more than {KERNEL_BUDGET} elements on "
+                    f"{size} letters with k = {k}"
+                )
+            level.append(children[kept])
+        first += len(frontier)
+        frontier = np.concatenate(level)
     return KernelDescriptor(
         alphabet=subst.alphabet,
         elements=tuple(elements),
         words=tuple(words),
-        constant_flags=tuple(len(set(tau)) == 1 for tau in elements),
+        constant_flags=tuple(flags),
     )
 
 

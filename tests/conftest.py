@@ -24,6 +24,11 @@ EXAMPLE_RULES: dict[str, dict[str, str]] = {
     "period_doubling": {"a": "ab", "b": "aa"},
 }
 
+#: A 6-letter, k = 3 draw whose kernel monoid has 36,942 elements.
+WIDE_KERNEL_RULES = {
+    "a": "bbe", "b": "eef", "c": "fdb", "d": "caa", "e": "dff", "f": "acc",
+}
+
 
 def example(name: str) -> Substitution:
     return Substitution.from_strings(EXAMPLE_RULES[name])

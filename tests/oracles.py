@@ -1,11 +1,11 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here works on plain ``{letter: image}`` dicts of single-character
-strings (the ``tuple_*`` helpers on tuples of int-tuple images) and favors
-obviousness over speed: words are materialized, columns are enumerated one
-by one, and eigenvalues come from numpy.  None of the package's own
-machinery is imported, so agreement between the two routes is meaningful.
-Matrices are nested lists of ints.
+strings (the ``tuple_*`` helpers and ``brute_kernel_monoid`` on tuples of
+int-tuple images) and favors obviousness over speed: words are
+materialized, columns are enumerated one by one, and eigenvalues come from
+numpy.  None of the package's own machinery is imported, so agreement
+between the two routes is meaningful.  Matrices are nested lists of ints.
 """
 
 from __future__ import annotations
@@ -45,6 +45,30 @@ def tuple_incidence(rules: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """Matrix whose entry (a, b) counts occurrences of letter a in ``rules[b]``."""
     size = len(rules)
     return [[rules[b].count(a) for b in range(size)] for a in range(size)]
+
+
+def brute_kernel_monoid(
+    rules: tuple[tuple[int, ...], ...],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[bool]]:
+    """(elements, words, constant flags) of the column-map monoid, by a queue.
+
+    Each element is visited once, in the order it was found, and composed
+    with the generator columns in order; a new map is appended with word
+    (r,) + word of its parent, the generator outermost.
+    """
+    generators = list(zip(*rules))
+    identity = tuple(range(len(rules)))
+    elements = [identity]
+    words: list[tuple[int, ...]] = [()]
+    seen = {identity}
+    for cursor, tau in enumerate(elements):  # grows while it is read
+        for r, gen in enumerate(generators):
+            child = tuple(gen[v] for v in tau)  # phi_r . tau
+            if child not in seen:
+                seen.add(child)
+                elements.append(child)
+                words.append((r,) + words[cursor])
+    return elements, words, [len(set(tau)) == 1 for tau in elements]
 
 
 def brute_fixed_point(rules: Rules, seed: str, n_symbols: int) -> str:

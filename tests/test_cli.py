@@ -14,7 +14,7 @@ from substdyn import PreconditionError, SpecParseError
 from substdyn.cli import parse_spec, render_spec, run
 from substdyn.empirical import separation_profile, write_profile_csv
 
-from conftest import EXAMPLE_RULES, example
+from conftest import EXAMPLE_RULES, WIDE_KERNEL_RULES, example
 
 E1_TEXT = """\
 # leading comment
@@ -525,6 +525,23 @@ class TestKernelCommand:
         assert run(["kernel", path, "--m-max", "3"]) == 0
         out = capsys.readouterr().out
         assert "height 2; kernel computed on the pure base" in out
+
+    def test_wide_draw_pinned(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "wide.sub", WIDE_KERNEL_RULES)
+        assert run(["kernel", "--m-max", "12", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("kernel monoid: 36942 element(s)\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e8a08b141f1552b9f7d5554b3ecc03b168e73c42793440a8c29e6e995b23701d"
+        )
+
+    def test_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(substdyn.invariants, "KERNEL_BUDGET", 1000)
+        path = write_spec(tmp_path, "wide.sub", WIDE_KERNEL_RULES)
+        assert run(["kernel", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kernel_monoid: more than 1000 elements" in captured.err
 
 
 class TestStageCounts:

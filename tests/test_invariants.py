@@ -23,13 +23,14 @@ from substdyn import (
     random_primitive_substitution,
     synthesize_target_ac,
 )
+from substdyn import invariants
 from substdyn.core import fixed_point_prefix
 from substdyn.discrepancy import pair_rules
 from substdyn.invariants import ColumnSetGraph
 from substdyn.matrices import RATE_TOL, growth_types, max_growth_type
 
-from conftest import EXAMPLE_RULES, example, power
-from oracles import brute_column_count
+from conftest import EXAMPLE_RULES, WIDE_KERNEL_RULES, example, power
+from oracles import brute_column_count, brute_kernel_monoid
 from test_matrices import DEKKING_A8_K5
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -192,6 +193,30 @@ class TestKernelMonoid:
     def test_requires_height_one(self):
         with pytest.raises(PreconditionError):
             kernel_monoid(example("e4"))
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_matches_queue_closure(self, block):
+        # 6 x 50 height-1 draws: same elements, words and flags, in order
+        rng = random.Random(9300 + block)
+        checked = 0
+        while checked < 50:
+            subst = random_primitive_substitution(rng, max_letters=6, max_k=5)
+            if height(subst) != 1:
+                continue
+            kd = kernel_monoid(subst)
+            elements, words, flags = brute_kernel_monoid(subst.rules)
+            assert kd.elements == tuple(elements), subst.rule_strings()
+            assert kd.words == tuple(words), subst.rule_strings()
+            assert kd.constant_flags == tuple(flags), subst.rule_strings()
+            checked += 1
+
+    def test_wide_draw_size_and_budget(self, monkeypatch):
+        wide = Substitution.from_strings(WIDE_KERNEL_RULES)
+        monkeypatch.setattr(invariants, "KERNEL_BUDGET", 36942)
+        assert len(kernel_monoid(wide).elements) == 36942
+        monkeypatch.setattr(invariants, "KERNEL_BUDGET", 36941)
+        with pytest.raises(ResourceLimitError, match="kernel_monoid: more than 36941"):
+            kernel_monoid(wide)
 
 
 class TestNonconstantApCounts:
