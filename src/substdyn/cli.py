@@ -12,6 +12,7 @@ cap exceeded, 4 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -356,7 +357,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and kept.
+
+    ``parse_args`` fills a fresh namespace on each call and never writes
+    to the parser; each subcommand looks up the library at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="substdyn",
         description="Exact and empirical analysis of constant-length substitutions.",

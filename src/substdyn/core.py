@@ -191,20 +191,27 @@ def column_sets(subst: Substitution) -> tuple[frozenset[int], ...]:
     Sets come in breadth-first discovery order, the full alphabet first, so
     that reports are reproducible.
     """
+    return _column_set_closure(subst)[0]
+
+
+def _column_set_closure(
+    subst: Substitution,
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, int, int], ...]]:
+    # The column sets in the order of column_sets, and one edge (i, j, t) per
+    # set i and column map j, in that order: map j sends set i onto set t.
     cols = subst.columns()
     start = frozenset(range(subst.alphabet.size))
-    seen = {start}
+    position = {start: 0}
     order = [start]
-    queue = [start]
-    while queue:
-        current = queue.pop(0)
-        for col in cols:
+    edges = []
+    for i, current in enumerate(order):  # grows while it is walked
+        for j, col in enumerate(cols):
             img = frozenset(col[a] for a in current)
-            if img not in seen:
-                seen.add(img)
+            if img not in position:
+                position[img] = len(order)
                 order.append(img)
-                queue.append(img)
-    return tuple(order)
+            edges.append((i, j, position[img]))
+    return tuple(order), tuple(edges)
 
 
 def first_letter_cycle(subst: Substitution) -> tuple[int, int]:
@@ -239,11 +246,15 @@ def fixed_point_prefix(subst: Substitution, n_symbols: int) -> Word:
         )
     if not is_primitive(subst):
         raise PreconditionError("fixed_point_prefix requires a primitive substitution")
+    return _fixed_point_word(subst, n_symbols)
+
+
+def _fixed_point_word(subst: Substitution, n_symbols: int) -> Word:
+    # fixed_point_prefix for a caller that has checked its preconditions
+    seed, p = first_letter_cycle(subst)
     if subst.length_k == 1:
         # phi^p fixes the seed letter; the "fixed point" is that letter repeated
-        seed, _ = first_letter_cycle(subst)
         return (seed,) * n_symbols
-    seed, p = first_letter_cycle(subst)
     prefix: list[int] = [seed]
     while len(prefix) < n_symbols:
         for _ in range(p):

@@ -20,11 +20,18 @@ from itertools import combinations
 import numpy as np
 
 from . import matrices
-from .core import WORD_BUDGET, Alphabet, Substitution, Word, column_sets, is_primitive
+from .core import (
+    WORD_BUDGET,
+    Alphabet,
+    Substitution,
+    Word,
+    _column_set_closure,
+    is_primitive,
+)
 from .discrepancy import DiscrepancyAnalysis, analyze_pairs
 from .errors import InternalError, PreconditionError, ResourceLimitError
 from .matrices import RATE_TOL
-from .structure import height, pure_base
+from .structure import _dekking_height, pure_base
 
 #: Fixed seed for every randomized routine (a 64-bit mixing constant).
 DEFAULT_SEED = 0x9E3779B97F4A7C15
@@ -134,8 +141,10 @@ def classify_analysis(
     """
     pure = analysis.pure
     subst = pure.original
-    _require(subst, "classify")
     k = subst.length_k
+    # pure_base has checked primitivity; only the length is left to check
+    if k < 2:
+        raise PreconditionError("classify requires length k >= 2")
     letters = pure.pure_base.alphabet.letters
 
     rate = analysis.rate_type.rate
@@ -274,7 +283,7 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
     ``KERNEL_BUDGET`` elements.
     """
     _require(subst, "kernel_monoid")
-    if height(subst) != 1:
+    if _dekking_height(subst) != 1:
         raise PreconditionError("kernel_monoid requires height 1; purify first")
     size, k = subst.alphabet.size, subst.length_k
     letter = np.min_scalar_type(size - 1)  # uint8 up to 256 letters
@@ -337,15 +346,8 @@ class ColumnSetGraph:
     @staticmethod
     def build(pure: Substitution) -> "ColumnSetGraph":
         """The graph of a pure base on its column sets."""
-        family = column_sets(pure)
-        position = {s: i for i, s in enumerate(family)}
-        cols = pure.columns()
-        edges = [
-            (i, j, position[frozenset(col[a] for a in s)])
-            for i, s in enumerate(family)
-            for j, col in enumerate(cols)
-        ]
-        return ColumnSetGraph(vertices=family, edges=tuple(edges))
+        vertices, edges = _column_set_closure(pure)
+        return ColumnSetGraph(vertices=vertices, edges=edges)
 
     def nonconstant_counts(self, m_max: int) -> list[int]:
         """Exact number d_m of nonconstant column maps of phi^m, m = 0..m_max.
@@ -412,7 +414,7 @@ def nonconstant_ap_counts(subst: Substitution, m_max: int) -> list[int]:
     """Exact number of nonconstant column maps of phi^m for m = 0..m_max;
     see :meth:`ColumnSetGraph.nonconstant_counts`."""
     _require(subst, "nonconstant_ap_counts")
-    if height(subst) != 1:
+    if _dekking_height(subst) != 1:
         raise PreconditionError("nonconstant_ap_counts requires height 1; purify first")
     return ColumnSetGraph.build(subst).nonconstant_counts(m_max)
 

@@ -16,9 +16,9 @@ from .core import (
     Alphabet,
     Substitution,
     Word,
+    _fixed_point_word,
     apply,
     first_letter_cycle,
-    fixed_point_prefix,
     is_primitive,
 )
 from .errors import InternalError, PreconditionError
@@ -130,7 +130,7 @@ def pure_base(subst: Substitution) -> PureBaseResult:
             for child in psi(block):
                 walk(child, depth - 1)
 
-    intern(fixed_point_prefix(subst, h))
+    intern(_fixed_point_word(subst, h))  # primitivity is checked above
     for block in blocks:  # grows while it is walked
         walk(block, p)
     rules: list[Word] = []

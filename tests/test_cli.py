@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -553,13 +559,16 @@ class TestStageCounts:
     # at height 2 the unpurified rate is k by Dekking's labelling, so the raw
     # pair matrix is never built.  One column-set graph gives the graph
     # condition, the coincidence verdict and d_m, so analyze builds no
-    # monoid and kernel builds it only for its listing.  The generators are
-    # read once each by column_sets, the graph's edges and kernel_monoid.
+    # monoid and kernel builds it only for its listing.  The graph records
+    # its edges in the one breadth-first closure that finds its vertices, so
+    # it calls no column_sets (which lists the vertices alone) and computes
+    # each image set once.  The generators are read once each by that
+    # closure and by kernel_monoid.
     EXPECTED = {
-        ("analyze", "e1"): (1, 1, 0, 1, 1, 1, 2),
-        ("analyze", "e4"): (1, 1, 0, 1, 1, 1, 2),
-        ("kernel", "e1"): (1, 1, 1, 0, 0, 0, 3),
-        ("kernel", "e4"): (1, 1, 1, 0, 0, 0, 3),
+        ("analyze", "e1"): (1, 0, 0, 1, 1, 1, 1),
+        ("analyze", "e4"): (1, 0, 0, 1, 1, 1, 1),
+        ("kernel", "e1"): (1, 0, 1, 0, 0, 0, 2),
+        ("kernel", "e4"): (1, 0, 1, 0, 0, 0, 2),
         ("verify", "e1"): (1, 0, 0, 1, 1, 1, 0),
     }
     ARGV = {
@@ -603,6 +612,129 @@ class TestStageCounts:
         capsys.readouterr()
         got = tuple(calls[s] for s in self.STAGES + ("columns",))
         assert got == self.EXPECTED[command, name]
+
+
+class TestPreconditionsCheckedOnce:
+    """An op tests primitivity and height once per substitution it analyses:
+    the input and, at height > 1, its pure base.  kernel_monoid keeps its
+    own checks, so kernel tests the pure base once more."""
+
+    NAMES = ("is_primitive", "_dekking_height")
+    EXPECTED = {
+        ("analyze", "e1"): (1, 1),
+        ("analyze", "e4"): (2, 2),
+        ("kernel", "e1"): (2, 2),
+        ("kernel", "e4"): (3, 3),
+    }
+    ARGV = {"analyze": ["analyze", "--json", "--m-max", "12"], "kernel": ["kernel"]}
+
+    @pytest.mark.parametrize("command,name", sorted(EXPECTED))
+    def test_check_calls(self, tmp_path, capsys, monkeypatch, command, name):
+        path = write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name])
+        calls = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        modules = [substdyn.core, substdyn.structure, substdyn.invariants]
+        for check in self.NAMES:
+            home = getattr(substdyn.structure, check)
+            for module in modules:
+                if vars(module).get(check) is home:
+                    monkeypatch.setattr(module, check, counting(check, home))
+        assert run(self.ARGV[command] + [path]) == 0
+        capsys.readouterr()
+        assert tuple(calls[c] for c in self.NAMES) == self.EXPECTED[command, name]
+
+    @pytest.mark.parametrize("command,rules,message", [
+        ("analyze", {"a": "a"}, "classify requires length k >= 2"),
+        ("analyze", {"a": "ab", "b": "bb"}, "pure_base requires a primitive substitution"),
+        ("kernel", {"a": "ab", "b": "bb"}, "pure_base requires a primitive substitution"),
+    ])
+    def test_refusals_keep_their_messages(self, tmp_path, capsys, command, rules, message):
+        path = write_spec(tmp_path, "bad.sub", rules)
+        assert run([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestParserReuse:
+    """run builds its parser once per process and keeps no state between calls."""
+
+    # the JSON report's timing and verify's elapsed line differ between runs
+    VARYING = re.compile(r'(?<="timing_seconds": )[0-9.e-]+|(?<=elapsed: )[0-9.]+')
+
+    def test_no_parser_built_after_the_first_call(self, tmp_path, capsys, monkeypatch):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        assert run(["kernel", path]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["analyze", path], ["kernel", path], ["--version"], ["frobnicate"]):
+            run(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def fresh(self, argv: list[str], env: dict) -> tuple:
+        """(exit code, stdout, stderr) of argv as the first call of a new process."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "from substdyn.cli import main; main()", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return proc.returncode, self.VARYING.sub("0", proc.stdout), proc.stderr
+
+    def test_interleaved_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        # usage text is wrapped to the terminal width, read at call time
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(Path(substdyn.__file__).parents[1])}
+        sample = ["--points", "32", "--window", "1024"]
+        calls = [
+            ["analyze", "--json", "--text", path],
+            ["--version"],
+            ["analyze", "--json", "--m-max", "12", path],
+            ["analyze", "--json", path],
+            ["verify", *sample, path],
+            ["verify", path, *sample, "--seed", "7"],
+            ["verify", *sample, path],
+        ]
+        seeds, nu_max = [], []
+        cli = substdyn.cli
+        probe, grid = cli.lipschitz_ratio_probe, cli.build_nu_grid
+
+        def recording_probe(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return probe(*args, **kwargs)
+
+        def recording_grid(*args, **kwargs):
+            nu_max.append(args[0])
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "lipschitz_ratio_probe", recording_probe)
+        monkeypatch.setattr(cli, "build_nu_grid", recording_grid)
+        results = []
+        for argv in calls:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            results.append((code, self.VARYING.sub("0", out), err))
+
+        assert [r[0] for r in results] == [2, 0, 0, 0, 0, 0, 0]
+        assert "not allowed with argument --json" in results[0][2]
+        assert results[1][1:] == (f"{substdyn.__version__}\n", "")
+        assert "d_m" in json.loads(results[2][1])
+        assert "d_m" not in json.loads(results[3][1])
+        assert seeds == [substdyn.DEFAULT_SEED, 7, substdyn.DEFAULT_SEED]
+        assert nu_max == [0.25, 0.25, 0.25]
+        assert results[6] == results[4]
+        for argv, got in zip(calls[:6], results):
+            assert got == self.fresh(argv, env), argv
 
 
 class TestCharacteristicPolynomialCheck:
