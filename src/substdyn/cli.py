@@ -44,6 +44,7 @@ from .invariants import (
     DEFAULT_SEED,
     ColumnSetGraph,
     amorphic_complexity,
+    check_m_max,
     check_witness_search,
     classify_analysis,
     kernel_monoid,
@@ -176,12 +177,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.monotonic()
     doc = _load(args.file)
     subst = doc.substitution
+    if args.m_max is not None:
+        check_m_max(args.m_max)
     analysis = analyze_pairs(subst)
-    graph = ColumnSetGraph.build(analysis.pure.pure_base)
+    report = classify_analysis(analysis)
     d_m: list[int] | None = None
     if args.m_max is not None:
-        d_m = graph.nonconstant_counts(args.m_max)
-    report = classify_analysis(analysis, graph)
+        d_m = ColumnSetGraph.build(analysis.pure.pure_base).nonconstant_counts(args.m_max)
 
     if args.json:
         extra = {"report": report.to_dict()}
@@ -312,8 +314,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     doc = _load(args.file)
+    check_m_max(args.m_max)
     pure = pure_base(doc.substitution)
-    # checks m_max before the monoid is built and before any output
     d_m = ColumnSetGraph.build(pure.pure_base).nonconstant_counts(args.m_max)
     descriptor = kernel_monoid(pure.pure_base)
     # each label is overwritten by its line, so the two lists never coexist

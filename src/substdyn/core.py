@@ -14,6 +14,8 @@ from .errors import PreconditionError, ResourceLimitError
 
 #: Longest word any operation is allowed to materialize (symbols).
 WORD_BUDGET = 1 << 26
+#: Most column sets :func:`column_sets` may enumerate; there can be 2^|A| - 1.
+COLUMN_SET_BUDGET = 1 << 16
 
 Word = tuple[int, ...]
 
@@ -189,7 +191,8 @@ def column_sets(subst: Substitution) -> tuple[frozenset[int], ...]:
     """Closure of {alphabet} under images of the k column maps.
 
     Sets come in breadth-first discovery order, the full alphabet first, so
-    that reports are reproducible.
+    that reports are reproducible.  Past ``COLUMN_SET_BUDGET`` sets the
+    closure raises ResourceLimitError.
     """
     return _column_set_closure(subst)[0]
 
@@ -211,6 +214,11 @@ def _column_set_closure(
                 position[img] = len(order)
                 order.append(img)
             edges.append((i, j, position[img]))
+        if len(order) > COLUMN_SET_BUDGET:
+            raise ResourceLimitError(
+                f"column_sets: more than {COLUMN_SET_BUDGET} sets on "
+                f"{subst.alphabet.size} letters with k = {subst.length_k}"
+            )
     return tuple(order), tuple(edges)
 
 

@@ -67,6 +67,34 @@ class GeneralSubstitution:
                     changed = True
         return GeneralSubstitution(pair_alphabet, rules, frozenset(erasing))
 
+    def coincidence(self, k: int) -> bool:
+        """True iff every pair reaches, along the rules, a pair whose rule is
+        shorter than k, i.e. whose images agree somewhere: Dekking's
+        coincidence condition, pairwise.  One backward search decides it."""
+        sources: list[list[int]] = [[] for _ in self.rules]
+        for p, rule in enumerate(self.rules):
+            for q in rule:
+                sources[q].append(p)
+        merging = [p for p, rule in enumerate(self.rules) if len(rule) < k]
+        reached = set(merging)
+        for q in merging:  # grows while it is walked
+            for p in sources[q]:
+                if p not in reached:
+                    reached.add(p)
+                    merging.append(p)
+        return len(reached) == len(self.rules)
+
+    def rate_at_most_one(self) -> bool:
+        """True iff the pair matrix has spectral radius at most 1: each
+        strongly connected component is one pair with no self-loop, or a
+        simple cycle whose members each have one rule entry inside it."""
+        for comp in matrices._tarjan(self.rules):
+            members = set(comp)
+            inside = [sum(q in members for q in self.rules[p]) for p in comp]
+            if inside != [0] and any(d != 1 for d in inside):
+                return False
+        return True
+
     def incidence(self) -> CountMatrix:
         n = len(self.pair_alphabet)
         entries = [[0] * n for _ in range(n)]

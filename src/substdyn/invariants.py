@@ -1,13 +1,21 @@
 """Headline invariants of a primitive constant-length substitution system.
 
-This module turns the pair-growth data into the quantities one actually
-quotes about the system: the amorphic complexity ``log k / (log k - log
-lambda_s)``, finiteness and discrete-spectrum verdicts, nullness/tameness,
-the column-set graph with the criterion for ``lambda_s <= 1`` and the
-exact nonconstant column counts, the kernel monoid of iterated column
-maps, a synthesizer hitting any target complexity of the form ``n log k /
-(n log k - log l)``, and a brute-force witness search that can certify a
-prefix is not null.
+The amorphic complexity ``log k / (log k - log lambda_s)``, the verdicts of
+the report, the nonconstant column counts d_m on the column-set graph, the
+kernel monoid of iterated column maps, a synthesizer hitting any target
+complexity ``n log k / (n log k - log l)``, and a brute-force witness
+search that can certify a prefix is not null.
+
+The verdicts are exact tests on the pair substitution of the pure base.
+The system is finite iff every pair is erasing.  Its spectrum is discrete
+iff every pair reaches a pair whose images agree somewhere (Dekking's
+coincidence condition): the columns leading there merge the pair, so any
+column set of two letters or more shrinks, down to a constant column.
+The graph condition, lambda_s <= 1, holds iff each strongly connected
+component of the pair digraph is one pair with no self-loop or a simple
+cycle, since an irreducible nonnegative integer matrix has radius 1 only
+when it is a cyclic permutation matrix.  By the paper's theorem the system
+is null and tame iff ac is 0 or 1, that is again iff lambda_s <= 1.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .core import (
     _column_set_closure,
     is_primitive,
 )
-from .discrepancy import DiscrepancyAnalysis, analyze_pairs
+from .discrepancy import DiscrepancyAnalysis, analyze_pairs, pair_rules
 from .errors import InternalError, PreconditionError, ResourceLimitError
 from .matrices import RATE_TOL
 from .structure import _dekking_height, pure_base
@@ -102,42 +110,15 @@ def amorphic_complexity(
     return _ac_from_rate(analysis.rate_type.rate, subst.length_k)
 
 
-def _all_images_coincide(pure: Substitution) -> bool:
-    # Direct route to finiteness, independent of the pair incidence matrix:
-    # phi^n(a) = phi^n(b) iff the images of corresponding letters agree at
-    # level n-1, so equality propagates as a monotone fixpoint over pairs.
-    # If all pairs coincide at all, they do within #pairs steps.
-    size = pure.alphabet.size
-    pairs = list(combinations(range(size), 2))
-    if not pairs:
-        return True
-    eq = {p: False for p in pairs}
-    for _ in range(len(pairs) + 1):
-        nxt = {}
-        for a, b in pairs:
-            nxt[(a, b)] = all(
-                x == y or eq[(min(x, y), max(x, y))]
-                for x, y in zip(pure.rules[a], pure.rules[b])
-            )
-        if nxt == eq:
-            break
-        eq = nxt
-    return all(eq.values())
-
-
 def classify(subst: Substitution) -> AnalysisReport:
     """Full analysis with every internal consistency check turned on."""
-    analysis = analyze_pairs(subst)
-    return classify_analysis(analysis, ColumnSetGraph.build(analysis.pure.pure_base))
+    return classify_analysis(analyze_pairs(subst))
 
 
-def classify_analysis(
-    analysis: DiscrepancyAnalysis, graph: ColumnSetGraph
-) -> AnalysisReport:
-    """The report of :func:`classify` from the stages the caller already built.
+def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
+    """The report of :func:`classify` from the caller's ``analyze_pairs`` result.
 
-    ``graph`` is the column-set graph of ``analysis.pure.pure_base``; its
-    vertices give the coincidence verdict and its edges the graph condition.
+    The verdicts are decided on ``analysis.pairs``; see the module docstring.
     """
     pure = analysis.pure
     subst = pure.original
@@ -151,18 +132,14 @@ def classify_analysis(
     d_s = analysis.rate_type.degree
     ac = _ac_from_rate(rate, k)
 
-    finite_by_rate = rate <= RATE_TOL
-    finite_direct = _all_images_coincide(pure.pure_base)
-    if finite_by_rate != finite_direct:
+    pairs = analysis.pairs
+    finite = len(pairs.erasing) == len(pairs.pair_alphabet)
+    if finite != (rate <= RATE_TOL):
         raise InternalError(
-            "finiteness disagreement: rate says "
-            f"{finite_by_rate}, direct image comparison says {finite_direct}"
+            f"finiteness disagreement: rate {rate}, but {len(pairs.erasing)} "
+            f"of {len(pairs.pair_alphabet)} pairs are erasing"
         )
-    finite = finite_by_rate
-
-    discrete = any(len(s) == 1 for s in graph.vertices)
-    graph_ok = graph.condition_holds()
-    null_tame = finite or abs(ac - 1.0) <= RATE_TOL
+    graph_ok = pairs.rate_at_most_one()
 
     snapped: int | None = None
     nearest = round(rate)
@@ -193,8 +170,8 @@ def classify_analysis(
         d_s=d_s,
         ac=ac,
         finite_system=finite,
-        discrete_spectrum=discrete,
-        null_and_tame=null_tame,
+        discrete_spectrum=pairs.coincidence(k),
+        null_and_tame=graph_ok,
         graph_condition=graph_ok,
         mef=mef,
         maximal_pairs=tuple(p.name(letters) for p in analysis.maximal),
@@ -328,8 +305,28 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Column-set graph: the graph condition and nonconstant column counts
+# Graph condition and nonconstant column counts
 # ---------------------------------------------------------------------------
+
+
+def graph_condition(subst: Substitution) -> bool:
+    """True iff no two distinct cycles of pair-preserving edges share a vertex.
+
+    On the column-set graph this says that pair counts cannot multiply,
+    that is lambda_s <= 1; it is decided on the pair matrix of the pure
+    base, whose radius is at most 1 iff its strongly connected components
+    are single pairs with no self-loop or simple cycles (module docstring).
+    """
+    _require(subst, "graph_condition")
+    return pair_rules(pure_base(subst).pure_base).rate_at_most_one()
+
+
+def check_m_max(m_max: int) -> None:
+    """Refuse an m_max that nonconstant_counts cannot take."""
+    if m_max < 0:
+        raise PreconditionError(f"m_max must be nonnegative, got {m_max}")
+    if m_max > _M_MAX_CAP:
+        raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
 
 
 @dataclass(frozen=True)
@@ -358,10 +355,7 @@ class ColumnSetGraph:
         Counts are pushed along the edges, one integer per vertex, so the
         k^m columns are never materialized.
         """
-        if m_max < 0:
-            raise PreconditionError(f"m_max must be nonnegative, got {m_max}")
-        if m_max > _M_MAX_CAP:
-            raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
+        check_m_max(m_max)
         wide = [len(s) >= 2 for s in self.vertices]
         counts = [0] * len(self.vertices)
         counts[0] = 1  # the identity, the single column of phi^0, maps onto A
@@ -374,45 +368,11 @@ class ColumnSetGraph:
             counts = nxt
         return out
 
-    def condition_holds(self) -> bool:
-        """The graph condition; see :func:`graph_condition`."""
-        keep = [i for i, s in enumerate(self.vertices) if len(s) >= 2]
-        keep_pos = {v: i for i, v in enumerate(keep)}
-        labeled: list[list[int]] = [[] for _ in keep]
-        for source, _label, target in self.edges:
-            if source in keep_pos and target in keep_pos:
-                labeled[keep_pos[source]].append(keep_pos[target])
-        succ = [sorted(set(ts)) for ts in labeled]
-        components = matrices._tarjan(succ)
-        comp_of = {}
-        for ci, comp in enumerate(components):
-            for v in comp:
-                comp_of[v] = ci
-        for ci, comp in enumerate(components):
-            # internal labeled out-degree of each vertex of the piece
-            degrees = [sum(1 for t in labeled[v] if comp_of[t] == ci) for v in comp]
-            if any(degrees) and any(d != 1 for d in degrees):
-                return False
-        return True
-
-
-def graph_condition(subst: Substitution) -> bool:
-    """True iff no two distinct cycles of pair-preserving edges share a vertex.
-
-    Only column sets of size >= 2 can carry a pair of distinct letters, so
-    the check runs on those vertices with the labeled edges whose target
-    also has size >= 2.  Each strongly connected piece that has any such
-    internal edge must be a simple cycle: every vertex exactly one internal
-    labeled edge out.  This is exactly when pair counts cannot multiply,
-    i.e. when lambda_s <= 1.
-    """
-    _require(subst, "graph_condition")
-    return ColumnSetGraph.build(pure_base(subst).pure_base).condition_holds()
-
 
 def nonconstant_ap_counts(subst: Substitution, m_max: int) -> list[int]:
     """Exact number of nonconstant column maps of phi^m for m = 0..m_max;
     see :meth:`ColumnSetGraph.nonconstant_counts`."""
+    check_m_max(m_max)
     _require(subst, "nonconstant_ap_counts")
     if _dekking_height(subst) != 1:
         raise PreconditionError("nonconstant_ap_counts requires height 1; purify first")

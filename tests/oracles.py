@@ -134,6 +134,57 @@ def brute_column_sets(rules: Rules) -> set[frozenset[str]]:
     return seen
 
 
+def brute_graph_condition(rules: Rules) -> bool:
+    """The graph condition on the column-set graph, by boolean reachability.
+
+    Vertices are the column sets of two letters or more, with one edge per
+    column map whose image also has two letters or more.  Each strongly
+    connected piece with an internal edge must be a simple cycle: each of
+    its vertices has exactly one internal edge out, labels counted apart.
+    """
+    k = len(next(iter(rules.values())))
+    wide = [s for s in brute_column_sets(rules) if len(s) >= 2]
+    images = {s: [frozenset(rules[a][j] for a in s) for j in range(k)] for s in wide}
+    targets = {s: [t for t in images[s] if len(t) >= 2] for s in wide}
+    reach = {}
+    for s in wide:
+        seen = {s}
+        stack = [s]
+        while stack:
+            for t in targets[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach[s] = seen
+    for s in wide:
+        piece = {t for t in reach[s] if s in reach[t]}
+        inside = [sum(u in piece for u in targets[t]) for t in piece]
+        if any(inside) and any(d != 1 for d in inside):
+            return False
+    return True
+
+
+def brute_images_coincide(rules: Rules) -> bool:
+    """True iff phi^n(a) = phi^n(b) for all letters a, b and some n.
+
+    phi^n(a) = phi^n(b) iff the images of a and b agree letter by letter
+    after n - 1 more steps, so the set of coinciding pairs grows as a
+    monotone fixpoint; if every pair coincides, it does within #pairs steps.
+    """
+    pairs = list(combinations(sorted(rules), 2))
+    equal: set[tuple[str, str]] = set()
+    for _ in range(len(pairs) + 1):
+        equal = {
+            (a, b)
+            for a, b in pairs
+            if all(
+                x == y or (min(x, y), max(x, y)) in equal
+                for x, y in zip(rules[a], rules[b])
+            )
+        }
+    return len(equal) == len(pairs)
+
+
 def brute_height(rules: Rules, n_symbols: int = 1 << 15) -> int:
     """Coprime part of the gcd of return times of x_0 in a long prefix.
 

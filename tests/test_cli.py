@@ -209,15 +209,20 @@ class TestRefusedBeforeTheStage:
     def test_kernel_m_max(self, tmp_path, capsys, monkeypatch, m_max, code):
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
         calls = self.count(monkeypatch, "kernel_monoid")
+        purified = self.count(monkeypatch, "pure_base")
         assert run(["kernel", path, "--m-max", m_max]) == code
         assert capsys.readouterr().out == ""
         assert calls == []
+        assert purified == []
 
-    def test_analyze_negative_m_max(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("m_max,code", [("-1", 2), ("65", 3)])
+    def test_analyze_m_max(self, tmp_path, capsys, monkeypatch, m_max, code):
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
-        calls = self.count(monkeypatch, "classify_analysis")
-        assert run(["analyze", path, "--m-max", "-1"]) == 2
-        assert "m_max" in capsys.readouterr().err
+        calls = self.count(monkeypatch, "analyze_pairs")
+        assert run(["analyze", path, "--m-max", m_max]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m_max" in captured.err
         assert calls == []
 
     @pytest.mark.parametrize("flag,value", [("--nu-max", "2"), ("--nu-min", "0")])
@@ -550,6 +555,19 @@ class TestKernelCommand:
         assert "kernel_monoid: more than 1000 elements" in captured.err
 
 
+class TestColumnSetBudget:
+    """The column-set closure of the 6-letter draw reaches all 63 sets."""
+
+    @pytest.mark.parametrize("argv", [["kernel"], ["analyze", "--m-max", "3"]])
+    def test_over_budget_exits_3(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(substdyn.core, "COLUMN_SET_BUDGET", 62)
+        path = write_spec(tmp_path, "wide.sub", WIDE_KERNEL_RULES)
+        assert run(argv + [path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "column_sets: more than 62 sets on 6 letters with k = 3" in captured.err
+
+
 class TestStageCounts:
     """Each command builds every expensive stage once."""
 
@@ -557,23 +575,29 @@ class TestStageCounts:
               "decompose", "characteristic_polynomial")
     # (command, example) -> calls of each stage, then of Substitution.columns;
     # at height 2 the unpurified rate is k by Dekking's labelling, so the raw
-    # pair matrix is never built.  One column-set graph gives the graph
-    # condition, the coincidence verdict and d_m, so analyze builds no
-    # monoid and kernel builds it only for its listing.  The graph records
-    # its edges in the one breadth-first closure that finds its vertices, so
-    # it calls no column_sets (which lists the vertices alone) and computes
-    # each image set once.  The generators are read once each by that
-    # closure and by kernel_monoid.
+    # pair matrix is never built.  The verdicts are decided on the pair
+    # substitution, so only d_m needs the column-set graph: plain analyze
+    # and synthesize read no columns, analyze builds no monoid, and kernel
+    # builds it only for its listing.  The graph records its edges in the
+    # one breadth-first closure that finds its vertices, so it calls no
+    # column_sets (which lists the vertices alone) and computes each image
+    # set once.  The generators are read once each by that closure and by
+    # kernel_monoid.
     EXPECTED = {
         ("analyze", "e1"): (1, 0, 0, 1, 1, 1, 1),
         ("analyze", "e4"): (1, 0, 0, 1, 1, 1, 1),
         ("kernel", "e1"): (1, 0, 1, 0, 0, 0, 2),
         ("kernel", "e4"): (1, 0, 1, 0, 0, 0, 2),
+        ("plain_analyze", "e1"): (1, 0, 0, 1, 1, 1, 0),
+        ("plain_analyze", "e4"): (1, 0, 0, 1, 1, 1, 0),
+        ("synthesize", "k2_n3_l3"): (1, 0, 0, 1, 1, 1, 0),
         ("verify", "e1"): (1, 0, 0, 1, 1, 1, 0),
     }
     ARGV = {
         "analyze": ["analyze", "--json", "--m-max", "12"],
         "kernel": ["kernel"],
+        "plain_analyze": ["analyze", "--json"],
+        "synthesize": ["synthesize", "--k", "2", "--n", "3", "--l", "3"],
         "verify": ["verify", "--points", "32", "--window", "1024"],
     }
     MODULES = ("core", "structure", "matrices", "discrepancy", "invariants",
@@ -603,8 +627,9 @@ class TestStageCounts:
 
     @pytest.mark.parametrize("command,name", sorted(EXPECTED))
     def test_stage_calls(self, tmp_path, capsys, monkeypatch, command, name):
-        path = write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name])
-        argv = self.ARGV[command] + [path]
+        argv = list(self.ARGV[command])
+        if command != "synthesize":
+            argv.append(write_spec(tmp_path, f"{name}.sub", EXAMPLE_RULES[name]))
         if command == "verify":
             argv += ["--density-csv", str(tmp_path / "density.csv")]
         calls = self.count_calls(monkeypatch)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,14 +24,26 @@ from substdyn import (
     random_primitive_substitution,
     synthesize_target_ac,
 )
-from substdyn import invariants
+from substdyn import core, invariants
 from substdyn.core import fixed_point_prefix
 from substdyn.discrepancy import pair_rules
 from substdyn.invariants import ColumnSetGraph
 from substdyn.matrices import RATE_TOL, growth_types, max_growth_type
 
-from conftest import EXAMPLE_RULES, WIDE_KERNEL_RULES, example, power
-from oracles import brute_column_count, brute_kernel_monoid
+from conftest import (
+    EXAMPLE_RULES,
+    WIDE_KERNEL_RULES,
+    example,
+    power,
+    pure_base_single_char,
+)
+from oracles import (
+    brute_column_count,
+    brute_column_sets,
+    brute_graph_condition,
+    brute_images_coincide,
+    brute_kernel_monoid,
+)
 from test_matrices import DEKKING_A8_K5
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -274,6 +287,18 @@ class TestNonconstantApCounts:
             ratios = [counts[m] / max(1, m) ** d_s for m in range(4, 21)]
             assert max(ratios) <= 4.0
 
+    def test_column_set_budget(self, monkeypatch):
+        wide = Substitution.from_strings(WIDE_KERNEL_RULES)
+        monkeypatch.setattr(core, "COLUMN_SET_BUDGET", 63)
+        assert len(core.column_sets(wide)) == 63
+        assert nonconstant_ap_counts(wide, 2) == [1, 3, 9]
+        monkeypatch.setattr(core, "COLUMN_SET_BUDGET", 62)
+        message = "column_sets: more than 62 sets on 6 letters with k = 3"
+        with pytest.raises(ResourceLimitError, match=message):
+            core.column_sets(wide)
+        with pytest.raises(ResourceLimitError, match=message):
+            nonconstant_ap_counts(wide, 2)
+
     def test_m_max_cap(self):
         with pytest.raises(ResourceLimitError):
             nonconstant_ap_counts(example("e5"), 65)
@@ -308,6 +333,7 @@ class TestGraphCondition:
         ]
         assert len(internal) == 2
         assert not graph_condition(example("thue_morse"))
+        assert not brute_graph_condition(EXAMPLE_RULES["thue_morse"])
 
     def test_graph_shape(self, example_subst):
         g = column_set_graph(example_subst)
@@ -320,6 +346,45 @@ class TestGraphCondition:
             r = classify(subst)
             expected = r.lambda_s <= 1.0 + RATE_TOL
             assert r.graph_condition == expected
+
+
+class TestPairVerdicts:
+    """The verdicts decided on the pairs against oracles on the column sets."""
+
+    def test_seeded_sweep(self):
+        # seed 21 also draws two substitutions of height 2
+        rng = random.Random(21)
+        draws = [example("e4")]
+        draws += [random_primitive_substitution(rng, 8, 5) for _ in range(300)]
+        outcomes = Counter()
+        tall = 0
+        for subst in draws:
+            r = classify(subst)
+            base = subst
+            if height(subst) > 1:
+                tall += 1
+                base = pure_base_single_char(subst)
+            letters = base.alphabet.letters
+            rules = {
+                a: "".join(letters[b] for b in image)
+                for a, image in zip(letters, base.rules)
+            }
+            label = subst.rule_strings()
+            assert r.discrete_spectrum == any(
+                len(s) == 1 for s in brute_column_sets(rules)
+            ), label
+            assert r.graph_condition == brute_graph_condition(rules), label
+            assert r.null_and_tame == r.graph_condition, label
+            assert r.finite_system == brute_images_coincide(rules), label
+            outcomes[r.discrete_spectrum, r.graph_condition, r.finite_system] += 1
+        assert tall == 3
+        # (discrete, graph, finite): every combination the theory allows
+        assert set(outcomes) == {
+            (True, False, False),
+            (True, True, False),
+            (True, True, True),
+            (False, False, False),
+        }
 
 
 class TestSynthesizer:
