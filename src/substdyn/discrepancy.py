@@ -10,6 +10,7 @@ height are purified first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -96,12 +97,8 @@ class GeneralSubstitution:
         return True
 
     def incidence(self) -> CountMatrix:
-        n = len(self.pair_alphabet)
-        entries = [[0] * n for _ in range(n)]
-        for q, rule in enumerate(self.rules):
-            for p in rule:
-                entries[p][q] += 1
-        return CountMatrix.from_rows(entries)
+        """Pair matrix: column q counts the pairs in rule q."""
+        return CountMatrix(tuple(tuple(sorted(Counter(rule).items())) for rule in self.rules))
 
     def rule_strings(self, letters: tuple[str, ...]) -> list[str]:
         out = []
@@ -179,10 +176,7 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     critical_poly: tuple[int, ...] = (1, 0)
     for ci, comp in enumerate(dec.components):
         if abs(dec.radii[ci] - rate) <= RATE_TOL:
-            block = CountMatrix.from_rows(
-                [[m.entries[i][j] for j in comp] for i in comp]
-            )
-            critical_poly = matrices.characteristic_polynomial(block)
+            critical_poly = matrices.characteristic_polynomial(m.restrict(comp))
             break
     return DiscrepancyAnalysis(pure, gs, growth, rate_type, maximal, critical_poly)
 

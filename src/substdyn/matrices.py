@@ -4,6 +4,10 @@ Strongly connected component condensation, per-component Perron radii,
 exact characteristic polynomials, and the per-index growth data
 (rate, polynomial degree) that governs how fast iterated images grow.
 
+A :class:`CountMatrix` stores the nonzeros of each column, so successors,
+principal blocks and power iteration cost O(nonzeros): a pair matrix has at
+most k per column.  Only the characteristic polynomial reads a dense view.
+
 Characteristic polynomials are exact by modular arithmetic: a Hessenberg
 reduction mod primes below 2^31 in numpy int64, O(n^3) per prime, joined
 by CRT under a Hadamard bound on the coefficients.
@@ -29,29 +33,41 @@ _POWER_ITERATION_CAP = 10**5
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """A square matrix of arbitrary-precision nonnegative integers."""
+    """A square matrix of arbitrary-precision nonnegative integers:
+    ``columns[j]`` holds column j's nonzeros as (row, value), rows ascending."""
 
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "CountMatrix":
         entries = tuple(tuple(int(v) for v in row) for row in rows)
-        n = len(entries)
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for v in row:
-                if v < 0:
-                    raise ValueError("matrix entries must be nonnegative")
-        return CountMatrix(entries)
+        if any(len(row) != len(entries) for row in entries):
+            raise ValueError("matrix must be square")
+        if any(v < 0 for row in entries for v in row):
+            raise ValueError("matrix entries must be nonnegative")
+        return CountMatrix(
+            tuple(tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*entries))
+        )
 
     @property
     def order(self) -> int:
-        return len(self.entries)
+        return len(self.columns)
 
-    def column_sums(self) -> tuple[int, ...]:
-        n = self.order
-        return tuple(sum(self.entries[i][j] for i in range(n)) for j in range(n))
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Dense rows, built on the first read."""
+        rows = [[0] * self.order for _ in range(self.order)]
+        for j, column in enumerate(self.columns):
+            for i, v in column:
+                rows[i][j] = v
+        return tuple(map(tuple, rows))
+
+    def restrict(self, indices: Sequence[int]) -> "CountMatrix":
+        """Principal block on ``indices``, in their order."""
+        at = {v: t for t, v in enumerate(indices)}
+        return CountMatrix(
+            tuple(tuple(sorted((at[i], v) for i, v in self.columns[j] if i in at)) for j in indices)
+        )
 
 
 @dataclass(frozen=True)
@@ -105,49 +121,38 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Iterative Tarjan; components come out in reverse topological order,
     sinks first: each after every component it reaches."""
     n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
-
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, edges = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            for next_i in range(pi, len(succ[v])):
-                w = succ[v][next_i]
+            for w in edges:  # resumes after the child it last descended into
                 if index[w] == -1:
-                    work[-1] = (v, next_i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    components.append(sorted(comp))
     return components
 
 
@@ -157,17 +162,25 @@ def spectral_radius(m: CountMatrix) -> float:
     Power iteration runs on M + I, which is primitive whenever M is
     irreducible (positive diagonal kills periodicity), and the Collatz-
     Wielandt ratio bounds bracket the eigenvalue; we subtract the shift
-    at the end.  Absolute accuracy RADIUS_TOL.
+    at the end.  Absolute accuracy RADIUS_TOL.  Each row sums over its
+    nonzeros and its diagonal, in ascending column order: the zero terms of
+    a dense sum add exactly +0.0, so the result is bit for bit the dense one.
     """
     n = m.order
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(m.entries[0][0])
-    shifted = [[float(m.entries[i][j]) + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    if n <= 1:
+        return float(sum(v for column in m.columns for _, v in column))
+    shifted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for j, column in enumerate(m.columns):
+        diagonal = 1.0
+        for i, value in column:
+            if i == j:
+                diagonal = float(value) + 1.0
+            else:
+                shifted[i].append((j, float(value)))
+        shifted[j].append((j, diagonal))
     v = [1.0] * n
     for _ in range(_POWER_ITERATION_CAP):
-        y = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
+        y = [sum([w * v[j] for j, w in row]) for row in shifted]
         ratios = [y[i] / v[i] for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo < RADIUS_TOL:
@@ -185,30 +198,22 @@ def decompose(m: CountMatrix) -> ComponentDecomposition:
 
     Components are numbered sinks first, so every condensation edge points
     to a smaller id; :meth:`ComponentDecomposition.growth_types` relies on it.
+    The successors of a are the nonzero rows of column a, ascending.
     """
-    n = m.order
-    succ = [[b for b in range(n) if m.entries[b][a] > 0] for a in range(n)]
+    succ = [[b for b, _ in column] for column in m.columns]
     components = _tarjan(succ)
-    comp_of = [0] * n
+    comp_of = [0] * m.order
     for ci, comp in enumerate(components):
         for v in comp:
             comp_of[v] = ci
-    cond_edges: list[set[int]] = [set() for _ in components]
-    for a in range(n):
-        for b in succ[a]:
-            if comp_of[a] != comp_of[b]:
-                cond_edges[comp_of[a]].add(comp_of[b])
-    radii = []
-    for comp in components:
-        block = CountMatrix.from_rows(
-            [[m.entries[i][j] for j in comp] for i in comp]
-        )
-        radii.append(spectral_radius(block))
     return ComponentDecomposition(
-        components=tuple(tuple(c) for c in components),
+        components=tuple(map(tuple, components)),
         component_of=tuple(comp_of),
-        condensation=tuple(tuple(sorted(e)) for e in cond_edges),
-        radii=tuple(radii),
+        condensation=tuple(
+            tuple(sorted({comp_of[b] for a in comp for b in succ[a]} - {ci}))
+            for ci, comp in enumerate(components)
+        ),
+        radii=tuple(spectral_radius(m.restrict(comp)) for comp in components),
     )
 
 
@@ -330,8 +335,8 @@ def characteristic_polynomial(m: CountMatrix) -> tuple[int, ...]:
     if n == 0:
         return (1,)
     bound = 1
-    for total in m.column_sums():
-        bound *= 1 + total
+    for column in m.columns:
+        bound *= 1 + sum(v for _, v in column)
     primes: list[int] = []
     modulus = 1
     while modulus <= 2 * bound:

@@ -246,6 +246,31 @@ def faddeev_leverrier(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def dense_spectral_radius(rows, tol: float = 1e-10, cap: int = 10**5) -> float:
+    """Perron root by power iteration on the dense M + I, every zero included.
+
+    The same float recurrence as ``matrices.spectral_radius``, which sums
+    only the nonzeros: a zero term adds exactly +0.0 to a positive sum, so
+    the two must agree bit for bit.
+    """
+    n = len(rows)
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return float(rows[0][0])
+    shifted = [[float(rows[i][j]) + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    v = [1.0] * n
+    for _ in range(cap):
+        y = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
+        ratios = [y[i] / v[i] for i in range(n)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo < tol:
+            return (lo + hi) / 2.0 - 1.0
+        top = max(y)
+        v = [max(y[i] / top, 1e-300) for i in range(n)]
+    raise AssertionError(f"power iteration did not converge on a matrix of order {n}")
+
+
 def recursive_growth_types(
     radii: tuple[float, ...],
     condensation: tuple[tuple[int, ...], ...],

@@ -89,6 +89,7 @@ class TestGeneralSubstitution:
     def test_incidence_counts(self):
         pairs = (LetterPair(0, 1), LetterPair(0, 2))
         g = GeneralSubstitution.from_rules(pairs, ((0, 0, 1), (1,)))
+        assert g.incidence().columns == (((0, 2), (1, 1)), ((1, 1),))
         assert g.incidence().entries == ((2, 0), (1, 1))
 
     def test_rule_strings_mark_empty_images(self):

@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
 
-from substdyn import Substitution
+from substdyn import Substitution, pure_base
+from substdyn.discrepancy import pair_rules
 from substdyn.matrices import (
     RATE_TOL,
     CountMatrix,
@@ -25,8 +27,13 @@ from substdyn.matrices import (
 )
 from substdyn.matrices import _prime
 
-from conftest import example
-from oracles import faddeev_leverrier, recursive_growth_types, tuple_incidence
+from conftest import EXAMPLE_RULES, example
+from oracles import (
+    dense_spectral_radius,
+    faddeev_leverrier,
+    recursive_growth_types,
+    tuple_incidence,
+)
 
 
 def random_irreducible(rng: random.Random, n: int) -> CountMatrix:
@@ -45,8 +52,36 @@ class TestCountMatrix:
 
     def test_column_sums(self):
         m = CountMatrix.from_rows([[1, 2], [3, 4]])
-        assert m.column_sums() == (4, 6)
+        assert tuple(sum(v for _, v in column) for column in m.columns) == (4, 6)
         assert m.entries[1][0] == 3
+
+    def test_columns_hold_the_nonzeros(self):
+        m = CountMatrix.from_rows([[1, 0, 0], [3, 0, 5], [0, 0, 10**30]])
+        assert m.columns == (((0, 1), (1, 3)), (), ((1, 5), (2, 10**30)))
+        assert m.order == 3
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[0]],
+            [[7]],
+            [[1, 0], [3, 0]],  # an all-zero column
+            [[0, 0, 0], [2, 0, 1], [0, 0, 4]],
+            [[10**30, 1], [7, 10**30 + 5]],
+        ],
+    )
+    def test_round_trip(self, rows):
+        m = CountMatrix.from_rows(rows)
+        assert m.entries == tuple(map(tuple, rows))
+        assert m.entries is m.entries  # built once, then cached
+
+    def test_restrict_is_the_principal_block(self):
+        rows = [[1, 0, 2, 0], [0, 5, 0, 6], [3, 0, 4, 0], [0, 7, 0, 8]]
+        m = CountMatrix.from_rows(rows)
+        for indices in ([0, 2], [1, 3], [3, 1], [2], [], [0, 1, 2, 3]):
+            block = tuple(tuple(rows[i][j] for j in indices) for i in indices)
+            assert m.restrict(indices).entries == block
 
 
 class TestSpectralRadius:
@@ -72,6 +107,21 @@ class TestSpectralRadius:
             m = random_irreducible(rng, rng.randint(2, 6))
             expected = max(abs(np.linalg.eigvals(np.array(m.entries, dtype=float))))
             assert spectral_radius(m) == pytest.approx(expected, abs=1e-7)
+
+    def test_equals_dense_iteration_on_random_irreducible(self):
+        # the sparse sums skip only zero terms, which add exactly +0.0
+        rng = random.Random(20261018)
+        for _ in range(200):
+            m = random_irreducible(rng, rng.randint(1, 12))
+            assert spectral_radius(m) == dense_spectral_radius(m.entries)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_RULES) + ["dekking_a8_k5"])
+    def test_equals_dense_iteration_on_pair_components(self, name):
+        rules = DEKKING_A8_K5 if name == "dekking_a8_k5" else EXAMPLE_RULES[name]
+        m = pair_rules(pure_base(Substitution.from_strings(rules)).pure_base).incidence()
+        dec = decompose(m)
+        for comp, radius in zip(dec.components, dec.radii):
+            assert radius == dense_spectral_radius(m.restrict(comp).entries)
 
 
 class TestDecomposition:
@@ -176,11 +226,8 @@ class TestGrowthTypes:
         # 0 -> 1 -> ... -> n-1, with a loop of weight 2 at the sink: one
         # component per index, and every index grows like 2^n
         n = 2000
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n - 1):
-            rows[i + 1][i] = 1
-        rows[n - 1][n - 1] = 2
-        dec = decompose(CountMatrix.from_rows(rows))
+        columns = tuple(((i + 1, 1),) for i in range(n - 1)) + (((n - 1, 2),),)
+        dec = decompose(CountMatrix(columns))
         assert len(dec.components) == n
         assert dec.growth_types(frozenset()) == [GrowthType(2.0, 0)] * n
 
@@ -293,3 +340,30 @@ class TestCharacteristicPolynomial:
             c * golden ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)
         )
         assert value == pytest.approx(0.0, abs=1e-7)
+
+
+#: A 24-letter, k = 5 Dekking-labelled draw (height 2).  Its pure base has
+#: 75 letters, so the pair matrix has order 2775 and 12,924 nonzeros.
+DEKKING_A24_K5 = {
+    "a": "cblbh", "b": "khdtg", "c": "imcge", "d": "mrgvm", "e": "vwhpx", "f": "iplda",
+    "g": "mjnjk", "h": "hdhwr", "i": "fsjbf", "j": "aoebx", "k": "glwru", "l": "jqfux",
+    "m": "qlkru", "n": "bjutn", "o": "uvoaw", "p": "mekam", "q": "dcmhw", "r": "eotme",
+    "s": "brbtk", "t": "tpewt", "u": "qaofn", "v": "cktuj", "w": "sfpcu", "x": "jmrpa",
+}
+
+
+class TestSparsePairMatrix:
+    def test_decompose_never_builds_a_dense_matrix(self):
+        # a dense matrix of this order has 7.7 million entries, over 100 MB
+        # of tuples; the nonzeros and the largest block fit in a few MB
+        pure = pure_base(Substitution.from_strings(DEKKING_A24_K5)).pure_base
+        tracemalloc.start()
+        try:
+            m = pair_rules(pure).incidence()
+            dec = decompose(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (m.order, sum(map(len, m.columns))) == (2775, 12924)
+        assert len(dec.components) == len(dec.radii)
+        assert peak < 16 * 2**20
