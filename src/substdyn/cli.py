@@ -25,15 +25,13 @@ from .core import Alphabet, Substitution, fixed_point_prefix
 from .empirical import (
     build_nu_grid,
     check_sample_size,
+    density_rows,
     lipschitz_ratio_probe,
-    mismatch_density,
-    orbit_windows,
-    pair_filter_table,
     separation_profile,
     write_density_csv,
     write_profile_csv,
 )
-from .discrepancy import DiscrepancyAnalysis, analyze_pairs
+from .discrepancy import analyze_pairs
 from .errors import (
     EstimationError,
     PreconditionError,
@@ -254,7 +252,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ratio = None
 
     if args.density_csv:
-        _emit_density_rows(analysis, args.density_csv)
+        write_density_csv(density_rows(analysis), args.density_csv)
 
     print(f"exact ac: {_fmt(exact)}")
     print("nu        count")
@@ -274,19 +272,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"min density ratio (S-restricted / plain): {ratio:.4f}")
     print(f"elapsed: {time.monotonic() - started:.2f}s")
     return 0
-
-
-def _emit_density_rows(analysis: DiscrepancyAnalysis, path: str) -> None:
-    pure = analysis.pure.pure_base
-    table = pair_filter_table(pure.alphabet.size, analysis.maximal)
-    windows = orbit_windows(pure, 16, 4096)
-    rows = []
-    for i in range(16):
-        for j in range(i + 1, 16):
-            d1 = mismatch_density(windows[i], windows[j])
-            ds = mismatch_density(windows[i], windows[j], table)
-            rows.append((i, j, d1, ds))
-    write_density_csv(rows, path)
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:

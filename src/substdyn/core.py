@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import PreconditionError, ResourceLimitError
 
 #: Longest word any operation is allowed to materialize (symbols).
@@ -141,17 +143,6 @@ def apply(subst: Substitution, word: Word) -> Word:
     return tuple(out)
 
 
-def _apply_prefix(subst: Substitution, word: Sequence[int], limit: int) -> list[int]:
-    # Like apply() but stops once `limit` output symbols exist; used by the
-    # fixed-point generator so intermediate words never exceed the budget.
-    out: list[int] = []
-    for sym in word:
-        out.extend(subst.rules[sym])
-        if len(out) >= limit:
-            break
-    return out[:limit]
-
-
 def is_primitive(subst: Substitution) -> bool:
     """True iff some power of the incidence matrix is entrywise positive.
 
@@ -246,25 +237,41 @@ def fixed_point_prefix(subst: Substitution, n_symbols: int) -> Word:
     point is that of phi^p where p is the seed's cycle length, making
     the result deterministic for every primitive substitution.
     """
+    return tuple(fixed_point_array(subst, n_symbols).tolist())
+
+
+def fixed_point_array(
+    subst: Substitution, n_symbols: int, *, primitive: bool = False
+) -> np.ndarray:
+    """:func:`fixed_point_prefix` as an integer array (int16 up to 2^15 letters).
+
+    ``primitive=True`` skips the primitivity test for a substitution the
+    caller has checked, such as a pure base from ``pure_base``.
+    """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
     if n_symbols > WORD_BUDGET:
         raise ResourceLimitError(
             f"prefix of {n_symbols} symbols exceeds the {WORD_BUDGET}-symbol budget"
         )
-    if not is_primitive(subst):
+    if not primitive and not is_primitive(subst):
         raise PreconditionError("fixed_point_prefix requires a primitive substitution")
     return _fixed_point_word(subst, n_symbols)
 
 
-def _fixed_point_word(subst: Substitution, n_symbols: int) -> Word:
-    # fixed_point_prefix for a caller that has checked its preconditions
+def _fixed_point_word(subst: Substitution, n_symbols: int) -> np.ndarray:
+    # fixed_point_array for a caller that has checked its preconditions.  A
+    # round applies phi to the first ceil(n / k) symbols, which is all the
+    # first n symbols of the image depend on.
     seed, p = first_letter_cycle(subst)
+    dtype = np.int16 if subst.alphabet.size <= 1 << 15 else np.int32
     if subst.length_k == 1:
         # phi^p fixes the seed letter; the "fixed point" is that letter repeated
-        return (seed,) * n_symbols
-    prefix: list[int] = [seed]
+        return np.full(n_symbols, seed, dtype=dtype)
+    rules = np.asarray(subst.rules, dtype=dtype)
+    needed = -(-n_symbols // subst.length_k)
+    prefix = np.array([seed], dtype=dtype)
     while len(prefix) < n_symbols:
         for _ in range(p):
-            prefix = _apply_prefix(subst, prefix, n_symbols)
-    return tuple(prefix[:n_symbols])
+            prefix = rules[prefix[:needed]].ravel()[:n_symbols]
+    return prefix

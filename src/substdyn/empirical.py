@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Substitution, fixed_point_prefix
+from .core import Substitution, fixed_point_array
 from .discrepancy import DiscrepancyAnalysis, LetterPair, analyze_pairs
 from .errors import (
     EstimationError,
@@ -53,11 +53,16 @@ def build_nu_grid(nu_max: float = 0.25, nu_min: float = 0.004) -> tuple[float, .
     return tuple(grid)
 
 
-def _orbit_prefix(subst: Substitution, m_points: int, window_n: int) -> np.ndarray:
-    """The int16 prefix of m_points + window_n symbols behind orbit_windows."""
+def _orbit_prefix(
+    subst: Substitution, m_points: int, window_n: int, *, primitive: bool = False
+) -> np.ndarray:
+    """The int16 prefix of m_points + window_n symbols behind orbit_windows.
+
+    ``primitive=True`` is for a pure base, which ``pure_base`` has checked.
+    """
     if window_n < 1:
         raise ValueError("window must be positive")
-    return np.asarray(fixed_point_prefix(subst, m_points + window_n), dtype=np.int16)
+    return fixed_point_array(subst, m_points + window_n, primitive=primitive)
 
 
 def orbit_windows(subst: Substitution, m_points: int, window_n: int) -> np.ndarray:
@@ -92,6 +97,37 @@ def mismatch_density(
     return float(np.count_nonzero(pair_filter[a, b])) / len(a)
 
 
+def _pair_weights(subst: Substitution, pairs: tuple[LetterPair, ...]) -> np.ndarray:
+    """Mismatch weights of each letter pair (a, b), in column a * |A| + b.
+
+    Row 0 is [a != b] and row 1 is [{a, b} in pairs]: the plain and the
+    filtered mismatch of one position.  Rows 2 and 3 count the same over
+    the k positions r of the images, (phi(a)_r, phi(b)_r).  So the product
+    with a histogram of the letter pairs of two windows gives the four
+    mismatch counts of the windows and of their images.
+    """
+    size = subst.alphabet.size
+    table = pair_filter_table(size, pairs)
+    rules = np.asarray(subst.rules, dtype=np.intp)
+    left, right = rules[:, None, :], rules[None, :, :]
+    weights = np.stack([
+        ~np.eye(size, dtype=bool),
+        table,
+        np.count_nonzero(left != right, axis=2),
+        np.count_nonzero(table[left, right], axis=2),
+    ])
+    return weights.reshape(4, size * size).astype(np.int64)
+
+
+def _mismatch_counts(pair_keys: np.ndarray, weights: np.ndarray) -> list[int]:
+    """Weighted counts of the letter pairs a * |A| + b in ``pair_keys``.
+
+    One bincount is the histogram of the pairs, so a count of N positions
+    costs O(N + |A|^2) with no table lookup per position.
+    """
+    return (weights @ np.bincount(pair_keys, minlength=weights.shape[1])).tolist()
+
+
 @dataclass
 class SeparationProfile:
     """Separation counts over a decreasing resolution grid."""
@@ -107,20 +143,26 @@ class SeparationProfile:
 def _density_matrix(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
     """Plain mismatch densities between the windows prefix[i : i + N], i < M.
 
-    The count of (i, i + D) depends on the lag D through the prefix sums C
-    of ``prefix[m] != prefix[m + D]``: it is C[i + N] - C[i].  Each lag
-    fills the band (i, i + D) and its mirror (i + D, i) with the same
-    integers, so the matrix is exactly symmetric.
+    For a lag D let e[m] = [prefix[m] != prefix[m + D]].  The count of
+    (i, i + D) is the sum of e over [i, i + N): the first is counted
+    directly, and each next one adds e[i + N] and drops e[i], so the band
+    is one cumsum of M - D steps.  Each lag fills the band (i, i + D) and
+    its mirror (i + D, i) with the same integers, so the matrix is exactly
+    symmetric.
     """
     out = np.empty((m_points, m_points), dtype=np.float64)
     flat = out.reshape(-1)
     length = m_points + window_n - 1
-    sums = np.zeros(length + 1, dtype=np.int64)
+    buffer = np.empty(m_points, dtype=np.int64)
     for lag in range(m_points):
+        rows = m_points - lag
         differs = prefix[: length - lag] != prefix[lag:length]
-        np.cumsum(differs, out=sums[1 : length - lag + 1])
-        band = sums[window_n : window_n + m_points - lag] - sums[: m_points - lag]
-        stop = (m_points - lag) * (m_points + 1)
+        edges = differs.view(np.int8)
+        band = buffer[:rows]
+        band[0] = np.count_nonzero(differs[:window_n])
+        np.subtract(edges[window_n:], edges[: rows - 1], out=band[1:])
+        np.cumsum(band, out=band)
+        stop = rows * (m_points + 1)
         flat[lag : lag + stop : m_points + 1] = band
         flat[lag * m_points : lag * m_points + stop : m_points + 1] = band
     out /= window_n
@@ -234,16 +276,29 @@ def lipschitz_ratio_probe(
         raise PreconditionError(
             "ratio probe needs an infinite system with discrete spectrum"
         )
-    pure = analysis.pure.pure_base
-    size = pure.alphabet.size
-    table = pair_filter_table(size, analysis.maximal)
-    rules = np.asarray(pure.rules, dtype=np.int16)
+    return _min_density_ratio(
+        analysis.pure.pure_base, analysis.maximal, samples, window_n, seed
+    )
 
+
+def _min_density_ratio(
+    pure: Substitution,
+    pairs: tuple[LetterPair, ...],
+    samples: int,
+    window_n: int,
+    seed: int,
+) -> float:
+    """The sampling loop of lipschitz_ratio_probe, S being ``pairs``.
+
+    ``pure`` must be primitive.  Each sampled pair of windows costs one
+    O(N + |A|^2) histogram; the weights give its four counts, those of the
+    images included, so no k * N image is built.
+    """
+    k = pure.length_k
+    weights = _pair_weights(pure, pairs)
     m_pool = max(4 * samples, 64)
-    prefix = _orbit_prefix(pure, m_pool, window_n)
-    windows = sliding_window_view(prefix, window_n)
-    # the image of window i is the slice [k*i, k*(i + N)) of the prefix's image
-    image = rules[prefix].ravel()
+    prefix = _orbit_prefix(pure, m_pool, window_n, primitive=True)
+    keys = prefix.astype(np.intp) * pure.alphabet.size
     rng = random.Random(seed)
 
     best = math.inf
@@ -255,18 +310,20 @@ def lipschitz_ratio_probe(
         j = rng.randrange(m_pool)
         if i == j:
             continue
-        d1 = mismatch_density(windows[i], windows[j])
+        plain, filtered, img_plain, img_filtered = _mismatch_counts(
+            keys[i : i + window_n] + prefix[j : j + window_n], weights
+        )
+        d1 = float(plain) / window_n
         if d1 < 0.01:
             continue
-        ds = mismatch_density(windows[i], windows[j], table)
+        ds = float(filtered) / window_n
         ratio = ds / d1
         accepted += 1
         best = min(best, ratio)
 
-        image_i = image[k * i : k * (i + window_n)]
-        image_j = image[k * j : k * (j + window_n)]
-        img_d1 = mismatch_density(image_i, image_j)
-        img_ds = mismatch_density(image_i, image_j, table)
+        # the images of windows i and j are k * N symbols long
+        img_d1 = float(img_plain) / (k * window_n)
+        img_ds = float(img_filtered) / (k * window_n)
         if img_d1 > 0 and (img_ds / img_d1) < ratio - 0.05:
             raise InternalError(
                 "density ratio dropped under the substitution beyond slack"
@@ -274,6 +331,25 @@ def lipschitz_ratio_probe(
     if accepted == 0:
         raise EstimationError("no sampled pair had plain density >= 0.01")
     return best
+
+
+def density_rows(
+    analysis: DiscrepancyAnalysis,
+) -> list[tuple[int, int, float, float]]:
+    """(i, j, plain density, S-restricted density) of the windows i < j < 16
+    of 4096 symbols of the pure base's fixed point, S = ``analysis.maximal``."""
+    m_points, window_n = 16, 4096
+    pure = analysis.pure.pure_base
+    weights = _pair_weights(pure, analysis.maximal)[:2]
+    prefix = _orbit_prefix(pure, m_points, window_n, primitive=True)
+    keys = prefix.astype(np.intp) * pure.alphabet.size
+    rows = []
+    for i in range(m_points):
+        for j in range(i + 1, m_points):
+            pair_keys = keys[i : i + window_n] + prefix[j : j + window_n]
+            plain, filtered = _mismatch_counts(pair_keys, weights)
+            rows.append((i, j, float(plain) / window_n, float(filtered) / window_n))
+    return rows
 
 
 def write_profile_csv(profile: SeparationProfile, path: str) -> None:

@@ -104,9 +104,12 @@ def amorphic_complexity(
 
     ``analysis`` is ``analyze_pairs(subst)`` when the caller already has it.
     """
-    _require(subst, "amorphic_complexity")
     if analysis is None:
+        _require(subst, "amorphic_complexity")
         analysis = analyze_pairs(subst)
+    elif subst.length_k < 2:
+        # analyze_pairs has checked primitivity; only the length is left to check
+        raise PreconditionError("amorphic_complexity requires length k >= 2")
     return _ac_from_rate(analysis.rate_type.rate, subst.length_k)
 
 

@@ -130,7 +130,8 @@ def pure_base(subst: Substitution) -> PureBaseResult:
             for child in psi(block):
                 walk(child, depth - 1)
 
-    intern(_fixed_point_word(subst, h))  # primitivity is checked above
+    # primitivity is checked above
+    intern(tuple(_fixed_point_word(subst, h).tolist()))
     for block in blocks:  # grows while it is walked
         walk(block, p)
     rules: list[Word] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
@@ -9,7 +10,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from substdyn import Substitution
+from substdyn import (
+    Alphabet,
+    PreconditionError,
+    Substitution,
+    pure_base,
+    random_primitive_substitution,
+)
+from substdyn.core import is_primitive
 
 from oracles import tuple_power
 
@@ -56,6 +64,52 @@ def pure_base_single_char(subst: Substitution) -> Substitution:
         for i, letter in enumerate(base.alphabet.letters)
     }
     return Substitution.from_strings(rules)
+
+
+def height_two_draw(rng: random.Random) -> Substitution:
+    """A primitive draw of height 2: letters of two classes, k odd.
+
+    Position r of the image of a letter of class c holds a letter of class
+    c + r mod 2, so the fixed point alternates the classes.
+    """
+    while True:
+        size = rng.choice((4, 6, 8))
+        k = rng.choice((3, 5))
+        rules = tuple(
+            tuple(2 * rng.randrange(size // 2) + (a + r) % 2 for r in range(k))
+            for a in range(size)
+        )
+        candidate = Substitution(Alphabet("abcdefgh"[:size]), rules)
+        try:
+            if pure_base(candidate).height_h == 2:
+                return candidate
+        except PreconditionError:  # not primitive, or a periodic fixed point
+            continue
+
+
+def wide_draw(rng: random.Random) -> Substitution:
+    """A primitive draw on 40 letters named l0 .. l39, with k in 2..4."""
+    alphabet = Alphabet(f"l{i}" for i in range(40))
+    while True:
+        k = rng.randint(2, 4)
+        rules = tuple(tuple(rng.randrange(40) for _ in range(k)) for _ in range(40))
+        candidate = Substitution(alphabet, rules)
+        if is_primitive(candidate):
+            return candidate
+
+
+def sweep_draw(draw: int) -> Substitution:
+    """Draw number ``draw`` of the seeded sweeps against the oracles.
+
+    Every fifth draw has height 2 and every tenth, shifted by one, has 40
+    letters; the rest come from random_primitive_substitution.
+    """
+    rng = random.Random(7700 + draw)
+    if draw % 5 == 0:
+        return height_two_draw(rng)
+    if draw % 10 == 1:
+        return wide_draw(rng)
+    return random_primitive_substitution(rng, max_letters=8, max_k=5)
 
 
 @pytest.fixture(params=sorted(EXAMPLE_RULES))

@@ -11,6 +11,7 @@ between the two routes is meaningful.  Matrices are nested lists of ints.
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -76,6 +77,84 @@ def brute_fixed_point(rules: Rules, seed: str, n_symbols: int) -> str:
     while len(word) < n_symbols:
         word = brute_apply(rules, word)[: max(n_symbols, len(word) + 1)]
     return word[:n_symbols]
+
+
+def brute_fixed_point_prefix(
+    rules: tuple[tuple[int, ...], ...], n_symbols: int
+) -> tuple[int, ...]:
+    """First n symbols of the fixed point of phi^p, grown by list extension.
+
+    The seed is the least letter that the first-letter map a -> rules[a][0]
+    brings back to itself, after p steps.  Each application stops once n
+    output symbols exist.
+    """
+    first = [image[0] for image in rules]
+    for seed in range(len(rules)):
+        x, p = first[seed], 1
+        while x != seed and p <= len(rules):
+            x, p = first[x], p + 1
+        if x == seed:
+            break
+    if len(rules[seed]) == 1:
+        return (seed,) * n_symbols
+    prefix = [seed]
+    while len(prefix) < n_symbols:
+        for _ in range(p):
+            out: list[int] = []
+            for sym in prefix:
+                out.extend(rules[sym])
+                if len(out) >= n_symbols:
+                    break
+            prefix = out[:n_symbols]
+    return tuple(prefix[:n_symbols])
+
+
+def brute_lipschitz_ratio_probe(
+    rules: tuple[tuple[int, ...], ...],
+    pairs: list[tuple[int, int]],
+    samples: int,
+    window_n: int,
+    seed: int,
+) -> tuple[float, bool]:
+    """(minimum ratio, whether the slack check fired) of the sampled probe.
+
+    The windows and their images are materialised, and every position is
+    looked up in a 2-D table of the flagged pairs.  The minimum is inf when
+    no pair was accepted; the loop stops at the first pair whose ratio drops
+    by more than 0.05 under the substitution.
+    """
+    size, k = len(rules), len(rules[0])
+    table = np.zeros((size, size), dtype=bool)
+    for a, b in pairs:
+        table[a, b] = table[b, a] = True
+    m_pool = max(4 * samples, 64)
+    prefix = np.array(brute_fixed_point_prefix(rules, m_pool + window_n))
+    image = np.array(rules)[prefix].ravel()
+
+    def density(u, v, filtered):
+        hits = table[u, v] if filtered else u != v
+        return float(np.count_nonzero(hits)) / len(u)
+
+    rng = random.Random(seed)
+    best = math.inf
+    accepted = attempts = 0
+    while accepted < samples and attempts < 50 * samples:
+        attempts += 1
+        i, j = rng.randrange(m_pool), rng.randrange(m_pool)
+        if i == j:
+            continue
+        u, v = prefix[i : i + window_n], prefix[j : j + window_n]
+        d1 = density(u, v, False)
+        if d1 < 0.01:
+            continue
+        ratio = density(u, v, True) / d1
+        accepted += 1
+        best = min(best, ratio)
+        u, v = image[k * i : k * (i + window_n)], image[k * j : k * (j + window_n)]
+        img_d1 = density(u, v, False)
+        if img_d1 > 0 and density(u, v, True) / img_d1 < ratio - 0.05:
+            return best, True
+    return best, False
 
 
 def brute_diff_count(rules: Rules, a: str, b: str, n: int) -> int:

@@ -642,7 +642,9 @@ class TestStageCounts:
 class TestPreconditionsCheckedOnce:
     """An op tests primitivity and height once per substitution it analyses:
     the input and, at height > 1, its pure base.  kernel_monoid keeps its
-    own checks, so kernel tests the pure base once more."""
+    own checks, so kernel tests the pure base once more; separation_profile
+    keeps its primitivity test, so verify tests the input once more.  The
+    ratio probe and the density rows run on the checked pure base."""
 
     NAMES = ("is_primitive", "_dekking_height")
     EXPECTED = {
@@ -650,8 +652,14 @@ class TestPreconditionsCheckedOnce:
         ("analyze", "e4"): (2, 2),
         ("kernel", "e1"): (2, 2),
         ("kernel", "e4"): (3, 3),
+        ("verify", "e1"): (2, 1),
+        ("verify", "e4"): (3, 2),
     }
-    ARGV = {"analyze": ["analyze", "--json", "--m-max", "12"], "kernel": ["kernel"]}
+    ARGV = {
+        "analyze": ["analyze", "--json", "--m-max", "12"],
+        "kernel": ["kernel"],
+        "verify": ["verify", "--points", "32", "--window", "1024"],
+    }
 
     @pytest.mark.parametrize("command,name", sorted(EXPECTED))
     def test_check_calls(self, tmp_path, capsys, monkeypatch, command, name):
@@ -670,7 +678,10 @@ class TestPreconditionsCheckedOnce:
             for module in modules:
                 if vars(module).get(check) is home:
                     monkeypatch.setattr(module, check, counting(check, home))
-        assert run(self.ARGV[command] + [path]) == 0
+        argv = self.ARGV[command] + [path]
+        if command == "verify":
+            argv += ["--density-csv", str(tmp_path / "density.csv")]
+        assert run(argv) == 0
         capsys.readouterr()
         assert tuple(calls[c] for c in self.NAMES) == self.EXPECTED[command, name]
 
@@ -678,6 +689,8 @@ class TestPreconditionsCheckedOnce:
         ("analyze", {"a": "a"}, "classify requires length k >= 2"),
         ("analyze", {"a": "ab", "b": "bb"}, "pure_base requires a primitive substitution"),
         ("kernel", {"a": "ab", "b": "bb"}, "pure_base requires a primitive substitution"),
+        ("verify", {"a": "a"}, "amorphic_complexity requires length k >= 2"),
+        ("verify", {"a": "ab", "b": "bb"}, "pure_base requires a primitive substitution"),
     ])
     def test_refusals_keep_their_messages(self, tmp_path, capsys, command, rules, message):
         path = write_spec(tmp_path, "bad.sub", rules)

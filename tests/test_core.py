@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from substdyn import (
@@ -20,16 +21,18 @@ from substdyn.core import (
     apply,
     column_sets,
     first_letter_cycle,
+    fixed_point_array,
     fixed_point_prefix,
     is_primitive,
 )
 from substdyn.matrices import CountMatrix
 
-from conftest import EXAMPLE_RULES, example, power
+from conftest import EXAMPLE_RULES, example, power, sweep_draw
 from oracles import (
     brute_apply,
     brute_column_sets,
     brute_fixed_point,
+    brute_fixed_point_prefix,
     brute_is_primitive,
     brute_power,
     tuple_incidence,
@@ -209,6 +212,29 @@ class TestFixedPoints:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             fixed_point_prefix(example("e1"), WORD_BUDGET + 1)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_gather_matches_list_extension(self, chunk):
+        # 200 draws: height 2, first-letter cycles p > 1, 40 letters, and
+        # lengths on both sides of a multiple of k
+        cycles = 0
+        for draw in range(50 * chunk, 50 * chunk + 50):
+            subst = sweep_draw(draw)
+            k = subst.length_k
+            cycles += first_letter_cycle(subst)[1] > 1
+            rng = random.Random(draw)
+            lengths = {1, k, k + 1, 3 * k - 1, rng.randrange(2, 5000)}
+            for n in sorted(lengths):
+                want = brute_fixed_point_prefix(subst.rules, n)
+                assert fixed_point_prefix(subst, n) == want
+                array = fixed_point_array(subst, n)
+                assert array.dtype == np.int16 and array.tolist() == list(want)
+        assert cycles > 0
+
+    def test_length_one(self):
+        subst = Substitution.from_strings({"a": "a"})
+        assert fixed_point_prefix(subst, 5) == brute_fixed_point_prefix(subst.rules, 5)
+        assert fixed_point_prefix(subst, 5) == (0,) * 5
 
     def test_random_substitutions_have_fixed_prefixes(self):
         # the prefix is fixed by phi^p where p is the seed's cycle length

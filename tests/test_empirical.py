@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -11,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from substdyn import (
     EstimationError,
+    InternalError,
     PreconditionError,
     ResourceLimitError,
     Substitution,
@@ -22,21 +24,29 @@ from substdyn import (
     separation_profile,
 )
 from substdyn.core import fixed_point_prefix
+from substdyn.discrepancy import LetterPair
 from substdyn.empirical import (
     SeparationProfile,
     _density_matrix,
     _greedy_count,
+    _min_density_ratio,
     _orbit_prefix,
     build_nu_grid,
+    density_rows,
     mismatch_density,
     orbit_windows,
     pair_filter_table,
     write_density_csv,
     write_profile_csv,
 )
+from substdyn.matrices import RATE_TOL
 
-from conftest import example
-from oracles import brute_density_matrix, brute_greedy_count
+from conftest import example, sweep_draw
+from oracles import (
+    brute_density_matrix,
+    brute_greedy_count,
+    brute_lipschitz_ratio_probe,
+)
 
 
 class TestNuGrid:
@@ -166,10 +176,14 @@ class TestSeparationProfile:
                 if idx not in kept:
                     assert any(dist(windows[idx], windows[j]) < nu for j in kept)
 
-    # (M, N): M not a power of two, M > N, M = 1 and N = 1
-    SIZES = ((1, 1), (1, 40), (3, 1), (37, 11), (45, 128), (64, 64), (100, 7))
+    # (M, N): M not a power of two, M > N (also by far), odd sizes, M = 1
+    # and N = 1
+    SIZES = (
+        (1, 1), (1, 40), (3, 1), (37, 11), (45, 128), (64, 64), (100, 7),
+        (129, 33), (65, 3), (255, 17), (33, 31), (31, 33), (17, 255), (200, 1),
+    )
 
-    @pytest.mark.parametrize("draw", range(21))
+    @pytest.mark.parametrize("draw", range(28))
     def test_kernels_match_brute_force(self, draw):
         rng = random.Random(9100 + draw)
         subst = random_primitive_substitution(rng, max_letters=6, max_k=5)
@@ -294,6 +308,82 @@ class TestLipschitzProbe:
             lipschitz_ratio_probe(
                 Substitution.from_strings({"a": "ab", "b": "ab"})
             )  # lambda_s = 0
+
+
+def _matches_oracle(call, rules, pairs, samples, window_n, seed) -> bool:
+    """Assert that a probe call ends as the oracle does; True if the slack
+    check fired."""
+    best, broke = brute_lipschitz_ratio_probe(rules, pairs, samples, window_n, seed)
+    try:
+        got = call(), False
+    except InternalError:
+        got = None, True
+    except EstimationError:  # no pair accepted
+        got = math.inf, False
+    assert got == ((None, True) if broke else (best, False))
+    return broke
+
+
+class TestProbeAgainstOracle:
+    """The histogram probe against the old loop, which materialises the
+    images and looks every position up in a 2-D pair table."""
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_sweep(self, chunk):
+        fired = public = 0
+        for draw in range(50 * chunk, 50 * chunk + 50):
+            subst = sweep_draw(draw)
+            rng = random.Random(draw)
+            args = (rng.randint(1, 12), rng.randint(40, 700), rng.randrange(2**32))
+            pure = subst
+            if subst.alphabet.size < 40:
+                analysis = analyze_pairs(subst)
+                pure = analysis.pure.pure_base
+                rate = analysis.rate_type.rate
+                if RATE_TOL < rate < subst.length_k - RATE_TOL:
+                    pairs = [(p.lo, p.hi) for p in analysis.maximal]
+                    _matches_oracle(
+                        lambda: lipschitz_ratio_probe(subst, *args, analysis=analysis),
+                        pure.rules, pairs, *args,
+                    )
+                    public += 1
+            # any S, so that the slack check fires too
+            size = pure.alphabet.size
+            pairs = [
+                (a, b) for a in range(size) for b in range(a + 1, size)
+                if rng.random() < 0.5
+            ]
+            flagged = tuple(LetterPair(a, b) for a, b in pairs)
+            fired += _matches_oracle(
+                lambda: _min_density_ratio(pure, flagged, *args),
+                pure.rules, pairs, *args,
+            )
+        assert fired > 0 and public > 0
+
+    def test_slack_check_fires(self):
+        # S = {(ab)} alone: e1's ratio drops under the substitution
+        e1 = example("e1")
+        analysis = dataclasses.replace(analyze_pairs(e1), maximal=(LetterPair(0, 1),))
+        with pytest.raises(InternalError, match="beyond slack"):
+            lipschitz_ratio_probe(e1, samples=16, window_n=2048, analysis=analysis)
+
+
+class TestDensityRows:
+    @pytest.mark.parametrize("name", ["e1", "e2", "e4"])
+    def test_match_window_lookups(self, name):
+        # e2 has S = {(ab), (ac)}; e4 is read on its pure base
+        analysis = analyze_pairs(example(name))
+        pure = analysis.pure.pure_base
+        table = pair_filter_table(pure.alphabet.size, analysis.maximal)
+        w = orbit_windows(pure, 16, 4096)
+        want = [
+            (i, j, mismatch_density(w[i], w[j]), mismatch_density(w[i], w[j], table))
+            for i in range(16)
+            for j in range(i + 1, 16)
+        ]
+        assert density_rows(analysis) == want
+        if name == "e2":
+            assert any(d1 != ds for _, _, d1, ds in want)
 
 
 class TestCsvWriters:
