@@ -9,6 +9,7 @@ systems where it is finite.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -28,8 +29,9 @@ from .invariants import DEFAULT_SEED
 from .matrices import RATE_TOL
 
 #: Hard cap on the sample size M^2 * N of a profile: M^2 window pairs of N
-#: symbols each.  The densities take O(M * (M + N)) work plus an M x M
-#: matrix, so the cap bounds the sample, not the arithmetic.
+#: symbols each.  The counts take O(M^2 + M * N * ceil(log2 |A|) / 64) work
+#: and one int32 M x M matrix, so the cap bounds the sample, not the
+#: arithmetic.
 COMPARISON_BUDGET = 1 << 38
 
 _MIN_POINTS = 32
@@ -56,45 +58,14 @@ def build_nu_grid(nu_max: float = 0.25, nu_min: float = 0.004) -> tuple[float, .
 def _orbit_prefix(
     subst: Substitution, m_points: int, window_n: int, *, primitive: bool = False
 ) -> np.ndarray:
-    """The int16 prefix of m_points + window_n symbols behind orbit_windows.
+    """The int16 prefix of m_points + window_n symbols whose windows
+    ``x[i : i + window_n]``, i < m_points, stand in for orbit points T^i x.
 
     ``primitive=True`` is for a pure base, which ``pure_base`` has checked.
     """
     if window_n < 1:
         raise ValueError("window must be positive")
     return fixed_point_array(subst, m_points + window_n, primitive=primitive)
-
-
-def orbit_windows(subst: Substitution, m_points: int, window_n: int) -> np.ndarray:
-    """Windows of one long prefix standing in for orbit points T^i x.
-
-    Row i is ``x[i : i + window_n]`` of the fixed point x, for i < m_points:
-    a read-only view into one int16 array of m_points + window_n symbols.
-    """
-    prefix = _orbit_prefix(subst, m_points, window_n)
-    return sliding_window_view(prefix, window_n)[:m_points]
-
-
-def pair_filter_table(size: int, pairs: tuple[LetterPair, ...]) -> np.ndarray:
-    """Boolean lookup P[a, b] = True iff {a, b} is one of the given pairs."""
-    table = np.zeros((size, size), dtype=bool)
-    for p in pairs:
-        table[p.lo, p.hi] = True
-        table[p.hi, p.lo] = True
-    return table
-
-
-def mismatch_density(
-    a: np.ndarray, b: np.ndarray, pair_filter: np.ndarray | None = None
-) -> float:
-    """Fraction of positions where two equal-length windows disagree.
-
-    With a filter, only positions whose unordered letter pair is flagged
-    count; that is the sampled version of the S-restricted density.
-    """
-    if pair_filter is None:
-        return float(np.count_nonzero(a != b)) / len(a)
-    return float(np.count_nonzero(pair_filter[a, b])) / len(a)
 
 
 def _pair_weights(subst: Substitution, pairs: tuple[LetterPair, ...]) -> np.ndarray:
@@ -107,7 +78,9 @@ def _pair_weights(subst: Substitution, pairs: tuple[LetterPair, ...]) -> np.ndar
     mismatch counts of the windows and of their images.
     """
     size = subst.alphabet.size
-    table = pair_filter_table(size, pairs)
+    table = np.zeros((size, size), dtype=bool)
+    for p in pairs:
+        table[p.lo, p.hi] = table[p.hi, p.lo] = True
     rules = np.asarray(subst.rules, dtype=np.intp)
     left, right = rules[:, None, :], rules[None, :, :]
     weights = np.stack([
@@ -140,50 +113,96 @@ class SeparationProfile:
     fit_range: tuple[int, int] | None = None
 
 
-def _density_matrix(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
-    """Plain mismatch densities between the windows prefix[i : i + N], i < M.
+def _first_row(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
+    """Mismatches of x[0 : N] against x[D : D + N] for each lag D < M.
 
-    For a lag D let e[m] = [prefix[m] != prefix[m + D]].  The count of
-    (i, i + D) is the sum of e over [i, i + N): the first is counted
-    directly, and each next one adds e[i + N] and drops e[i], so the band
-    is one cumsum of M - D steps.  Each lag fills the band (i, i + D) and
-    its mirror (i + D, i) with the same integers, so the matrix is exactly
-    symmetric.
+    Bit b of every letter is packed 64 positions to a uint64 word, and the
+    64 bit-shifts of each such plane are built once.  The window at lag
+    D = 64q + r is then the words q, q + 1, ... of shift r, and its
+    mismatches with x[0 : N] are the popcount of the OR over planes of the
+    XOR with the first window: O(M * N / 64) word operations per plane.
     """
-    out = np.empty((m_points, m_points), dtype=np.float64)
-    flat = out.reshape(-1)
-    length = m_points + window_n - 1
-    buffer = np.empty(m_points, dtype=np.int64)
-    for lag in range(m_points):
-        rows = m_points - lag
-        differs = prefix[: length - lag] != prefix[lag:length]
-        edges = differs.view(np.int8)
-        band = buffer[:rows]
-        band[0] = np.count_nonzero(differs[:window_n])
-        np.subtract(edges[window_n:], edges[: rows - 1], out=band[1:])
-        np.cumsum(band, out=band)
-        stop = rows * (m_points + 1)
-        flat[lag : lag + stop : m_points + 1] = band
-        flat[lag * m_points : lag * m_points + stop : m_points + 1] = band
-    out /= window_n
-    return out
+    words = -(-window_n // 64)  # words of one window
+    blocks = -(-m_points // 64)  # lags 64q ... 64q + 63, one block per q
+    span = words + blocks  # words read up to the last lag
+    planes = int(prefix.max()).bit_length()
+    bits = np.zeros((planes, 64 * (span + 1)), dtype=bool)
+    bits[:, : len(prefix)] = prefix >> np.arange(planes)[:, None] & 1
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    shifts = np.empty((planes, 64, span), dtype=np.uint64)
+    shifts[:, 0] = packed[:, :-1]
+    r = np.arange(1, 64, dtype=np.uint64)[:, None]
+    shifts[:, 1:] = packed[:, None, :-1] >> r | packed[:, None, 1:] << 64 - r
+    first = packed[:, None, :words]
+    tail = np.uint64((1 << (window_n - 64 * (words - 1))) - 1)
+    row = np.empty(64 * blocks, dtype=np.int32)
+    for q in range(blocks):
+        differs = np.bitwise_or.reduce(shifts[:, :, q : q + words] ^ first, axis=0)
+        differs[:, -1] &= tail
+        row[64 * q : 64 * q + 64] = np.bitwise_count(differs).sum(axis=1)
+    return row[:m_points]
 
 
-def _greedy_count(density: np.ndarray, nu: float) -> int:
-    """Size of the greedy nu-separated subset, scanned in index order.
+def _lag_counts(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
+    """Mismatch counts of the windows prefix[i : i + N], i < M, by lag.
 
-    An index is kept when its density to every kept index is >= nu.  Since
-    the matrix is symmetric, "close to some kept index" is the union of the
-    kept rows of ``density < nu``, so one mask replaces the pairwise test.
+    H[i, D] counts t < N with x[i + t] != x[i + D + t], for i + D < M, so
+    the pair (i, i + D) sits in row i.  Row 0 is ``_first_row``; each next
+    row adds [x[i - 1 + N] != x[i - 1 + N + D]] and drops
+    [x[i - 1] != x[i - 1 + D]], so the rest is two M x M compares and one
+    cumsum down the columns.  Entries with i + D >= M pair a window with
+    one past the sample; they hold N + 1, which no threshold counts as close.
     """
-    close = density < nu
-    blocked = np.zeros(density.shape[0], dtype=bool)
-    count = 0
-    for idx in range(density.shape[0]):
-        if not blocked[idx]:
-            count += 1
-            blocked |= close[idx]
-    return count
+    # row 0 first, so its word buffers are freed before the M x M counts exist
+    first = _first_row(prefix, m_points, window_n)
+    pad = np.zeros(m_points - 1, dtype=prefix.dtype)
+    windows = sliding_window_view(np.concatenate([prefix, pad]), m_points)
+    adds = windows[window_n : window_n + m_points - 1]
+    drops = windows[: m_points - 1]
+    counts = np.empty((m_points, m_points), dtype=np.int32)
+    counts[0] = first
+    np.subtract(
+        (adds != adds[:, :1]).view(np.int8),
+        (drops != drops[:, :1]).view(np.int8),
+        out=counts[1:],
+    )
+    np.cumsum(counts, axis=0, dtype=np.int32, out=counts)
+    counts[:, ::-1][np.tri(m_points, k=-1, dtype=bool)] = window_n + 1
+    return counts
+
+
+def _greedy_counts(
+    lags: np.ndarray, window_n: int, grid: tuple[float, ...]
+) -> tuple[int, ...]:
+    """Sizes of the greedy nu-separated subsets, scanned in index order.
+
+    An index is kept when its density to every kept index is >= nu.  The
+    densities are never formed: t, the least count c with float(c) / N >=
+    nu, makes ``count < t`` exactly ``count / N < nu``.  When no pair is
+    that close every index is kept.  Otherwise the kept index i blocks the
+    bits i + D of its row of ``lags < t``, and the scan jumps to the lowest
+    free bit above i; it never looks back, so one triangle of counts is all
+    it reads.
+    """
+    m_points = lags.shape[0]
+    closest = int(lags[:, 1:].min(initial=window_n + 1))
+    counts = []
+    for nu in grid:
+        threshold = bisect.bisect_left(
+            range(window_n + 1), True, key=lambda c: c / window_n >= nu
+        )
+        if closest >= threshold:
+            counts.append(m_points)
+            continue
+        rows = np.packbits(lags < threshold, axis=1, bitorder="little")
+        blocked = idx = kept = 0
+        while idx < m_points:
+            kept += 1
+            blocked |= int.from_bytes(rows[idx], "little") << idx
+            free = ~blocked >> (idx + 1)
+            idx += (free & -free).bit_length()
+        counts.append(kept)
+    return tuple(counts)
 
 
 def check_sample_size(m_points: int, window_n: int) -> None:
@@ -212,8 +231,7 @@ def separation_profile(
     check_sample_size(m_points, window_n)
     grid = tuple(nu_grid) if nu_grid is not None else build_nu_grid()
     prefix = _orbit_prefix(subst, m_points, window_n)
-    density = _density_matrix(prefix, m_points, window_n)
-    counts = tuple(_greedy_count(density, nu) for nu in grid)
+    counts = _greedy_counts(_lag_counts(prefix, m_points, window_n), window_n, grid)
     profile = SeparationProfile(grid, counts, m_points, window_n)
     try:
         fit_slope(profile)

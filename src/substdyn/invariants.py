@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import string
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -500,13 +501,17 @@ def random_primitive_substitution(
 
     Draws with a periodic fixed point, whose block substitution is not
     primitive, are rejected as well, so every returned substitution has a
-    pure base and can be analyzed.
+    pure base and can be analyzed.  The letters are a, b, ..., so
+    ``max_letters`` is at most 26.
     """
-    letter_pool = "abcdefgh"
+    if not 2 <= max_letters <= len(string.ascii_lowercase):
+        raise PreconditionError("max_letters must be in [2, 26]")
+    if max_k < 2:
+        raise PreconditionError("max_k must be at least 2")
     while True:
         size = rng.randint(2, max_letters)
         k = rng.randint(2, max_k)
-        alphabet = Alphabet(tuple(letter_pool[:size]))
+        alphabet = Alphabet(tuple(string.ascii_lowercase[:size]))
         rules = tuple(
             tuple(rng.randrange(size) for _ in range(k)) for _ in range(size)
         )

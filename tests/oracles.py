@@ -15,6 +15,7 @@ import random
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Rules = dict[str, str]
 
@@ -392,14 +393,42 @@ def recursive_growth_types(
     return out
 
 
-def brute_density_matrix(windows: np.ndarray) -> np.ndarray:
-    """Plain mismatch densities between all rows, one row of pairs at a time."""
-    m_points, window_n = windows.shape
-    out = np.empty((m_points, m_points), dtype=np.float64)
-    for i in range(m_points):
-        out[i] = np.count_nonzero(windows != windows[i], axis=1)
-    out /= window_n
-    return out
+def orbit_windows(
+    rules: tuple[tuple[int, ...], ...], m_points: int, window_n: int
+) -> np.ndarray:
+    """Windows of one long fixed-point prefix standing in for orbit points.
+
+    Row i is ``x[i : i + window_n]`` for i < m_points: a read-only view into
+    one int16 array of m_points + window_n symbols.
+    """
+    prefix = np.array(brute_fixed_point_prefix(rules, m_points + window_n), np.int16)
+    return sliding_window_view(prefix, window_n)[:m_points]
+
+
+def pair_filter_table(size: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Boolean lookup P[a, b] = True iff {a, b} is one of the given pairs."""
+    table = np.zeros((size, size), dtype=bool)
+    for a, b in pairs:
+        table[a, b] = table[b, a] = True
+    return table
+
+
+def mismatch_density(
+    a: np.ndarray, b: np.ndarray, pair_filter: np.ndarray | None = None
+) -> float:
+    """Fraction of positions where two equal-length windows disagree.
+
+    With a filter, only positions whose unordered letter pair is flagged
+    count; that is the sampled version of the S-restricted density.
+    """
+    if pair_filter is None:
+        return float(np.count_nonzero(a != b)) / len(a)
+    return float(np.count_nonzero(pair_filter[a, b])) / len(a)
+
+
+def brute_mismatch_counts(windows: np.ndarray) -> np.ndarray:
+    """Plain mismatch counts between all rows, one row of pairs at a time."""
+    return np.array([np.count_nonzero(windows != row, axis=1) for row in windows])
 
 
 def brute_greedy_count(density: np.ndarray, nu: float) -> int:

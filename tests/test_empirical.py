@@ -5,10 +5,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from substdyn import (
     EstimationError,
@@ -27,15 +27,13 @@ from substdyn.core import fixed_point_prefix
 from substdyn.discrepancy import LetterPair
 from substdyn.empirical import (
     SeparationProfile,
-    _density_matrix,
-    _greedy_count,
+    _greedy_counts,
+    _lag_counts,
     _min_density_ratio,
     _orbit_prefix,
+    _pair_weights,
     build_nu_grid,
     density_rows,
-    mismatch_density,
-    orbit_windows,
-    pair_filter_table,
     write_density_csv,
     write_profile_csv,
 )
@@ -43,9 +41,12 @@ from substdyn.matrices import RATE_TOL
 
 from conftest import example, sweep_draw
 from oracles import (
-    brute_density_matrix,
     brute_greedy_count,
     brute_lipschitz_ratio_probe,
+    brute_mismatch_counts,
+    mismatch_density,
+    orbit_windows,
+    pair_filter_table,
 )
 
 
@@ -60,40 +61,41 @@ class TestNuGrid:
 
 
 class TestOrbitSample:
-    """Orbit points T^i x as the rows of orbit_windows."""
+    """Orbit points T^i x as the windows of one prefix of M + N symbols."""
 
     def test_windows_slice_the_prefix(self):
         subst = example("e1")
-        windows = orbit_windows(subst, 8, 16)
+        prefix = _orbit_prefix(subst, 8, 16)
+        assert prefix.dtype == np.int16
+        assert tuple(prefix) == fixed_point_prefix(subst, 8 + 16)
+        windows = orbit_windows(subst.rules, 8, 16)
         assert windows.shape == (8, 16)
-        prefix = fixed_point_prefix(subst, 8 + 16)
         for i in range(8):
-            assert tuple(windows[i]) == prefix[i : i + 16]
+            assert np.array_equal(windows[i], prefix[i : i + 16])
 
     def test_from_substitution(self):
         subst = example("e5")
-        windows = orbit_windows(subst, 16, 64)
+        windows = orbit_windows(subst.rules, 16, 64)
         assert windows.dtype == np.int16
         assert np.shares_memory(windows[0], windows[15])  # views of one prefix
-        prefix = fixed_point_prefix(subst, 16 + 64)
-        assert tuple(windows[5]) == prefix[5 : 5 + 64]
+        assert np.array_equal(windows[5], _orbit_prefix(subst, 16, 64)[5 : 5 + 64])
 
 
 class TestMismatchDensity:
     def test_zero_on_equal_windows(self):
-        windows = orbit_windows(example("e1"), 8, 128)
+        windows = orbit_windows(example("e1").rules, 8, 128)
         assert mismatch_density(windows[3], windows[3]) == 0.0
 
     def test_one_on_disjoint_letters(self):
         assert mismatch_density(np.array([0, 0]), np.array([1, 1])) == 1.0
 
     def test_symmetry(self):
-        w = orbit_windows(example("e3"), 32, 1024)
+        w = orbit_windows(example("e3").rules, 32, 1024)
         for i, j in [(0, 7), (3, 19), (11, 30)]:
             assert mismatch_density(w[i], w[j]) == mismatch_density(w[j], w[i])
 
     def test_triangle_inequality(self):
-        w = orbit_windows(example("e2"), 24, 2048)
+        w = orbit_windows(example("e2").rules, 24, 2048)
         for i, j, k in [(0, 5, 17), (2, 9, 23), (1, 14, 20)]:
             dij = mismatch_density(w[i], w[j])
             djk = mismatch_density(w[j], w[k])
@@ -102,22 +104,25 @@ class TestMismatchDensity:
 
     def test_filtered_never_exceeds_plain(self):
         subst = example("e2")
-        table = pair_filter_table(
-            subst.alphabet.size, analyze_pairs(subst).maximal
-        )
-        w = orbit_windows(subst, 32, 2048)
+        pairs = [(p.lo, p.hi) for p in analyze_pairs(subst).maximal]
+        table = pair_filter_table(subst.alphabet.size, pairs)
+        w = orbit_windows(subst.rules, 32, 2048)
         for i in range(0, 32, 5):
             for j in range(1, 32, 7):
                 filtered = mismatch_density(w[i], w[j], table)
                 assert filtered <= mismatch_density(w[i], w[j]) + 1e-12
 
     def test_filter_table_is_symmetric_without_diagonal(self):
+        # row 1 of the probe's weights is the filter table
         subst = example("e2")
-        table = pair_filter_table(subst.alphabet.size, analyze_pairs(subst).maximal)
+        size = subst.alphabet.size
+        weights = _pair_weights(subst, analyze_pairs(subst).maximal)
+        table = weights[1].reshape(size, size)
         assert np.array_equal(table, table.T)
         assert not table.diagonal().any()
         # S = {(ab), (ac)} for this rule set
         assert table[0, 1] and table[0, 2] and not table[1, 2]
+        assert np.array_equal(table, pair_filter_table(size, [(0, 1), (0, 2)]))
 
     def test_e6_kernel_image_density_against_fixed_word(self):
         """D(g(x), 000...) is the frequency of the letter g displaces."""
@@ -177,26 +182,71 @@ class TestSeparationProfile:
                     assert any(dist(windows[idx], windows[j]) < nu for j in kept)
 
     # (M, N): M not a power of two, M > N (also by far), odd sizes, M = 1
-    # and N = 1
+    # and N = 1; then M and N on both sides of one and two 64-bit words
     SIZES = (
         (1, 1), (1, 40), (3, 1), (37, 11), (45, 128), (64, 64), (100, 7),
         (129, 33), (65, 3), (255, 17), (33, 31), (31, 33), (17, 255), (200, 1),
-    )
+    ) + tuple((m, n) for m in (63, 64, 65) for n in (63, 64, 65, 127, 128, 129))
 
-    @pytest.mark.parametrize("draw", range(28))
-    def test_kernels_match_brute_force(self, draw):
+    @staticmethod
+    def kernel_draw(draw: int) -> tuple[Substitution, int, int]:
+        """Odd draws take up to 26 letters, five bit planes."""
         rng = random.Random(9100 + draw)
-        subst = random_primitive_substitution(rng, max_letters=6, max_k=5)
-        m, n = self.SIZES[draw % len(self.SIZES)]
+        max_letters = 26 if draw % 2 else 6
+        subst = random_primitive_substitution(rng, max_letters=max_letters, max_k=5)
+        m, n = TestSeparationProfile.SIZES[draw % len(TestSeparationProfile.SIZES)]
+        return subst, m, n
+
+    def test_kernel_draws_cover_wide_alphabets(self):
+        sizes = [self.kernel_draw(draw)[0].alphabet.size for draw in range(40)]
+        assert sum(9 <= size <= 26 for size in sizes) >= 10
+        assert max(sizes) > 16  # five bit planes
+
+    @pytest.mark.parametrize("draw", range(40))
+    def test_kernels_match_brute_force(self, draw):
+        subst, m, n = self.kernel_draw(draw)
+        rng = random.Random(draw)
         prefix = _orbit_prefix(subst, m, n)
-        density = _density_matrix(prefix, m, n)
-        brute = brute_density_matrix(sliding_window_view(prefix, n)[:m])
-        assert density.tobytes() == brute.tobytes()
-        assert np.array_equal(density, density.T)
-        entries = np.unique(density)
-        ties = rng.sample(list(entries), min(8, len(entries)))
-        for nu in build_nu_grid() + tuple(ties):
-            assert _greedy_count(density, nu) == brute_greedy_count(brute, nu)
+        lags = _lag_counts(prefix, m, n)
+        brute = brute_mismatch_counts(orbit_windows(subst.rules, m, n))
+        # row i holds the pair (i, i + D) at column D while i + D < M
+        i, j = np.triu_indices(m)
+        assert np.array_equal(lags[i, j - i], brute[i, j])
+        i, d = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) >= m)
+        assert (lags[i, d] == n + 1).all()
+        density = brute / n
+        off = np.unique(density[~np.eye(m, dtype=bool)])
+        grid = build_nu_grid() + tuple(rng.sample(list(off), min(8, len(off))))
+        if len(off):  # below every density of two distinct points
+            grid += (np.nextafter(off[0], -1.0),)
+        want = tuple(brute_greedy_count(density, nu) for nu in grid)
+        assert _greedy_counts(lags, n, grid) == want
+        if len(off):
+            assert want[-1] == m
+
+    def test_all_saturated_profile(self):
+        # thue_morse keeps every point at every grid value, so each count
+        # is decided by the closest pair alone
+        subst, m, n = example("thue_morse"), 64, 1024
+        prefix = _orbit_prefix(subst, m, n)
+        density = brute_mismatch_counts(orbit_windows(subst.rules, m, n)) / n
+        grid = build_nu_grid()
+        assert _greedy_counts(_lag_counts(prefix, m, n), n, grid) == (m,) * len(grid)
+        assert [brute_greedy_count(density, nu) for nu in grid] == [m] * len(grid)
+        assert separation_profile(subst, m, n).counts == (m,) * len(grid)
+
+    def test_peak_memory(self):
+        # a float64 M x M density matrix alone takes 2 MB at M = 512; the
+        # int32 counts take 1 MB
+        e4 = example("e4")
+        tracemalloc.start()
+        try:
+            profile = separation_profile(e4, 512, 16384)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.counts[-1] == 512
+        assert peak < 2.0 * 2**20
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -374,8 +424,9 @@ class TestDensityRows:
         # e2 has S = {(ab), (ac)}; e4 is read on its pure base
         analysis = analyze_pairs(example(name))
         pure = analysis.pure.pure_base
-        table = pair_filter_table(pure.alphabet.size, analysis.maximal)
-        w = orbit_windows(pure, 16, 4096)
+        pairs = [(p.lo, p.hi) for p in analysis.maximal]
+        table = pair_filter_table(pure.alphabet.size, pairs)
+        w = orbit_windows(pure.rules, 16, 4096)
         want = [
             (i, j, mismatch_density(w[i], w[j]), mismatch_density(w[i], w[j], table))
             for i in range(16)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import string
 from collections import Counter
 
 import pytest
@@ -485,3 +487,32 @@ class TestRandomGenerator:
         a = random_primitive_substitution(random.Random(12))
         b = random_primitive_substitution(random.Random(12))
         assert a == b
+
+    def test_draws_up_to_eight_letters_are_pinned(self):
+        draws = []
+        for seed in range(50):
+            rng = random.Random(seed)
+            for max_letters, max_k in ((2, 2), (4, 4), (8, 5)):
+                s = random_primitive_substitution(rng, max_letters, max_k)
+                draws.append((s.alphabet.letters, s.rules))
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+            "4246bf4dfa34ecd399b6a2816d088e72d6ed642dd1512939e9221f8285e12fd7"
+        )
+        assert random_primitive_substitution(random.Random(0), 8, 5).rules[0] == (
+            6, 0, 4, 7, 6,
+        )
+
+    def test_more_than_eight_letters(self):
+        # the letter pool used to stop at h, and 12 letters raised ValueError
+        subst = random_primitive_substitution(random.Random(0), max_letters=12)
+        assert subst.alphabet.letters == tuple("abcdefg")
+        rng = random.Random(3)
+        sizes = {random_primitive_substitution(rng, 26, 3).alphabet.size for _ in range(40)}
+        assert max(sizes) > 20
+        wide = random_primitive_substitution(random.Random(1), 26, 3)
+        assert wide.alphabet.letters == tuple(string.ascii_lowercase[: wide.alphabet.size])
+
+    @pytest.mark.parametrize("max_letters, max_k", [(1, 4), (27, 4), (4, 1), (0, 0)])
+    def test_refuses_bad_bounds(self, max_letters, max_k):
+        with pytest.raises(PreconditionError):
+            random_primitive_substitution(random.Random(0), max_letters, max_k)
