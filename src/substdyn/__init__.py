@@ -27,7 +27,6 @@ from .invariants import (
     kernel_monoid,
     nonconstant_ap_counts,
     null_witness_search,
-    random_primitive_substitution,
     synthesize_target_ac,
 )
 from .structure import height, pure_base
@@ -56,7 +55,6 @@ __all__ = [
     "nonconstant_ap_counts",
     "null_witness_search",
     "pure_base",
-    "random_primitive_substitution",
     "separation_profile",
     "synthesize_target_ac",
 ]

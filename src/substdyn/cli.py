@@ -4,14 +4,16 @@ Spec file format: one rule per line, ``LETTER -> IMAGE``.  Letters are
 whitespace-delimited tokens; when every letter is a single character the
 image may be written unspaced (``a -> aac``).  ``#`` starts a comment.
 
-Exit codes: 0 success, 1 parse error, 2 precondition violation
-(non-primitive input, non-constant length, bad parameters), 3 resource
-cap exceeded, 4 internal invariant failure.
+Exit codes: 0 success, 1 parse error (also a spec file that cannot be
+read or is not UTF-8), 2 precondition violation (non-primitive input,
+non-constant length, bad parameters, an output path that cannot be
+written), 3 resource cap exceeded, 4 internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -32,20 +34,15 @@ from .empirical import (
     write_profile_csv,
 )
 from .discrepancy import analyze_pairs
-from .errors import (
-    EstimationError,
-    PreconditionError,
-    SpecParseError,
-    SubstError,
-)
+from .errors import PreconditionError, SpecParseError, SubstError
 from .invariants import (
     DEFAULT_SEED,
-    ColumnSetGraph,
     amorphic_complexity,
     check_m_max,
     check_witness_search,
     classify_analysis,
     kernel_monoid,
+    nonconstant_counts,
     null_witness_search,
     synthesize_target_ac,
 )
@@ -140,9 +137,18 @@ def _load(path: str) -> SpecDocument:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
     return parse_spec(text, source_name=path)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError of the block that writes ``path`` into exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
 def _report_document(doc: SpecDocument, text: str, extra: dict, seed: int | None) -> dict:
@@ -181,7 +187,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = classify_analysis(analysis)
     d_m: list[int] | None = None
     if args.m_max is not None:
-        d_m = ColumnSetGraph.build(analysis.pure.pure_base).nonconstant_counts(args.m_max)
+        d_m = nonconstant_counts(analysis.pure.pure_base, args.m_max)
 
     if args.json:
         extra = {"report": report.to_dict()}
@@ -242,17 +248,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         subst, m_points=args.points, window_n=args.window, nu_grid=grid
     )
     if args.csv:
-        write_profile_csv(profile, args.csv)
+        with _writing(args.csv):
+            write_profile_csv(profile, args.csv)
 
-    ratio: float | None = None
-    if not math.isinf(exact) and exact > 0:
-        try:
-            ratio = lipschitz_ratio_probe(subst, seed=args.seed, analysis=analysis)
-        except (PreconditionError, EstimationError):
-            ratio = None
+    try:
+        ratio = lipschitz_ratio_probe(subst, seed=args.seed, analysis=analysis)
+    except PreconditionError:  # outside 0 < ac < infinity, or too few samples
+        ratio = None
 
     if args.density_csv:
-        write_density_csv(density_rows(analysis), args.density_csv)
+        with _writing(args.density_csv):
+            write_density_csv(density_rows(analysis), args.density_csv)
 
     print(f"exact ac: {_fmt(exact)}")
     print("nu        count")
@@ -289,7 +295,9 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     )
     text = render_spec(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing(args.output), open(
+            args.output, "w", encoding="utf-8", newline="\n"
+        ) as fh:
             fh.write(text)
         print(f"wrote {args.output}")
     else:
@@ -301,7 +309,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     check_m_max(args.m_max)
     pure = pure_base(doc.substitution)
-    d_m = ColumnSetGraph.build(pure.pure_base).nonconstant_counts(args.m_max)
+    d_m = nonconstant_counts(pure.pure_base, args.m_max)
     descriptor = kernel_monoid(pure.pure_base)
     # each label is overwritten by its line, so the two lists never coexist
     lines = descriptor.element_strings()

@@ -178,6 +178,12 @@ def is_primitive(subst: Substitution) -> bool:
     return all(r == full for r in rows)
 
 
+def require_primitive(subst: Substitution, op: str) -> None:
+    """Refuse a non-primitive substitution on behalf of ``op``."""
+    if not is_primitive(subst):
+        raise PreconditionError(f"{op} requires a primitive substitution")
+
+
 def column_sets(subst: Substitution) -> tuple[frozenset[int], ...]:
     """Closure of {alphabet} under images of the k column maps.
 
@@ -190,27 +196,29 @@ def column_sets(subst: Substitution) -> tuple[frozenset[int], ...]:
 
 def _column_set_closure(
     subst: Substitution,
-) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, int, int], ...]]:
-    # The column sets in the order of column_sets, and one edge (i, j, t) per
-    # set i and column map j, in that order: map j sends set i onto set t.
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...]]:
+    # The column sets in the order of column_sets, and per set i the k ids
+    # of its images: column map j sends set i onto set targets[i][j].
     cols = subst.columns()
     start = frozenset(range(subst.alphabet.size))
     position = {start: 0}
     order = [start]
-    edges = []
-    for i, current in enumerate(order):  # grows while it is walked
-        for j, col in enumerate(cols):
+    targets = []
+    for current in order:  # grows while it is walked
+        row = []
+        for col in cols:
             img = frozenset(col[a] for a in current)
             if img not in position:
                 position[img] = len(order)
                 order.append(img)
-            edges.append((i, j, position[img]))
+            row.append(position[img])
+        targets.append(tuple(row))
         if len(order) > COLUMN_SET_BUDGET:
             raise ResourceLimitError(
                 f"column_sets: more than {COLUMN_SET_BUDGET} sets on "
                 f"{subst.alphabet.size} letters with k = {subst.length_k}"
             )
-    return tuple(order), tuple(edges)
+    return tuple(order), tuple(targets)
 
 
 def first_letter_cycle(subst: Substitution) -> tuple[int, int]:
@@ -237,16 +245,16 @@ def fixed_point_prefix(subst: Substitution, n_symbols: int) -> Word:
     point is that of phi^p where p is the seed's cycle length, making
     the result deterministic for every primitive substitution.
     """
+    require_primitive(subst, "fixed_point_prefix")
     return tuple(fixed_point_array(subst, n_symbols).tolist())
 
 
-def fixed_point_array(
-    subst: Substitution, n_symbols: int, *, primitive: bool = False
-) -> np.ndarray:
+def fixed_point_array(subst: Substitution, n_symbols: int) -> np.ndarray:
     """:func:`fixed_point_prefix` as an integer array (int16 up to 2^15 letters).
 
-    ``primitive=True`` skips the primitivity test for a substitution the
-    caller has checked, such as a pure base from ``pure_base``.
+    The caller has checked that ``subst`` is primitive.  A round applies
+    phi to the first ceil(n / k) symbols, which is all the first n symbols
+    of the image depend on.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
@@ -254,15 +262,6 @@ def fixed_point_array(
         raise ResourceLimitError(
             f"prefix of {n_symbols} symbols exceeds the {WORD_BUDGET}-symbol budget"
         )
-    if not primitive and not is_primitive(subst):
-        raise PreconditionError("fixed_point_prefix requires a primitive substitution")
-    return _fixed_point_word(subst, n_symbols)
-
-
-def _fixed_point_word(subst: Substitution, n_symbols: int) -> np.ndarray:
-    # fixed_point_array for a caller that has checked its preconditions.  A
-    # round applies phi to the first ceil(n / k) symbols, which is all the
-    # first n symbols of the image depend on.
     seed, p = first_letter_cycle(subst)
     dtype = np.int16 if subst.alphabet.size <= 1 << 15 else np.int32
     if subst.length_k == 1:

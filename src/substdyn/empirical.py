@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Substitution, fixed_point_array
+from .core import Substitution, fixed_point_array, require_primitive
 from .discrepancy import DiscrepancyAnalysis, LetterPair, analyze_pairs
 from .errors import (
     EstimationError,
@@ -25,8 +25,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .invariants import DEFAULT_SEED
-from .matrices import RATE_TOL
+from .invariants import DEFAULT_SEED, _ac_from_rate
 
 #: Hard cap on the sample size M^2 * N of a profile: M^2 window pairs of N
 #: symbols each.  The counts take O(M^2 + M * N * ceil(log2 |A|) / 64) work
@@ -53,19 +52,6 @@ def build_nu_grid(nu_max: float = 0.25, nu_min: float = 0.004) -> tuple[float, .
         grid.append(value)
         value /= math.sqrt(2.0)
     return tuple(grid)
-
-
-def _orbit_prefix(
-    subst: Substitution, m_points: int, window_n: int, *, primitive: bool = False
-) -> np.ndarray:
-    """The int16 prefix of m_points + window_n symbols whose windows
-    ``x[i : i + window_n]``, i < m_points, stand in for orbit points T^i x.
-
-    ``primitive=True`` is for a pure base, which ``pure_base`` has checked.
-    """
-    if window_n < 1:
-        raise ValueError("window must be positive")
-    return fixed_point_array(subst, m_points + window_n, primitive=primitive)
 
 
 def _pair_weights(subst: Substitution, pairs: tuple[LetterPair, ...]) -> np.ndarray:
@@ -230,7 +216,9 @@ def separation_profile(
     """
     check_sample_size(m_points, window_n)
     grid = tuple(nu_grid) if nu_grid is not None else build_nu_grid()
-    prefix = _orbit_prefix(subst, m_points, window_n)
+    require_primitive(subst, "separation_profile")
+    # the windows x[i : i + N], i < M, stand in for the orbit points T^i x
+    prefix = fixed_point_array(subst, m_points + window_n)
     counts = _greedy_counts(_lag_counts(prefix, m_points, window_n), window_n, grid)
     profile = SeparationProfile(grid, counts, m_points, window_n)
     try:
@@ -288,9 +276,7 @@ def lipschitz_ratio_probe(
     """
     if analysis is None:
         analysis = analyze_pairs(subst)
-    rate = analysis.rate_type.rate
-    k = subst.length_k
-    if rate <= RATE_TOL or rate >= k - RATE_TOL:
+    if not 0 < _ac_from_rate(analysis.rate_type.rate, subst.length_k) < math.inf:
         raise PreconditionError(
             "ratio probe needs an infinite system with discrete spectrum"
         )
@@ -315,7 +301,9 @@ def _min_density_ratio(
     k = pure.length_k
     weights = _pair_weights(pure, pairs)
     m_pool = max(4 * samples, 64)
-    prefix = _orbit_prefix(pure, m_pool, window_n, primitive=True)
+    if window_n < 1:
+        raise ValueError("window must be positive")
+    prefix = fixed_point_array(pure, m_pool + window_n)
     keys = prefix.astype(np.intp) * pure.alphabet.size
     rng = random.Random(seed)
 
@@ -359,7 +347,7 @@ def density_rows(
     m_points, window_n = 16, 4096
     pure = analysis.pure.pure_base
     weights = _pair_weights(pure, analysis.maximal)[:2]
-    prefix = _orbit_prefix(pure, m_points, window_n, primitive=True)
+    prefix = fixed_point_array(pure, m_points + window_n)
     keys = prefix.astype(np.intp) * pure.alphabet.size
     rows = []
     for i in range(m_points):

@@ -21,8 +21,6 @@ is null and tame iff ac is 0 or 1, that is again iff lambda_s <= 1.
 from __future__ import annotations
 
 import math
-import random
-import string
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,7 +33,7 @@ from .core import (
     Substitution,
     Word,
     _column_set_closure,
-    is_primitive,
+    require_primitive,
 )
 from .discrepancy import DiscrepancyAnalysis, analyze_pairs, pair_rules
 from .errors import InternalError, PreconditionError, ResourceLimitError
@@ -51,8 +49,7 @@ _M_MAX_CAP = 64
 def _require(subst: Substitution, op: str) -> None:
     if subst.length_k < 2:
         raise PreconditionError(f"{op} requires length k >= 2")
-    if not is_primitive(subst):
-        raise PreconditionError(f"{op} requires a primitive substitution")
+    require_primitive(subst, op)
 
 
 # ---------------------------------------------------------------------------
@@ -333,54 +330,40 @@ def check_m_max(m_max: int) -> None:
         raise ResourceLimitError(f"m_max {m_max} exceeds the cap of {_M_MAX_CAP}")
 
 
-@dataclass(frozen=True)
-class ColumnSetGraph:
-    """Column sets of the pure base with one labeled edge per column map.
+def nonconstant_counts(pure: Substitution, m_max: int) -> list[int]:
+    """Exact number d_m of nonconstant column maps of phi^m, m = 0..m_max.
 
-    Vertex 0 is the full alphabet; an edge (i, j, t) says column map j
-    sends column set i onto column set t.
+    For a pure base and an m_max the caller has checked.  Each column of
+    phi^m composes m generator columns, and the image of the alphabet under
+    it is the column set its path from the full alphabet ends at, so the
+    column is nonconstant iff that set has two letters or more.  Counts are
+    pushed along the k images of each set, one integer per set, so the k^m
+    columns are never materialized.
     """
-
-    vertices: tuple[frozenset[int], ...]
-    edges: tuple[tuple[int, int, int], ...]  # (source, label j, target)
-
-    @staticmethod
-    def build(pure: Substitution) -> "ColumnSetGraph":
-        """The graph of a pure base on its column sets."""
-        vertices, edges = _column_set_closure(pure)
-        return ColumnSetGraph(vertices=vertices, edges=edges)
-
-    def nonconstant_counts(self, m_max: int) -> list[int]:
-        """Exact number d_m of nonconstant column maps of phi^m, m = 0..m_max.
-
-        Each column of phi^m composes m generator columns, and the end of
-        its label path from vertex 0 is the image of the alphabet, so the
-        column is nonconstant iff that vertex has two letters or more.
-        Counts are pushed along the edges, one integer per vertex, so the
-        k^m columns are never materialized.
-        """
-        check_m_max(m_max)
-        wide = [len(s) >= 2 for s in self.vertices]
-        counts = [0] * len(self.vertices)
-        counts[0] = 1  # the identity, the single column of phi^0, maps onto A
-        out = []
-        for _ in range(m_max + 1):
-            out.append(sum(c for c, w in zip(counts, wide) if w))
-            nxt = [0] * len(counts)
-            for source, _label, target in self.edges:
-                nxt[target] += counts[source]
-            counts = nxt
-        return out
+    sets, targets = _column_set_closure(pure)
+    wide = [len(s) >= 2 for s in sets]
+    counts = [0] * len(sets)
+    counts[0] = 1  # the identity, the single column of phi^0, maps onto A
+    out = []
+    for _ in range(m_max + 1):
+        out.append(sum(c for c, w in zip(counts, wide) if w))
+        nxt = [0] * len(counts)
+        for count, row in zip(counts, targets):
+            if count:
+                for target in row:
+                    nxt[target] += count
+        counts = nxt
+    return out
 
 
 def nonconstant_ap_counts(subst: Substitution, m_max: int) -> list[int]:
     """Exact number of nonconstant column maps of phi^m for m = 0..m_max;
-    see :meth:`ColumnSetGraph.nonconstant_counts`."""
+    see :func:`nonconstant_counts`."""
     check_m_max(m_max)
     _require(subst, "nonconstant_ap_counts")
     if _dekking_height(subst) != 1:
         raise PreconditionError("nonconstant_ap_counts requires height 1; purify first")
-    return ColumnSetGraph.build(subst).nonconstant_counts(m_max)
+    return nonconstant_counts(subst, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -487,39 +470,3 @@ def null_witness_search(
             if seen == (1 << want) - 1:
                 return NullnessWitness(gaps=gaps, letters=(a, b))
     return None
-
-
-# ---------------------------------------------------------------------------
-# Randomized cross-validation support
-# ---------------------------------------------------------------------------
-
-
-def random_primitive_substitution(
-    rng: random.Random, max_letters: int = 4, max_k: int = 4
-) -> Substitution:
-    """Rejection-sample a primitive substitution with |A| and k in [2, max].
-
-    Draws with a periodic fixed point, whose block substitution is not
-    primitive, are rejected as well, so every returned substitution has a
-    pure base and can be analyzed.  The letters are a, b, ..., so
-    ``max_letters`` is at most 26.
-    """
-    if not 2 <= max_letters <= len(string.ascii_lowercase):
-        raise PreconditionError("max_letters must be in [2, 26]")
-    if max_k < 2:
-        raise PreconditionError("max_k must be at least 2")
-    while True:
-        size = rng.randint(2, max_letters)
-        k = rng.randint(2, max_k)
-        alphabet = Alphabet(tuple(string.ascii_lowercase[:size]))
-        rules = tuple(
-            tuple(rng.randrange(size) for _ in range(k)) for _ in range(size)
-        )
-        candidate = Substitution(alphabet, rules)
-        if not is_primitive(candidate):
-            continue
-        try:
-            pure_base(candidate)
-        except PreconditionError:
-            continue
-        return candidate

@@ -16,17 +16,13 @@ from .core import (
     Alphabet,
     Substitution,
     Word,
-    _fixed_point_word,
     apply,
     first_letter_cycle,
+    fixed_point_array,
     is_primitive,
+    require_primitive,
 )
 from .errors import InternalError, PreconditionError
-
-
-def _require_primitive(subst: Substitution, op: str) -> None:
-    if not is_primitive(subst):
-        raise PreconditionError(f"{op} requires a primitive substitution")
 
 
 def height(subst: Substitution) -> int:
@@ -39,7 +35,7 @@ def height(subst: Substitution) -> int:
     one position class mod n; e is the phase shift of phi(x), which is not
     x itself when the seed's first-letter cycle is longer than one.
     """
-    _require_primitive(subst, "height")
+    require_primitive(subst, "height")
     return _dekking_height(subst)
 
 
@@ -96,7 +92,7 @@ def pure_base(subst: Substitution) -> PureBaseResult:
     found before it.  A non-primitive psi means the fixed point is periodic
     and phi permutes its block phases: PreconditionError, outside the analysis.
     """
-    _require_primitive(subst, "pure_base")
+    require_primitive(subst, "pure_base")
     h = _dekking_height(subst)
     alphabet = subst.alphabet
     if h == 1:
@@ -130,8 +126,7 @@ def pure_base(subst: Substitution) -> PureBaseResult:
             for child in psi(block):
                 walk(child, depth - 1)
 
-    # primitivity is checked above
-    intern(tuple(_fixed_point_word(subst, h).tolist()))
+    intern(tuple(fixed_point_array(subst, h).tolist()))
     for block in blocks:  # grows while it is walked
         walk(block, p)
     rules: list[Word] = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 import sys
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from substdyn import (
     PreconditionError,
     Substitution,
     pure_base,
-    random_primitive_substitution,
 )
 from substdyn.core import is_primitive
 
@@ -85,6 +85,37 @@ def height_two_draw(rng: random.Random) -> Substitution:
                 return candidate
         except PreconditionError:  # not primitive, or a periodic fixed point
             continue
+
+
+def random_primitive_substitution(
+    rng: random.Random, max_letters: int = 4, max_k: int = 4
+) -> Substitution:
+    """Rejection-sample a primitive substitution with |A| and k in [2, max].
+
+    Draws with a periodic fixed point, whose block substitution is not
+    primitive, are rejected as well, so every returned substitution has a
+    pure base and can be analyzed.  The letters are a, b, ..., so
+    ``max_letters`` is at most 26.
+    """
+    if not 2 <= max_letters <= len(string.ascii_lowercase):
+        raise PreconditionError("max_letters must be in [2, 26]")
+    if max_k < 2:
+        raise PreconditionError("max_k must be at least 2")
+    while True:
+        size = rng.randint(2, max_letters)
+        k = rng.randint(2, max_k)
+        alphabet = Alphabet(tuple(string.ascii_lowercase[:size]))
+        rules = tuple(
+            tuple(rng.randrange(size) for _ in range(k)) for _ in range(size)
+        )
+        candidate = Substitution(alphabet, rules)
+        if not is_primitive(candidate):
+            continue
+        try:
+            pure_base(candidate)
+        except PreconditionError:
+            continue
+        return candidate
 
 
 def wide_draw(rng: random.Random) -> Substitution:

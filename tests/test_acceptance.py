@@ -17,14 +17,19 @@ from substdyn import (
     height,
     kernel_monoid,
     nonconstant_ap_counts,
-    random_primitive_substitution,
     separation_profile,
     synthesize_target_ac,
 )
 from substdyn.core import is_primitive
 from substdyn.discrepancy import pair_rules
 
-from conftest import EXAMPLE_RULES, example, power, pure_base_single_char
+from conftest import (
+    EXAMPLE_RULES,
+    example,
+    power,
+    pure_base_single_char,
+    random_primitive_substitution,
+)
 from oracles import brute_column_count, brute_diff_count, tuple_power
 
 GOLDEN = (1 + math.sqrt(5)) / 2

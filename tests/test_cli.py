@@ -124,6 +124,28 @@ class TestExitCodes:
         assert run(["analyze", "/nonexistent/x.sub"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_spec_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.sub"
+        path.write_bytes(b"a -> \xff\n")
+        assert run(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("flag", ["--csv", "--density-csv"])
+    def test_unwritable_verify_output(self, tmp_path, capsys, flag):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        target = tmp_path / "missing" / "x"
+        argv = ["verify", path, "--points", "32", "--window", "1024", flag, str(target)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+    def test_unwritable_synthesize_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        argv = ["synthesize", "--k", "2", "--n", "2", "--l", "1", "-o", str(target)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+
     def test_duplicate_rule(self, tmp_path, capsys):
         path = tmp_path / "dup.sub"
         path.write_text("a -> ab\na -> ba\nb -> aa\n")
@@ -643,8 +665,10 @@ class TestPreconditionsCheckedOnce:
     """An op tests primitivity and height once per substitution it analyses:
     the input and, at height > 1, its pure base.  kernel_monoid keeps its
     own checks, so kernel tests the pure base once more; separation_profile
-    keeps its primitivity test, so verify tests the input once more.  The
-    ratio probe and the density rows run on the checked pure base."""
+    refuses a non-primitive input itself, so verify tests the input once
+    more.  The ratio probe and the density rows build their prefixes from
+    the checked pure base and test nothing; the empirical module is patched
+    too, so a check it made would be counted."""
 
     NAMES = ("is_primitive", "_dekking_height")
     EXPECTED = {
@@ -672,7 +696,9 @@ class TestPreconditionsCheckedOnce:
                 return fn(*args, **kwargs)
             return counted
 
-        modules = [substdyn.core, substdyn.structure, substdyn.invariants]
+        modules = [
+            substdyn.core, substdyn.structure, substdyn.invariants, substdyn.empirical
+        ]
         for check in self.NAMES:
             home = getattr(substdyn.structure, check)
             for module in modules:

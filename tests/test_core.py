@@ -15,7 +15,6 @@ from substdyn import (
     Substitution,
     kernel_monoid,
     pure_base,
-    random_primitive_substitution,
 )
 from substdyn.core import (
     apply,
@@ -27,7 +26,13 @@ from substdyn.core import (
 )
 from substdyn.matrices import CountMatrix
 
-from conftest import EXAMPLE_RULES, example, power, sweep_draw
+from conftest import (
+    EXAMPLE_RULES,
+    example,
+    power,
+    random_primitive_substitution,
+    sweep_draw,
+)
 from oracles import (
     brute_apply,
     brute_column_sets,

@@ -10,13 +10,17 @@ from substdyn import (
     Substitution,
     analyze_pairs,
     pure_base,
-    random_primitive_substitution,
 )
 from substdyn.core import column_sets
 from substdyn.discrepancy import GeneralSubstitution, LetterPair, pair_rules
 from substdyn.matrices import RATE_TOL, polynomial_text
 
-from conftest import example, power, pure_base_single_char
+from conftest import (
+    example,
+    power,
+    pure_base_single_char,
+    random_primitive_substitution,
+)
 from oracles import brute_diff_count, brute_lambda_s, tuple_power
 
 EXPECTED_RULES = {

@@ -20,17 +20,15 @@ from substdyn import (
     fit_slope,
     kernel_monoid,
     lipschitz_ratio_probe,
-    random_primitive_substitution,
     separation_profile,
 )
-from substdyn.core import fixed_point_prefix
+from substdyn.core import fixed_point_array, fixed_point_prefix
 from substdyn.discrepancy import LetterPair
 from substdyn.empirical import (
     SeparationProfile,
     _greedy_counts,
     _lag_counts,
     _min_density_ratio,
-    _orbit_prefix,
     _pair_weights,
     build_nu_grid,
     density_rows,
@@ -39,7 +37,7 @@ from substdyn.empirical import (
 )
 from substdyn.matrices import RATE_TOL
 
-from conftest import example, sweep_draw
+from conftest import example, random_primitive_substitution, sweep_draw
 from oracles import (
     brute_greedy_count,
     brute_lipschitz_ratio_probe,
@@ -65,7 +63,7 @@ class TestOrbitSample:
 
     def test_windows_slice_the_prefix(self):
         subst = example("e1")
-        prefix = _orbit_prefix(subst, 8, 16)
+        prefix = fixed_point_array(subst, 8 + 16)
         assert prefix.dtype == np.int16
         assert tuple(prefix) == fixed_point_prefix(subst, 8 + 16)
         windows = orbit_windows(subst.rules, 8, 16)
@@ -78,7 +76,7 @@ class TestOrbitSample:
         windows = orbit_windows(subst.rules, 16, 64)
         assert windows.dtype == np.int16
         assert np.shares_memory(windows[0], windows[15])  # views of one prefix
-        assert np.array_equal(windows[5], _orbit_prefix(subst, 16, 64)[5 : 5 + 64])
+        assert np.array_equal(windows[5], fixed_point_array(subst, 16 + 64)[5 : 5 + 64])
 
 
 class TestMismatchDensity:
@@ -206,7 +204,7 @@ class TestSeparationProfile:
     def test_kernels_match_brute_force(self, draw):
         subst, m, n = self.kernel_draw(draw)
         rng = random.Random(draw)
-        prefix = _orbit_prefix(subst, m, n)
+        prefix = fixed_point_array(subst, m + n)
         lags = _lag_counts(prefix, m, n)
         brute = brute_mismatch_counts(orbit_windows(subst.rules, m, n))
         # row i holds the pair (i, i + D) at column D while i + D < M
@@ -228,7 +226,7 @@ class TestSeparationProfile:
         # thue_morse keeps every point at every grid value, so each count
         # is decided by the closest pair alone
         subst, m, n = example("thue_morse"), 64, 1024
-        prefix = _orbit_prefix(subst, m, n)
+        prefix = fixed_point_array(subst, m + n)
         density = brute_mismatch_counts(orbit_windows(subst.rules, m, n)) / n
         grid = build_nu_grid()
         assert _greedy_counts(_lag_counts(prefix, m, n), n, grid) == (m,) * len(grid)
@@ -257,6 +255,12 @@ class TestSeparationProfile:
     def test_comparison_budget(self):
         with pytest.raises(ResourceLimitError):
             separation_profile(example("e5"), m_points=1 << 13, window_n=1 << 13)
+
+    def test_refusal_names_separation_profile(self):
+        subst = Substitution.from_strings({"a": "ab", "b": "bb"})
+        message = "separation_profile requires a primitive substitution"
+        with pytest.raises(PreconditionError, match=message):
+            separation_profile(subst, m_points=32, window_n=1024)
 
     def test_slope_stable_under_doubling(self):
         for name, exact in (("e5", 1.0), ("e3", 2.0)):

@@ -23,13 +23,11 @@ from substdyn import (
     nonconstant_ap_counts,
     null_witness_search,
     pure_base,
-    random_primitive_substitution,
     synthesize_target_ac,
 )
 from substdyn import core, invariants
 from substdyn.core import fixed_point_prefix
 from substdyn.discrepancy import pair_rules
-from substdyn.invariants import ColumnSetGraph
 from substdyn.matrices import RATE_TOL, growth_types, max_growth_type
 
 from conftest import (
@@ -38,6 +36,7 @@ from conftest import (
     example,
     power,
     pure_base_single_char,
+    random_primitive_substitution,
 )
 from oracles import (
     brute_column_count,
@@ -314,9 +313,11 @@ class TestNonconstantApCounts:
             nonconstant_ap_counts(example("e4"), 3)
 
 
-def column_set_graph(subst: Substitution) -> ColumnSetGraph:
-    """The graph that graph_condition decides, built on the pure base."""
-    return ColumnSetGraph.build(pure_base(subst).pure_base)
+def column_set_graph(
+    subst: Substitution,
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...]]:
+    """The column sets of the pure base and the k images of each."""
+    return core._column_set_closure(pure_base(subst).pure_base)
 
 
 class TestGraphCondition:
@@ -326,20 +327,22 @@ class TestGraphCondition:
 
     def test_thue_morse_fails_by_double_self_loop(self):
         # the only size->=2 vertex {a,b} carries two internal labeled edges
-        g = column_set_graph(example("thue_morse"))
-        assert len([v for v in g.vertices if len(v) >= 2]) == 1
+        sets, targets = column_set_graph(example("thue_morse"))
+        assert len([v for v in sets if len(v) >= 2]) == 1
         internal = [
-            (src, lbl, dst)
-            for (src, lbl, dst) in g.edges
-            if len(g.vertices[src]) >= 2 and len(g.vertices[dst]) >= 2
+            (src, dst)
+            for src, row in enumerate(targets)
+            for dst in row
+            if len(sets[src]) >= 2 and len(sets[dst]) >= 2
         ]
         assert len(internal) == 2
         assert not graph_condition(example("thue_morse"))
         assert not brute_graph_condition(EXAMPLE_RULES["thue_morse"])
 
     def test_graph_shape(self, example_subst):
-        g = column_set_graph(example_subst)
-        assert len(g.edges) == len(g.vertices) * example_subst.length_k
+        sets, targets = column_set_graph(example_subst)
+        assert len(targets) == len(sets)
+        assert all(len(row) == example_subst.length_k for row in targets)
 
     def test_matches_rate_characterization_on_random_draws(self):
         rng = random.Random(31337)

@@ -12,11 +12,10 @@ from substdyn import (
     classify,
     height,
     pure_base,
-    random_primitive_substitution,
 )
 from substdyn.core import fixed_point_prefix, is_primitive
 
-from conftest import EXAMPLE_RULES, example, power
+from conftest import EXAMPLE_RULES, example, power, random_primitive_substitution
 from oracles import brute_height
 
 EXPECTED_HEIGHTS = {
