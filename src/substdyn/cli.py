@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -151,15 +152,31 @@ def _writing(path: str):
         raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
-def _report_document(doc: SpecDocument, text: str, extra: dict, seed: int | None) -> dict:
+@contextlib.contextmanager
+def _claiming(paths: list[str]):
+    """Open each output path for appending before the block runs, so one
+    that cannot be written exits 2 before any stage; if the block fails,
+    remove the files that this created."""
+    created = [path for path in paths if not os.path.exists(path)]
+    try:
+        for path in paths:
+            with _writing(path), open(path, "a"):
+                pass
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _report_document(doc: SpecDocument, text: str, extra: dict) -> dict:
     body = {
         "version": __version__,
         "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "source": doc.source_name,
         **extra,
     }
-    if seed is not None:
-        body["seed"] = seed
     stable = hashlib.sha256(
         json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -193,7 +210,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         extra = {"report": report.to_dict()}
         if d_m is not None:
             extra["d_m"] = d_m
-        body = _report_document(doc, render_spec(doc), extra, seed=None)
+        body = _report_document(doc, render_spec(doc), extra)
         _print_json(body, time.monotonic() - started)
         return 0
 
@@ -242,23 +259,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     subst = doc.substitution
     grid = build_nu_grid(args.nu_max, args.nu_min)
     check_sample_size(args.points, args.window)
-    analysis = analyze_pairs(subst)
-    exact = amorphic_complexity(subst, analysis)
-    profile = separation_profile(
-        subst, m_points=args.points, window_n=args.window, nu_grid=grid
-    )
-    if args.csv:
-        with _writing(args.csv):
-            write_profile_csv(profile, args.csv)
+    with _claiming([path for path in (args.csv, args.density_csv) if path]):
+        analysis = analyze_pairs(subst)
+        exact = amorphic_complexity(subst, analysis)
+        profile = separation_profile(
+            subst, m_points=args.points, window_n=args.window, nu_grid=grid
+        )
+        if args.csv:
+            with _writing(args.csv):
+                write_profile_csv(profile, args.csv)
 
-    try:
-        ratio = lipschitz_ratio_probe(subst, seed=args.seed, analysis=analysis)
-    except PreconditionError:  # outside 0 < ac < infinity, or too few samples
-        ratio = None
+        try:
+            ratio = lipschitz_ratio_probe(subst, seed=args.seed, analysis=analysis)
+        except PreconditionError:  # outside 0 < ac < infinity, or too few samples
+            ratio = None
 
-    if args.density_csv:
-        with _writing(args.density_csv):
-            write_density_csv(density_rows(analysis), args.density_csv)
+        if args.density_csv:
+            with _writing(args.density_csv):
+                write_density_csv(density_rows(analysis), args.density_csv)
 
     print(f"exact ac: {_fmt(exact)}")
     print("nu        count")

@@ -1,4 +1,4 @@
-"""Words, constant-length substitutions and column sets.
+"""Words, constant-length substitutions, column sets and SCCs.
 
 Letters are arbitrary text tokens.  Internally every letter is a dense
 index ``0 .. size-1`` into an :class:`Alphabet` and words are tuples of
@@ -8,6 +8,7 @@ the tokens again.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -146,36 +147,62 @@ def apply(subst: Substitution, word: Word) -> Word:
 def is_primitive(subst: Substitution) -> bool:
     """True iff some power of the incidence matrix is entrywise positive.
 
-    Uses boolean matrix squaring: it is enough to test one power at or
-    above the Wielandt bound (n-1)^2 + 1, since a primitive matrix stays
-    positive from its first positive power onwards.
+    That holds iff the letter digraph, a -> b when b occurs in phi(a), is
+    strongly connected and aperiodic (Perron-Frobenius).  Its period is the
+    gcd, over edges a -> b, of level(a) + 1 - level(b), the levels being
+    breadth-first distances from letter 0.  O(|A| k).
     """
-    n = subst.alphabet.size
-    # adjacency as bit rows: bit b of row[a] set iff b occurs in phi(a)
-    rows = [0] * n
-    for a, rule in enumerate(subst.rules):
-        for b in rule:
-            rows[a] |= 1 << b
-    full = (1 << n) - 1
-    bound = (n - 1) ** 2 + 1
+    if len(_tarjan(subst.rules)) != 1:
+        return False
+    level = [0] + [-1] * (subst.alphabet.size - 1)
+    queue = [0]
+    period = 0
+    for a in queue:  # grows while it is walked; each edge is read once
+        for b in subst.rules[a]:
+            if level[b] == -1:
+                level[b] = level[a] + 1
+                queue.append(b)
+            period = math.gcd(period, level[a] + 1 - level[b])
+    return period == 1
 
-    def bool_square(m: list[int]) -> list[int]:
-        out = [0] * n
-        for i in range(n):
-            acc = 0
-            bits = m[i]
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                acc |= m[j]
-                bits &= bits - 1
-            out[i] = acc
-        return out
 
-    exponent = 1
-    while exponent < bound:
-        rows = bool_square(rows)
-        exponent *= 2
-    return all(r == full for r in rows)
+def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan; components come out in reverse topological order,
+    sinks first: each after every component it reaches."""
+    n = len(succ)
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            if index[v] == -1:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            for w in edges:  # resumes after the child it last descended into
+                if index[w] == -1:
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    components.append(sorted(comp))
+    return components
 
 
 def require_primitive(subst: Substitution, op: str) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import matrices
-from .core import Substitution
+from .core import Substitution, _tarjan
 from .errors import InternalError
 from .matrices import RATE_TOL, CountMatrix, GrowthType
 from .structure import PureBaseResult, pure_base
@@ -47,26 +47,34 @@ class GeneralSubstitution:
 
     ``rules[p]`` is a word over pair indices; ``erasing`` is the set of
     pairs whose iterated image is eventually empty (the least fixed point
-    of "every pair in my rule is erasing").
+    of "every pair in my rule is erasing"); ``rate_at_most_one`` says
+    whether the pair matrix has spectral radius at most 1.
     """
 
     pair_alphabet: tuple[LetterPair, ...]
     rules: tuple[tuple[int, ...], ...]
     erasing: frozenset[int]
+    rate_at_most_one: bool
 
     @staticmethod
     def from_rules(
         pair_alphabet: tuple[LetterPair, ...], rules: tuple[tuple[int, ...], ...]
     ) -> "GeneralSubstitution":
+        """One pass over the strongly connected components, sinks first: a
+        component is erasing iff it is one pair with no self-loop whose rule
+        entries are erasing, and the radius is at most 1 iff each component
+        is such a pair or a simple cycle (``invariants`` module docstring)."""
         erasing: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for p, rule in enumerate(rules):
-                if p not in erasing and all(q in erasing for q in rule):
-                    erasing.add(p)
-                    changed = True
-        return GeneralSubstitution(pair_alphabet, rules, frozenset(erasing))
+        at_most_one = True
+        for comp in _tarjan(rules):
+            members = set(comp)
+            inside = [sum(q in members for q in rules[p]) for p in comp]
+            if inside == [0]:
+                if all(q in erasing for q in rules[comp[0]]):
+                    erasing.add(comp[0])
+            elif any(d != 1 for d in inside):
+                at_most_one = False
+        return GeneralSubstitution(pair_alphabet, rules, frozenset(erasing), at_most_one)
 
     def coincidence(self, k: int) -> bool:
         """True iff every pair reaches, along the rules, a pair whose rule is
@@ -84,17 +92,6 @@ class GeneralSubstitution:
                     reached.add(p)
                     merging.append(p)
         return len(reached) == len(self.rules)
-
-    def rate_at_most_one(self) -> bool:
-        """True iff the pair matrix has spectral radius at most 1: each
-        strongly connected component is one pair with no self-loop, or a
-        simple cycle whose members each have one rule entry inside it."""
-        for comp in matrices._tarjan(self.rules):
-            members = set(comp)
-            inside = [sum(q in members for q in self.rules[p]) for p in comp]
-            if inside != [0] and any(d != 1 for d in inside):
-                return False
-        return True
 
     def incidence(self) -> CountMatrix:
         """Pair matrix: column q counts the pairs in rule q."""
@@ -142,21 +139,21 @@ class DiscrepancyAnalysis:
     growth: tuple[GrowthType, ...]
     rate_type: GrowthType  # (lambda_s, d_s)
     maximal: tuple[LetterPair, ...]  # the pairs whose growth rate attains lambda_s
-    critical_poly: tuple[int, ...]
+    critical: CountMatrix  # lambda_s is a root of its characteristic polynomial
 
 
 def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     """Pure base, pair substitution, per-pair growth, (lambda_s, d_s), S.
 
-    The critical polynomial is the exact characteristic polynomial of the
-    first strongly connected component (in discovery order) whose Perron
-    radius attains lambda_s; lambda_s is one of its roots.
+    ``critical`` is the pair matrix's principal block on the first strongly
+    connected component (in discovery order) whose Perron radius attains
+    lambda_s; lambda_s is a root of its characteristic polynomial.
     """
     pure = pure_base(subst)
     gs = pair_rules(pure.pure_base)
     k = subst.length_k
     if not gs.pair_alphabet:
-        return DiscrepancyAnalysis(pure, gs, (), GrowthType(0.0, 1), (), (1,))
+        return DiscrepancyAnalysis(pure, gs, (), GrowthType(0.0, 1), (), CountMatrix(()))
 
     m = gs.incidence()
     dec = matrices.decompose(m)
@@ -173,12 +170,10 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     )
     _check_pseudometric(maximal, pure.pure_base.alphabet.size)
 
-    critical_poly: tuple[int, ...] = (1, 0)
-    for ci, comp in enumerate(dec.components):
-        if abs(dec.radii[ci] - rate) <= RATE_TOL:
-            critical_poly = matrices.characteristic_polynomial(m.restrict(comp))
-            break
-    return DiscrepancyAnalysis(pure, gs, growth, rate_type, maximal, critical_poly)
+    for comp, radius in zip(dec.components, dec.radii):
+        if abs(radius - rate) <= RATE_TOL:
+            return DiscrepancyAnalysis(pure, gs, growth, rate_type, maximal, m.restrict(comp))
+    raise InternalError(f"no strongly connected component attains the rate {rate}")
 
 
 def _check_pseudometric(maximal: tuple[LetterPair, ...], size: int) -> None:

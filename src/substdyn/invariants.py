@@ -140,13 +140,12 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
             f"finiteness disagreement: rate {rate}, but {len(pairs.erasing)} "
             f"of {len(pairs.pair_alphabet)} pairs are erasing"
         )
-    graph_ok = pairs.rate_at_most_one()
+    graph_ok = pairs.rate_at_most_one
 
+    poly = matrices.characteristic_polynomial(analysis.critical)
     snapped: int | None = None
     nearest = round(rate)
-    if abs(rate - nearest) <= 1e-6 and matrices.evaluate_polynomial(
-        analysis.critical_poly, nearest
-    ) == 0:
+    if abs(rate - nearest) <= 1e-6 and matrices.evaluate_polynomial(poly, nearest) == 0:
         snapped = int(nearest)
 
     # At height h > 1, letters of different Dekking classes c (mod h) have
@@ -166,7 +165,7 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
         pure_base_rules=tuple(pure.pure_base.rule_strings()),
         discrepancy_rules=tuple(analysis.pairs.rule_strings(letters)),
         lambda_s=rate,
-        lambda_s_polynomial=matrices.polynomial_text(analysis.critical_poly),
+        lambda_s_polynomial=matrices.polynomial_text(poly),
         lambda_s_integer=snapped,
         d_s=d_s,
         ac=ac,
@@ -185,7 +184,6 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
 def _assert_report_consistency(r: AnalysisReport) -> None:
     checks = [
         ((r.ac == 0.0) == r.finite_system, "ac = 0 iff finite"),
-        (r.finite_system == (r.lambda_s <= RATE_TOL), "finite iff lambda_s = 0"),
         (
             math.isinf(r.ac) == (r.lambda_s >= r.length_k - RATE_TOL),
             "ac = inf iff lambda_s = k",
@@ -319,7 +317,7 @@ def graph_condition(subst: Substitution) -> bool:
     are single pairs with no self-loop or simple cycles (module docstring).
     """
     _require(subst, "graph_condition")
-    return pair_rules(pure_base(subst).pure_base).rate_at_most_one()
+    return pair_rules(pure_base(subst).pure_base).rate_at_most_one
 
 
 def check_m_max(m_max: int) -> None:

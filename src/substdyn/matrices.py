@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import _tarjan
 from .errors import InternalError
 
 #: Absolute accuracy of every Perron radius we report.
@@ -115,45 +116,6 @@ class ComponentDecomposition:
             GrowthType(0.0, 1) if a in erasing else GrowthType(reach[ci], count[ci] - 1)
             for a, ci in enumerate(self.component_of)
         ]
-
-
-def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order,
-    sinks first: each after every component it reaches."""
-    n = len(succ)
-    index, low, on_stack = [-1] * n, [0] * n, [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            if index[v] == -1:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            for w in edges:  # resumes after the child it last descended into
-                if index[w] == -1:
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        on_stack[comp[-1]] = False
-                    components.append(sorted(comp))
-    return components
 
 
 def spectral_radius(m: CountMatrix) -> float:

@@ -75,7 +75,6 @@ class PureBaseResult:
     """
 
     height_h: int
-    block_alphabet: Alphabet
     pure_base: Substitution
     decoding: dict[str, tuple[str, ...]]
     original: Substitution
@@ -97,7 +96,7 @@ def pure_base(subst: Substitution) -> PureBaseResult:
     alphabet = subst.alphabet
     if h == 1:
         decoding = {a: (a,) for a in alphabet.letters}
-        return PureBaseResult(1, alphabet, subst, decoding, subst)
+        return PureBaseResult(1, subst, decoding, subst)
 
     k = subst.length_k
     _, p = first_letter_cycle(subst)
@@ -145,4 +144,4 @@ def pure_base(subst: Substitution) -> PureBaseResult:
         )
     if _dekking_height(induced) != 1:
         raise InternalError("pure base failed to have height 1")
-    return PureBaseResult(h, block_alphabet, induced, decoding, subst)
+    return PureBaseResult(h, induced, decoding, subst)

@@ -1,11 +1,12 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here works on plain ``{letter: image}`` dicts of single-character
-strings (the ``tuple_*`` helpers and ``brute_kernel_monoid`` on tuples of
-int-tuple images) and favors obviousness over speed: words are
-materialized, columns are enumerated one by one, and eigenvalues come from
-numpy.  None of the package's own machinery is imported, so agreement
-between the two routes is meaningful.  Matrices are nested lists of ints.
+strings (the ``tuple_*`` helpers, ``brute_kernel_monoid`` and the
+primitivity, erasing and closed-walk oracles on tuples of int-tuple images)
+and favors obviousness over speed: words are materialized, columns are
+enumerated one by one, and eigenvalues come from numpy.  None of the
+package's own machinery is imported, so agreement between the two routes
+is meaningful.  Matrices are nested lists of ints.
 """
 
 from __future__ import annotations
@@ -299,6 +300,60 @@ def brute_is_primitive(rules: Rules, horizon: int = 12) -> bool:
             return True
         reach = {a: {c for b in reach[a] for c in rules[b]} for a in letters}
     return all(len(reach[a]) == len(letters) for a in letters)
+
+
+def boolean_power_is_primitive(rules: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff a power of the incidence matrix is entrywise positive.
+
+    Squares the boolean matrix in numpy until the exponent reaches the
+    Wielandt bound (n - 1)^2 + 1: a primitive matrix is positive from that
+    power on, and a power of any other matrix never is.
+    """
+    n = len(rules)
+    power = np.zeros((n, n), dtype=np.int64)
+    for a, rule in enumerate(rules):
+        power[a, list(rule)] = 1
+    exponent = 1
+    while exponent < (n - 1) ** 2 + 1:
+        power = (power @ power > 0).astype(np.int64)
+        exponent *= 2
+    return bool(power.all())
+
+
+def kleene_erasing(rules: tuple[tuple[int, ...], ...]) -> frozenset[int]:
+    """Least fixed point of "every entry of my rule is erasing".
+
+    Kleene iteration from the empty set, one numpy round per step, for
+    len(rules) steps: each step that changes the set adds a letter, so the
+    fixed point is reached by then.
+    """
+    n = len(rules)
+    width = max(map(len, rules), default=0)
+    table = np.full((n, width), n)  # index n is padding, always erasing
+    for p, rule in enumerate(rules):
+        table[p, : len(rule)] = rule
+    erasing = np.zeros(n + 1, dtype=bool)
+    erasing[n] = True
+    for _ in range(n):
+        erasing[:n] = erasing[table].all(axis=1)
+    return frozenset(np.flatnonzero(erasing[:n]).tolist())
+
+
+def closed_walk_rate_at_most_one(rules: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff the incidence matrix has spectral radius at most 1.
+
+    Decided by counting closed walks, capped at 2, for lengths up to n^2:
+    the radius exceeds 1 iff some letter v starts two different closed
+    walks of lengths a, b <= n, and then both go around to length ab.
+    """
+    n = len(rules)
+    m = np.array(tuple_incidence(rules), dtype=np.int64).reshape(n, n)
+    power = np.eye(n, dtype=np.int64)
+    for _ in range(n * n):
+        power = np.minimum(power @ m, 2)
+        if (np.diagonal(power) == 2).any():
+            return False
+    return True
 
 
 def faddeev_leverrier(rows: list[list[int]]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import substdyn
-from substdyn import PreconditionError, SpecParseError
+from substdyn import InternalError, PreconditionError, SpecParseError
 from substdyn.cli import parse_spec, render_spec, run
 from substdyn.empirical import separation_profile, write_profile_csv
 
@@ -131,12 +131,41 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     @pytest.mark.parametrize("flag", ["--csv", "--density-csv"])
-    def test_unwritable_verify_output(self, tmp_path, capsys, flag):
+    def test_unwritable_verify_output(self, tmp_path, capsys, monkeypatch, flag):
+        # refused before the stage: no separation_profile call, no output
+        profiles = []
+        stage = substdyn.cli.separation_profile
+
+        def counted(*args, **kwargs):
+            profiles.append(args)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(substdyn.cli, "separation_profile", counted)
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
         target = tmp_path / "missing" / "x"
         argv = ["verify", path, "--points", "32", "--window", "1024", flag, str(target)]
         assert run(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.out == ""
+        assert profiles == []
+
+    def test_failed_verify_leaves_no_new_output(self, tmp_path, capsys, monkeypatch):
+        # the profile CSV is written before the probe fails; the file it
+        # created goes, and a file that was there keeps its contents
+        def broken(*args, **kwargs):
+            raise InternalError("probe failed")
+
+        monkeypatch.setattr(substdyn.cli, "lipschitz_ratio_probe", broken)
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        created, kept = tmp_path / "profile.csv", tmp_path / "density.csv"
+        kept.write_text("kept\n")
+        argv = ["verify", path, "--points", "32", "--window", "1024",
+                "--csv", str(created), "--density-csv", str(kept)]
+        assert run(argv) == 4
+        assert capsys.readouterr().err == "error: probe failed\n"
+        assert not created.exists()
+        assert kept.read_text() == "kept\n"
 
     def test_unwritable_synthesize_output(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x"
@@ -604,7 +633,8 @@ class TestStageCounts:
     # one breadth-first closure that finds its vertices, so it calls no
     # column_sets (which lists the vertices alone) and computes each image
     # set once.  The generators are read once each by that closure and by
-    # kernel_monoid.
+    # kernel_monoid.  Only the report prints the critical polynomial, so
+    # verify builds none.
     EXPECTED = {
         ("analyze", "e1"): (1, 0, 0, 1, 1, 1, 1),
         ("analyze", "e4"): (1, 0, 0, 1, 1, 1, 1),
@@ -613,7 +643,7 @@ class TestStageCounts:
         ("plain_analyze", "e1"): (1, 0, 0, 1, 1, 1, 0),
         ("plain_analyze", "e4"): (1, 0, 0, 1, 1, 1, 0),
         ("synthesize", "k2_n3_l3"): (1, 0, 0, 1, 1, 1, 0),
-        ("verify", "e1"): (1, 0, 0, 1, 1, 1, 0),
+        ("verify", "e1"): (1, 0, 0, 1, 1, 0, 0),
     }
     ARGV = {
         "analyze": ["analyze", "--json", "--m-max", "12"],
@@ -821,7 +851,7 @@ class TestCharacteristicPolynomialCheck:
         def corrupt(rows, primes):
             rows[0, 0] = (rows[0, 0] + 1) % primes[0]
 
-        order = len(substdyn.analyze_pairs(example("e1")).critical_poly) - 1
+        order = substdyn.analyze_pairs(example("e1")).critical.order
         err = self.analyze_with_residues(tmp_path, capsys, monkeypatch, corrupt)
         assert f"characteristic_polynomial: order {order} " in err
         assert "check prime" in err

@@ -34,6 +34,7 @@ from conftest import (
     sweep_draw,
 )
 from oracles import (
+    boolean_power_is_primitive,
     brute_apply,
     brute_column_sets,
     brute_fixed_point,
@@ -176,6 +177,33 @@ class TestPrimitivity:
             }
             subst = Substitution.from_strings(rules)
             assert is_primitive(subst) == brute_is_primitive(rules)
+
+    def test_matches_boolean_powers_on_wide_and_cyclic_draws(self):
+        # up to 40 letters and k = 1 .. 3; every other draw sends each
+        # letter's image into the next of p classes, a period-p digraph,
+        # and half of those get one random entry that may break the period
+        rng = random.Random(20261019)
+        verdicts = set()
+        for draw in range(600):
+            n, k = rng.randint(1, 40), rng.randint(1, 3)
+            if draw % 2:
+                p = rng.randint(1, n)
+                cls = [rng.randrange(p) for _ in range(n)]
+                members = [[a for a in range(n) if cls[a] == c] for c in range(p)]
+                rules = [
+                    [rng.choice(members[(cls[a] + 1) % p] or range(n)) for _ in range(k)]
+                    for a in range(n)
+                ]
+                if draw % 4 == 1:
+                    rules[rng.randrange(n)][rng.randrange(k)] = rng.randrange(n)
+            else:
+                rules = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+            subst = Substitution(Alphabet(map(str, range(n))), rules)
+            want = boolean_power_is_primitive(subst.rules)
+            assert is_primitive(subst) == want, rules
+            verdicts.add((want, k == 1, draw % 2))
+        # both verdicts come up, for k = 1 and for the cyclic draws
+        assert len(verdicts) == 8
 
 
 class TestFixedPoints:

@@ -13,7 +13,7 @@ from substdyn import (
 )
 from substdyn.core import column_sets
 from substdyn.discrepancy import GeneralSubstitution, LetterPair, pair_rules
-from substdyn.matrices import RATE_TOL, polynomial_text
+from substdyn.matrices import RATE_TOL, characteristic_polynomial, polynomial_text
 
 from conftest import (
     example,
@@ -21,7 +21,13 @@ from conftest import (
     pure_base_single_char,
     random_primitive_substitution,
 )
-from oracles import brute_diff_count, brute_lambda_s, tuple_power
+from oracles import (
+    brute_diff_count,
+    brute_lambda_s,
+    closed_walk_rate_at_most_one,
+    kleene_erasing,
+    tuple_power,
+)
 
 EXPECTED_RULES = {
     "e1": ["(ab) -> (ac)", "(ac) -> (bc)", "(bc) -> (ac)(bc)"],
@@ -89,6 +95,38 @@ class TestGeneralSubstitution:
         rules = ((), (0,), (1, 2))  # p -> eps, q -> p, r -> q r
         g = GeneralSubstitution.from_rules(pairs, rules)
         assert g.erasing == frozenset({0, 1})
+
+    @pytest.mark.parametrize("last,doubled,erasing,at_most_one", [
+        ((), False, True, True),
+        ((), True, True, True),  # nilpotent: rate 0
+        ((1999,), False, False, True),
+        ((1999, 1999), False, False, False),
+        ((0,), False, False, True),  # one simple 2000-cycle
+        ((0, 0), False, False, False),
+    ])
+    def test_2000_pair_chain(self, last, doubled, erasing, at_most_one):
+        # pair i -> pair i + 1, so a pass in index order settles one pair
+        n = 2000
+        pairs = tuple(LetterPair(0, i + 1) for i in range(n))
+        rules = tuple((i + 1,) * (1 + doubled) for i in range(n - 1)) + (last,)
+        g = GeneralSubstitution.from_rules(pairs, rules)
+        assert g.erasing == kleene_erasing(rules)
+        assert g.erasing == (frozenset(range(n)) if erasing else frozenset())
+        assert g.rate_at_most_one == at_most_one
+
+    def test_matches_oracles_on_random_rules(self):
+        # uneven, possibly empty images over up to 10 pairs
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            rules = tuple(
+                tuple(rng.randrange(n) for _ in range(rng.choice((0, 0, 1, 1, 1, 2))))
+                for _ in range(n)
+            )
+            pairs = tuple(LetterPair(0, i + 1) for i in range(n))
+            g = GeneralSubstitution.from_rules(pairs, rules)
+            assert g.erasing == kleene_erasing(rules), rules
+            assert g.rate_at_most_one == closed_walk_rate_at_most_one(rules), rules
 
     def test_incidence_counts(self):
         pairs = (LetterPair(0, 1), LetterPair(0, 2))
@@ -227,8 +265,8 @@ class TestMaximalPairs:
 
 class TestCriticalPolynomial:
     def test_expected_polynomials(self, example_name):
-        analysis = analyze_pairs(example(example_name))
-        assert polynomial_text(analysis.critical_poly) == EXPECTED_POLY[example_name]
+        critical = analyze_pairs(example(example_name)).critical
+        assert polynomial_text(characteristic_polynomial(critical)) == EXPECTED_POLY[example_name]
 
 
 class TestPowerIdentity:

@@ -10,12 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import substdyn
 from substdyn import (
     EstimationError,
     InternalError,
     PreconditionError,
     ResourceLimitError,
     Substitution,
+    amorphic_complexity,
     analyze_pairs,
     fit_slope,
     kernel_monoid,
@@ -354,6 +356,16 @@ class TestLipschitzProbe:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             lipschitz_ratio_probe(example("e1"), window_n=0)
+
+    def test_builds_no_polynomial(self, monkeypatch):
+        # only the report prints the critical polynomial
+        def refused(m):
+            raise AssertionError("characteristic_polynomial called")
+
+        monkeypatch.setattr(substdyn.matrices, "characteristic_polynomial", refused)
+        subst = example("e1")
+        assert 0 < amorphic_complexity(subst) < math.inf
+        assert 0 < lipschitz_ratio_probe(subst, samples=8, window_n=1024) <= 1
 
     def test_rejects_extreme_rates(self):
         with pytest.raises(PreconditionError):

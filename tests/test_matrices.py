@@ -304,7 +304,7 @@ class TestCharacteristicPolynomial:
 
         analysis = analyze_pairs(Substitution.from_strings(DEKKING_A8_K5))
         assert analysis.pure.height_h == 2
-        coeffs = analysis.critical_poly
+        coeffs = characteristic_polynomial(analysis.critical)
         n = len(coeffs) - 1
         assert n == 50
         assert -coeffs[1] == 7  # trace
@@ -333,7 +333,7 @@ class TestCharacteristicPolynomial:
         from substdyn import analyze_pairs
 
         analysis = analyze_pairs(example("e1"))
-        coeffs = analysis.critical_poly
+        coeffs = characteristic_polynomial(analysis.critical)
         golden = analysis.rate_type.rate
         # the computed rate is a root of the reported integer polynomial
         value = sum(

@@ -58,7 +58,7 @@ class TestHeight:
         subst = Substitution.from_strings({"a": "abca", "b": "bcab", "c": "cabc"})
         assert height(subst) == 3
         result = pure_base(subst)
-        assert result.block_alphabet.letters == ("abc",)
+        assert result.pure_base.alphabet.letters == ("abc",)
         assert result.pure_base.rule_strings() == ["abc -> abc abc abc abc"]
 
     @pytest.mark.parametrize(
@@ -122,7 +122,7 @@ class TestPureBase:
         result = pure_base(example("e4"))
         decoded = {
             name: "".join(result.decoding[name])
-            for name in result.block_alphabet.letters
+            for name in result.pure_base.alphabet.letters
         }
         assert decoded == {"01": "01", "02": "02"}
 
@@ -138,7 +138,7 @@ class TestPureBase:
         decoded = tuple(
             letter
             for b in pure_prefix
-            for letter in result.decoding[result.block_alphabet.letters[b]]
+            for letter in result.decoding[result.pure_base.alphabet.letters[b]]
         )
         original = fixed_point_prefix(subst, len(decoded))
         original_tokens = tuple(
