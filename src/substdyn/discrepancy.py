@@ -139,7 +139,7 @@ class DiscrepancyAnalysis:
     growth: tuple[GrowthType, ...]
     rate_type: GrowthType  # (lambda_s, d_s)
     maximal: tuple[LetterPair, ...]  # the pairs whose growth rate attains lambda_s
-    critical: CountMatrix  # lambda_s is a root of its characteristic polynomial
+    critical: CountMatrix  # lambda_s is a root of its minimal polynomial of 1
 
 
 def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
@@ -147,7 +147,7 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
 
     ``critical`` is the pair matrix's principal block on the first strongly
     connected component (in discovery order) whose Perron radius attains
-    lambda_s; lambda_s is a root of its characteristic polynomial.
+    lambda_s; lambda_s is a root of :func:`matrices.minimal_polynomial` of it.
     """
     pure = pure_base(subst)
     gs = pair_rules(pure.pure_base)

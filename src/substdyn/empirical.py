@@ -303,8 +303,9 @@ def _min_density_ratio(
     m_pool = max(4 * samples, 64)
     if window_n < 1:
         raise ValueError("window must be positive")
-    prefix = fixed_point_array(pure, m_pool + window_n)
-    keys = prefix.astype(np.intp) * pure.alphabet.size
+    # one dtype for both addends: a mixed int16 + intp sum is slower
+    prefix = fixed_point_array(pure, m_pool + window_n).astype(np.intp)
+    keys = prefix * pure.alphabet.size
     rng = random.Random(seed)
 
     best = math.inf
@@ -347,8 +348,8 @@ def density_rows(
     m_points, window_n = 16, 4096
     pure = analysis.pure.pure_base
     weights = _pair_weights(pure, analysis.maximal)[:2]
-    prefix = fixed_point_array(pure, m_points + window_n)
-    keys = prefix.astype(np.intp) * pure.alphabet.size
+    prefix = fixed_point_array(pure, m_points + window_n).astype(np.intp)
+    keys = prefix * pure.alphabet.size
     rows = []
     for i in range(m_points):
         for j in range(i + 1, m_points):

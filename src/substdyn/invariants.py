@@ -68,7 +68,7 @@ class AnalysisReport:
     pure_base_rules: tuple[str, ...]
     discrepancy_rules: tuple[str, ...]
     lambda_s: float
-    lambda_s_polynomial: str
+    lambda_s_polynomial: str  # mu of 1 under the critical pair block; lambda_s is a root
     lambda_s_integer: int | None
     d_s: int
     ac: float  # 0, a finite value >= 1, or math.inf
@@ -142,7 +142,7 @@ def classify_analysis(analysis: DiscrepancyAnalysis) -> AnalysisReport:
         )
     graph_ok = pairs.rate_at_most_one
 
-    poly = matrices.characteristic_polynomial(analysis.critical)
+    poly = matrices.minimal_polynomial(analysis.critical)
     snapped: int | None = None
     nearest = round(rate)
     if abs(rate - nearest) <= 1e-6 and matrices.evaluate_polynomial(poly, nearest) == 0:

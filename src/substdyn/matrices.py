@@ -1,25 +1,26 @@
 """Nonnegative integer matrix analysis.
 
 Strongly connected component condensation, per-component Perron radii,
-exact characteristic polynomials, and the per-index growth data
-(rate, polynomial degree) that governs how fast iterated images grow.
+the per-index growth data (rate, polynomial degree) that governs how fast
+iterated images grow, and a certified polynomial with the Perron root.
 
 A :class:`CountMatrix` stores the nonzeros of each column, so successors,
-principal blocks and power iteration cost O(nonzeros): a pair matrix has at
-most k per column.  Only the characteristic polynomial reads a dense view.
+principal blocks, power iteration and Krylov sequences cost O(nonzeros): a
+pair matrix has at most k per column.  Nothing here reads ``entries``.
 
-Characteristic polynomials are exact by modular arithmetic: a Hessenberg
-reduction mod primes below 2^31 in numpy int64, O(n^3) per prime, joined
-by CRT under a Hadamard bound on the coefficients.
+That polynomial is mu, the minimal polynomial of the all-ones vector: the
+Krylov sequence mod primes below 2^31, Berlekamp-Massey, CRT until the
+join is stable, then the exact check mu(M) 1 = 0 over Python integers.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .core import _tarjan
 from .errors import InternalError
@@ -222,113 +223,110 @@ def _is_prime(n: int) -> bool:
 
 @functools.cache
 def _prime(i: int) -> int:
-    """The i-th largest prime below 2^31, so that a product of two residues
-    stays below 2^62; callers ask for i in order, so recursion stays shallow."""
+    """The i-th largest prime below 2^31; asked for in order, so recursion stays shallow."""
     candidate = _prime(i - 1) - 2 if i else (1 << 31) - 1
     while not _is_prime(candidate):
         candidate -= 2
     return candidate
 
 
-def _charpoly_residues(entries: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """det(tI - M) mod p for each prime p, one row of ascending powers each.
+#: Zero discrepancies past twice the recurrence length that end a Krylov sequence early.
+_QUIET_TERMS = 4
 
-    Similarity transforms over GF(p) reduce M to upper Hessenberg form H,
-    for all primes at once.  A pivot search (row and column swap) keeps
-    every step defined, so no prime is unlucky.  The characteristic
-    polynomial is then read off H by the recurrence (1-indexed, p_0 = 1)
 
-        p_c(t) = (t - h_cc) p_{c-1}(t)
-                 - sum_{i<c} h_ic (h_{i+1,i} ... h_{c,c-1}) p_{i-1}(t).
+def _recurrences(
+    rows: list[list[tuple[int, int]]], primes: Sequence[int], full: bool
+) -> list[list[int]]:
+    """Minimal polynomial mod p (descending powers) of s_t = u . M^t 1, per p.
 
-    Each elementwise product of residues is reduced before anything is
-    added to it, so with p < 2^31 nothing leaves int64.
+    ``rows[i]`` holds row i's nonzeros as (column, value).  One Krylov run
+    mod the product P of the primes serves them all, with u drawn from
+    [0, P) by a generator seeded with the first prime; Berlekamp-Massey
+    (Massey 1969) reads its terms mod each p.  The run stops after 2n terms
+    or, unless ``full``, once t >= 2L + _QUIET_TERMS for every length L.
     """
-    n = entries.shape[0]
-    q = np.array(primes, dtype=np.int64)
-    qv, qm = q[:, None], q[:, None, None]
-    h = (entries[None] % np.array(primes, dtype=object)[:, None, None]).astype(np.int64)
-    every = np.arange(len(primes))
-    for m in range(1, n - 1):
-        nonzero = h[:, m:, m - 1] != 0
-        offset = nonzero.argmax(axis=1)
-        if offset.any():
-            i = m + offset
-            h[every, m, :], h[every, i, :] = h[every, i, :], h[every, m, :]
-            h[every, :, m], h[every, :, i] = h[every, :, i], h[every, :, m]
-        inverse = np.array(
-            [pow(v, -1, p) if v else 0 for v, p in zip(h[:, m, m - 1].tolist(), primes)],
-            dtype=np.int64,
-        )
-        u = h[:, m + 1 :, m - 1] * inverse[:, None] % qv
-        # rows i > m lose u_i * row m; column m gains sum_i u_i * column i
-        h[:, m + 1 :] = (h[:, m + 1 :] - u[:, :, None] * h[:, m, None, :] % qm) % qm
-        h[:, :, m] = (h[:, :, m] + (h[:, :, m + 1 :] * u[:, None, :] % qm).sum(axis=2)) % qv
-
-    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    # 0-indexed: run[:, i] = h[i+1, i] ... h[c, c-1] for i < c
-    run = np.ones((len(primes), n), dtype=np.int64)
-    for c in range(n):
-        prev = polys[:, c]
-        polys[:, c + 1, 1:] = prev[:, :-1]
-        polys[:, c + 1] = (polys[:, c + 1] - prev * h[:, c, c, None] % qv) % qv
-        if c:
-            run[:, :c] = run[:, :c] * h[:, c, c - 1, None] % qv
-            weights = h[:, :c, c] * run[:, :c] % qv
-            tail = (polys[:, :c] * weights[:, :, None] % qm).sum(axis=1) % qv
-            polys[:, c + 1] = (polys[:, c + 1] - tail) % qv
-    return polys[:, n]
+    n = len(rows)
+    modulus = math.prod(primes)
+    u = random.Random(primes[0]).sample(range(modulus), n)
+    # per prime: p, connection c, c at the last length change, length, steps since, discrepancy
+    runs = [[p, [1], [1], 0, 1, 1] for p in primes]
+    terms: list[int] = []
+    x = [1] * n
+    for t in range(2 * n):
+        if t:
+            x = [sum([v * x[j] for j, v in row]) % modulus for row in rows]
+        terms.append(sum(map(operator.mul, u, x)) % modulus)
+        for run in runs:
+            p, c, before, length, shift, last = run
+            d = sum(ci * terms[t - i] for i, ci in enumerate(c)) % p
+            run[4] += 1
+            if d:
+                scale = d * pow(last, -1, p) % p
+                run[1] = c + [0] * (len(before) + shift - len(c))
+                for i, b in enumerate(before, shift):
+                    run[1][i] = (run[1][i] - scale * b) % p
+                if 2 * length <= t:
+                    run[2:] = c, t + 1 - length, 1, d
+        if not full and all(t + 1 >= 2 * run[3] + _QUIET_TERMS for run in runs):
+            break
+    return [(c + [0] * length)[: length + 1] for _, c, _, length, _, _ in runs]
 
 
-def characteristic_polynomial(m: CountMatrix) -> tuple[int, ...]:
-    """Exact integer coefficients (monic, descending powers) of det(tI - M).
+def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
+    """mu, the monic integer polynomial of least degree with mu(M) 1 = 0, in
+    descending powers.  It divides det(tI - M) and has the Perron root rho as
+    a root: a nonnegative left eigenvector w has w . 1 > 0 and w mu(M) 1 =
+    mu(rho) w . 1.
 
-    Modular method (Cohen, *A Course in Computational Algebraic Number
-    Theory*, 2.2.4): det(tI - M) mod p from a Hessenberg reduction in numpy
-    int64, for primes p < 2^31 until their product exceeds 2B, joined by
-    CRT into symmetric residues.  B = prod_j (1 + column sum j) bounds every
-    |c_i| by Hadamard's inequality (a column's L2 norm is at most its L1
-    norm), so the joined residues are the integer coefficients.  One more
-    prime, not used in the join, and c_1 = -trace cross-check the result; a
-    mismatch raises InternalError.  O(n^3) per prime.
+    Wiedemann's method (1986): :func:`_recurrences` on pairs of primes below
+    2^31 (one if it passes the bound), joined by CRT into symmetric residues
+    over the primes of the largest degree seen (a prime or a projection can
+    only lose degree).  The join is a candidate once the next prime agrees
+    with it, or once the primes' product passes 2B, with B = 2^n prod_j
+    (1 + column sum j): Hadamard bounds the coefficients of det(tI - M),
+    summed, by the product, and Mignotte's 2^n extends that to a monic
+    divisor.  A candidate is returned only if mu(M) 1 = 0 over Python
+    integers.  It is then minimal: its degree, the length of a projected
+    Krylov recurrence mod p, is at most the Krylov rank over Q.  A failed
+    candidate restarts the join on full sequences; past twice the primes
+    the bound needs, InternalError.
     """
     n = m.order
     if n == 0:
         return (1,)
-    bound = 1
-    for column in m.columns:
-        bound *= 1 + sum(v for _, v in column)
-    primes: list[int] = []
-    modulus = 1
-    while modulus <= 2 * bound:
-        primes.append(_prime(len(primes)))
-        modulus *= primes[-1]
-    check = _prime(len(primes))
-    rows = _charpoly_residues(np.array(m.entries, dtype=object), primes + [check]).tolist()
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    limit = 2 << n
+    for j, column in enumerate(m.columns):
+        limit *= 1 + sum(v for _, v in column)
+        for i, v in column:
+            rows[i].append((j, v))
+    full, lift, modulus = False, [], 1
+    width = 1 if _prime(0) > limit else 2
+    for first in range(0, 2 * (limit.bit_length() // 30 + 1), width):
+        primes = [_prime(i) for i in range(first, first + width)]
+        for p, residues in zip(primes, _recurrences(rows, primes, full)):
+            if len(residues) < len(lift):
+                continue  # an unlucky prime or projection
+            if len(residues) > len(lift):
+                lift, modulus = [0] * len(residues), 1
+            stable = all(c % p == r for c, r in zip(lift, residues))
+            step = pow(modulus, -1, p)
+            lift = [c + modulus * ((r - c) * step % p) for c, r in zip(lift, residues)]
+            modulus *= p
+            lift = [c - modulus if 2 * c > modulus else c for c in lift]
+            if stable or modulus > limit:
+                x = [1] * n
+                for c in lift[1:]:
+                    x = [sum([v * x[j] for j, v in row]) + c for row in rows]
+                if not any(x):
+                    return tuple(lift)
+                full, lift = True, []
+    raise InternalError(
+        f"minimal_polynomial: order {n}: no polynomial certified from {first + width} primes"
+    )
 
-    coeffs = [0] * (n + 1)
-    joined = 1
-    for p, residues in zip(primes, rows):
-        step = pow(joined % p, -1, p)
-        for d, r in enumerate(residues):
-            coeffs[d] += joined * ((r - coeffs[d]) * step % p)
-        joined *= p
-    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
 
-    if [c % check for c in coeffs] != rows[-1]:
-        raise InternalError(
-            f"characteristic_polynomial: order {n} result disagrees with the "
-            f"check prime {check}"
-        )
-    trace = sum(m.entries[i][i] for i in range(n))
-    if coeffs[n] != 1 or coeffs[n - 1] != -trace:
-        raise InternalError(
-            f"characteristic_polynomial: order {n} result has leading "
-            f"coefficient {coeffs[n]} and c_1 = {coeffs[n - 1]}; want 1 and "
-            f"-trace = {-trace}"
-        )
-    return tuple(reversed(coeffs))
+characteristic_polynomial = minimal_polynomial  # its only reader is bench/replay.py
 
 
 def polynomial_text(coeffs: Sequence[int]) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -379,6 +380,31 @@ def faddeev_leverrier(rows: list[list[int]]) -> tuple[int, ...]:
             for i in range(n)
         ]
     return tuple(coeffs)
+
+
+def krylov_rank(rows: list[list[int]]) -> int:
+    """Rank of [1, M 1, ..., M^n 1] over the rationals: the degree of the
+    minimal polynomial of the all-ones vector.
+
+    Gaussian elimination on Fractions, one Krylov vector at a time, each
+    reduced against the pivot rows kept so far.  The first vector in the
+    span of the earlier ones ends it: their span is then M-invariant.
+    """
+    n = len(rows)
+    pivots: list[tuple[int, list[Fraction]]] = []
+    vector = [1] * n
+    for _ in range(n + 1):
+        v = [Fraction(x) for x in vector]
+        for col, pivot in pivots:
+            if v[col]:
+                factor = v[col] / pivot[col]
+                v = [a - factor * b for a, b in zip(v, pivot)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is None:
+            break
+        pivots.append((lead, v))
+        vector = [sum(rows[i][j] * vector[j] for j in range(n)) for i in range(n)]
+    return len(pivots)
 
 
 def dense_spectral_radius(rows, tol: float = 1e-10, cap: int = 10**5) -> float:

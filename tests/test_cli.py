@@ -623,7 +623,7 @@ class TestStageCounts:
     """Each command builds every expensive stage once."""
 
     STAGES = ("pure_base", "column_sets", "kernel_monoid", "pair_rules",
-              "decompose", "characteristic_polynomial")
+              "decompose", "minimal_polynomial")
     # (command, example) -> calls of each stage, then of Substitution.columns;
     # at height 2 the unpurified rate is k by Dekking's labelling, so the raw
     # pair matrix is never built.  The verdicts are decided on the pair
@@ -831,39 +831,41 @@ class TestParserReuse:
             assert got == self.fresh(argv, env), argv
 
 
-class TestCharacteristicPolynomialCheck:
-    """A wrong residue from the modular routine exits 4 and names the stage."""
+class TestMinimalPolynomialCheck:
+    """The modular stage of the critical polynomial is checked exactly: a
+    wrong residue costs a restart, and a stage that is never right exits 4
+    and names the stage."""
 
-    def analyze_with_residues(self, tmp_path, capsys, monkeypatch, corrupt):
-        residues = substdyn.matrices._charpoly_residues
+    def corrupt(self, monkeypatch, bad):
+        """Add 1 to the constant term mod p of the i-th prime of batch b
+        whenever ``bad(b, i)``; the primes come in batches of two."""
+        recurrences = substdyn.matrices._recurrences
+        batches = []
 
-        def wrong(entries, primes):
-            rows = residues(entries, primes)
-            corrupt(rows, primes)
-            return rows
+        def wrong(rows, primes, full):
+            polys = recurrences(rows, primes, full)
+            for i, p in enumerate(primes):
+                if bad(len(batches), i):
+                    polys[i][-1] = (polys[i][-1] + 1) % p
+            batches.append(primes)
+            return polys
 
-        monkeypatch.setattr(substdyn.matrices, "_charpoly_residues", wrong)
+        monkeypatch.setattr(substdyn.matrices, "_recurrences", wrong)
+
+    def test_one_bad_prime_still_certifies(self, tmp_path, capsys, monkeypatch):
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
-        assert run(["analyze", path]) == 4
-        return capsys.readouterr().err
+        self.corrupt(monkeypatch, lambda b, i: (b, i) == (0, 0))
+        assert run(["analyze", path]) == 0
+        assert "[root of t^2 - t - 1]" in capsys.readouterr().out
 
-    def test_one_prime_off_fails_the_check_prime(self, tmp_path, capsys, monkeypatch):
-        def corrupt(rows, primes):
-            rows[0, 0] = (rows[0, 0] + 1) % primes[0]
-
+    def test_stage_never_right_exits_4(self, tmp_path, capsys, monkeypatch):
         order = substdyn.analyze_pairs(example("e1")).critical.order
-        err = self.analyze_with_residues(tmp_path, capsys, monkeypatch, corrupt)
-        assert f"characteristic_polynomial: order {order} " in err
-        assert "check prime" in err
-
-    def test_every_prime_off_fails_the_trace(self, tmp_path, capsys, monkeypatch):
-        def corrupt(rows, primes):
-            n = rows.shape[1] - 1
-            rows[:, n - 1] = (rows[:, n - 1] + 1) % primes
-
-        err = self.analyze_with_residues(tmp_path, capsys, monkeypatch, corrupt)
-        assert "characteristic_polynomial: order" in err
-        assert "-trace" in err
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        self.corrupt(monkeypatch, lambda b, i: True)
+        assert run(["analyze", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"minimal_polynomial: order {order}: no polynomial certified" in captured.err
 
 
 class TestOracleCommand:

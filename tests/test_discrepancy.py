@@ -13,7 +13,7 @@ from substdyn import (
 )
 from substdyn.core import column_sets
 from substdyn.discrepancy import GeneralSubstitution, LetterPair, pair_rules
-from substdyn.matrices import RATE_TOL, characteristic_polynomial, polynomial_text
+from substdyn.matrices import RATE_TOL, minimal_polynomial, polynomial_text
 
 from conftest import (
     example,
@@ -266,7 +266,7 @@ class TestMaximalPairs:
 class TestCriticalPolynomial:
     def test_expected_polynomials(self, example_name):
         critical = analyze_pairs(example(example_name)).critical
-        assert polynomial_text(characteristic_polynomial(critical)) == EXPECTED_POLY[example_name]
+        assert polynomial_text(minimal_polynomial(critical)) == EXPECTED_POLY[example_name]
 
 
 class TestPowerIdentity:

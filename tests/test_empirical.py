@@ -360,9 +360,9 @@ class TestLipschitzProbe:
     def test_builds_no_polynomial(self, monkeypatch):
         # only the report prints the critical polynomial
         def refused(m):
-            raise AssertionError("characteristic_polynomial called")
+            raise AssertionError("minimal_polynomial called")
 
-        monkeypatch.setattr(substdyn.matrices, "characteristic_polynomial", refused)
+        monkeypatch.setattr(substdyn.matrices, "minimal_polynomial", refused)
         subst = example("e1")
         assert 0 < amorphic_complexity(subst) < math.inf
         assert 0 < lipschitz_ratio_probe(subst, samples=8, window_n=1024) <= 1

@@ -1,4 +1,4 @@
-"""Integer matrices, Perron radii, growth types, characteristic polynomials."""
+"""Integer matrices, Perron radii, growth types, critical polynomials."""
 
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from substdyn.matrices import (
     RATE_TOL,
     CountMatrix,
     GrowthType,
-    characteristic_polynomial,
     decompose,
     evaluate_polynomial,
     growth_types,
     max_growth_type,
+    minimal_polynomial,
     polynomial_text,
     spectral_radius,
 )
@@ -31,6 +31,7 @@ from conftest import EXAMPLE_RULES, example
 from oracles import (
     dense_spectral_radius,
     faddeev_leverrier,
+    krylov_rank,
     recursive_growth_types,
     tuple_incidence,
 )
@@ -240,9 +241,45 @@ class TestGrowthTypes:
             max_growth_type([])
 
 
-def charpoly_vs_oracle(rows: list[list[int]]) -> None:
-    got = characteristic_polynomial(CountMatrix.from_rows(rows))
-    assert got == faddeev_leverrier(rows)
+def times_ones(m: CountMatrix, coeffs) -> list[int]:
+    """p(M) 1 over Python integers by Horner's rule, column by column."""
+    x = [0] * m.order
+    for c in coeffs:
+        y = [c] * m.order
+        for j, column in enumerate(m.columns):
+            for i, v in column:
+                y[i] += v * x[j]
+        x = y
+    return x
+
+
+def minpoly_vs_oracles(rows: list[list[int]]) -> tuple[int, ...]:
+    """mu(M) 1 = 0, deg mu is the Krylov rank, mu divides the characteristic
+    polynomial, and the Perron root is a root of mu."""
+    m = CountMatrix.from_rows(rows)
+    mu = minimal_polynomial(m)
+    assert mu[0] == 1
+    assert not any(times_ones(m, mu))
+    assert len(mu) - 1 == krylov_rank(rows)
+    t = sympy.Symbol("t")
+    assert sympy.Poly(faddeev_leverrier(rows), t).rem(sympy.Poly(mu, t)).is_zero
+    if rows:
+        rho = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
+        terms = [c * rho ** (len(mu) - 1 - i) for i, c in enumerate(mu)]
+        assert abs(sum(terms)) <= 1e-7 * sum(map(abs, terms))
+    return mu
+
+
+def sympy_minimal_polynomial(rows: list[list[int]]) -> tuple[int, ...]:
+    """The first linear dependency among 1, M 1, M^2 1, ..., made monic."""
+    a = sympy.Matrix(rows)
+    vectors = [sympy.ones(len(rows), 1)]
+    while True:
+        kernel = sympy.Matrix.hstack(*vectors).nullspace()
+        if kernel:
+            v = kernel[0] / kernel[0][-1]
+            return tuple(int(c) for c in reversed(v))
+        vectors.append(a * vectors[-1])
 
 
 #: A Dekking-labelled input (height 2) whose critical pair component has
@@ -252,66 +289,93 @@ DEKKING_A8_K5 = {
     "e": "efefe", "f": "dedhf", "g": "cagaf", "h": "aghdb",
 }
 
+#: ``bench/inputs.dekking_draw(random.Random(1), 20, 3)``: its critical
+#: block has order 236.
+DEKKING_A20_K3 = {
+    "a": "mrl", "b": "slq", "c": "gps", "d": "bmr", "e": "dpr", "f": "jna", "g": "qls",
+    "h": "rjr", "i": "mql", "j": "mha", "k": "prt", "l": "tho", "m": "tbj", "n": "dps",
+    "o": "icp", "p": "kbf", "q": "caq", "r": "bke", "s": "gfs", "t": "ihk",
+}
+
+#: ``bench/inputs.dekking_draw(random.Random(1), 24, 5)`` (height 2).  Its
+#: pure base has 75 letters, so the pair matrix has order 2775 and 12,924
+#: nonzeros; its critical block has order 566.
+DEKKING_A24_K5 = {
+    "a": "cblbh", "b": "khdtg", "c": "imcge", "d": "mrgvm", "e": "vwhpx", "f": "iplda",
+    "g": "mjnjk", "h": "hdhwr", "i": "fsjbf", "j": "aoebx", "k": "glwru", "l": "jqfux",
+    "m": "qlkru", "n": "bjutn", "o": "uvoaw", "p": "mekam", "q": "dcmhw", "r": "eotme",
+    "s": "brbtk", "t": "tpewt", "u": "qaofn", "v": "cktuj", "w": "sfpcu", "x": "jmrpa",
+}
+
 
 class TestCharacteristicPolynomial:
+    """The critical polynomial: mu, the minimal polynomial of 1, against the
+    characteristic polynomial and Krylov-rank oracles."""
+
     def test_known_polynomials(self):
         fib = CountMatrix.from_rows([[1, 1], [1, 0]])
-        assert characteristic_polynomial(fib) == (1, -1, -1)
-        assert characteristic_polynomial(CountMatrix.from_rows([])) == (1,)
-        assert characteristic_polynomial(CountMatrix.from_rows([[5]])) == (1, -5)
+        assert minimal_polynomial(fib) == (1, -1, -1)
+        assert minimal_polynomial(CountMatrix.from_rows([])) == (1,)
+        assert minimal_polynomial(CountMatrix.from_rows([[5]])) == (1, -5)
+        # every row sums to 3, so 1 is an eigenvector and mu = t - 3
+        assert minimal_polynomial(CountMatrix.from_rows([[3, 0], [0, 3]])) == (1, -3)
+        assert minimal_polynomial(CountMatrix.from_rows([[2, 1], [1, 2]])) == (1, -3)
+        assert minimal_polynomial(CountMatrix.from_rows([[1, 2], [2, 1]])) == (1, -3)
+        # every column sums to 3, so the projection 1 . M^t 1 = 2 * 3^t sees
+        # only t - 3; but 1 is no eigenvector, and mu is the charpoly
+        assert minimal_polynomial(CountMatrix.from_rows([[2, 0], [1, 3]])) == (1, -5, 6)
 
     def test_matches_sympy_on_random_matrices(self):
         rng = random.Random(99)
-        lam = sympy.Symbol("lam")
         for _ in range(50):
             n = rng.randint(1, 5)
-            m = CountMatrix.from_rows(
-                [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
+            rows = [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
+            assert minimal_polynomial(CountMatrix.from_rows(rows)) == (
+                sympy_minimal_polynomial(rows)
             )
-            expected = tuple(
-                int(c) for c in sympy.Matrix(m.entries).charpoly(lam).all_coeffs()
-            )
-            assert characteristic_polynomial(m) == expected
 
     @pytest.mark.parametrize("density", [0.15, 1.0])
     def test_matches_faddeev_leverrier_sweep(self, density):
         rng = random.Random(20261018)
+        shorter = 0
         for n in range(1, 31):
             rows = [
                 [rng.randint(1, 9) if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(n)
             ]
-            charpoly_vs_oracle(rows)
+            shorter += len(minpoly_vs_oracles(rows)) < n + 1
+        # the sparse draws are mostly reducible, and 1 misses some of them
+        assert shorter > 0 if density < 1 else shorter == 0
 
     def test_edge_cases(self):
-        charpoly_vs_oracle([[0] * 4 for _ in range(4)])
-        # strictly upper triangular: nilpotent, t^n
-        charpoly_vs_oracle([[int(j > i) * (i + j) for j in range(5)] for i in range(5)])
+        assert minpoly_vs_oracles([[0] * 4 for _ in range(4)]) == (1, 0)
+        # strictly upper triangular: nilpotent, t^j for the first j with M^j 1 = 0
+        assert minpoly_vs_oracles(
+            [[int(j > i) * (i + j) for j in range(5)] for i in range(5)]
+        ) == (1, 0, 0, 0, 0, 0)
+        # a permutation fixes 1
         perm = [2, 0, 4, 1, 3]
-        charpoly_vs_oracle([[int(perm[i] == j) for j in range(5)] for i in range(5)])
-        # block-diagonal: the subdiagonal entry below the first block is 0
-        # and the column under it is empty, so that step has no pivot
-        charpoly_vs_oracle([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]])
-        # the same blocks on {0, 2} and {1, 3}: the pivot search must swap
-        charpoly_vs_oracle([[1, 0, 2, 0], [0, 5, 0, 6], [3, 0, 4, 0], [0, 7, 0, 8]])
+        permutation = [[int(perm[i] == j) for j in range(5)] for i in range(5)]
+        assert minpoly_vs_oracles(permutation) == (1, -1)
+        # block-diagonal, the blocks on {0, 1} and {2, 3}, then on {0, 2} and {1, 3}
+        minpoly_vs_oracles([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]])
+        minpoly_vs_oracles([[1, 0, 2, 0], [0, 5, 0, 6], [3, 0, 4, 0], [0, 7, 0, 8]])
         # entries that vanish mod the first primes, and entries past int64
         p, q = _prime(0), _prime(1)
-        charpoly_vs_oracle([[p, 1, 0], [2 * p, q, p * q], [0, 3, p]])
-        charpoly_vs_oracle([[10**30, 1], [7, 10**30 + 5]])
+        minpoly_vs_oracles([[p, 1, 0], [2 * p, q, p * q], [0, 3, p]])
+        minpoly_vs_oracles([[10**30, 1], [7, 10**30 + 5]])
 
     def test_pinned_order_50_critical_block(self):
         from substdyn import analyze_pairs
 
         analysis = analyze_pairs(Substitution.from_strings(DEKKING_A8_K5))
         assert analysis.pure.height_h == 2
-        coeffs = characteristic_polynomial(analysis.critical)
-        n = len(coeffs) - 1
-        assert n == 50
-        assert -coeffs[1] == 7  # trace
-        assert (-1) ** n * coeffs[-1] == 0  # determinant
-        # Faddeev-LeVerrier gives the same digest
+        assert analysis.critical.order == 50
+        rows = [list(row) for row in analysis.critical.entries]
+        coeffs = minpoly_vs_oracles(rows)
+        assert len(coeffs) - 1 == 19
         assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == (
-            "0477bae2e4770c4629bfffbf4ca2b9d9e919e038568e0db31c7d5fcac495915f"
+            "deb563b876173b9a5887f858baf430017b80a8602f46d04fcfdcddf5ffc8712c"
         )
 
     def test_evaluation(self):
@@ -333,7 +397,7 @@ class TestCharacteristicPolynomial:
         from substdyn import analyze_pairs
 
         analysis = analyze_pairs(example("e1"))
-        coeffs = characteristic_polynomial(analysis.critical)
+        coeffs = minimal_polynomial(analysis.critical)
         golden = analysis.rate_type.rate
         # the computed rate is a root of the reported integer polynomial
         value = sum(
@@ -342,14 +406,42 @@ class TestCharacteristicPolynomial:
         assert value == pytest.approx(0.0, abs=1e-7)
 
 
-#: A 24-letter, k = 5 Dekking-labelled draw (height 2).  Its pure base has
-#: 75 letters, so the pair matrix has order 2775 and 12,924 nonzeros.
-DEKKING_A24_K5 = {
-    "a": "cblbh", "b": "khdtg", "c": "imcge", "d": "mrgvm", "e": "vwhpx", "f": "iplda",
-    "g": "mjnjk", "h": "hdhwr", "i": "fsjbf", "j": "aoebx", "k": "glwru", "l": "jqfux",
-    "m": "qlkru", "n": "bjutn", "o": "uvoaw", "p": "mekam", "q": "dcmhw", "r": "eotme",
-    "s": "brbtk", "t": "tpewt", "u": "qaofn", "v": "cktuj", "w": "sfpcu", "x": "jmrpa",
-}
+    def test_one_bad_prime_is_dropped_by_the_restart(self, monkeypatch):
+        from substdyn import analyze_pairs, matrices
+
+        critical = analyze_pairs(Substitution.from_strings(DEKKING_A8_K5)).critical
+        want = minimal_polynomial(critical)
+        recurrences = matrices._recurrences
+        batches = []
+
+        def wrong(rows, primes, full):
+            polys = recurrences(rows, primes, full)
+            if not batches:
+                polys[0][-1] = (polys[0][-1] + 1) % primes[0]
+            batches.append(full)
+            return polys
+
+        monkeypatch.setattr(matrices, "_recurrences", wrong)
+        assert minimal_polynomial(critical) == want
+        # the bad residue keeps the join from settling until its primes pass
+        # the bound; the failed certificate then restarts it on full sequences
+        assert batches[0] is False and batches[-1] is True
+
+    @pytest.mark.parametrize("rules,order,degree", [
+        (DEKKING_A20_K3, 236, 77), (DEKKING_A24_K5, 566, 127),
+    ], ids=["a20_k3", "a24_k5"])
+    def test_dekking_draws_at_scale(self, rules, order, degree):
+        # the Hessenberg characteristic polynomial took 4 s and 194 s here
+        from substdyn import analyze_pairs
+
+        analysis = analyze_pairs(Substitution.from_strings(rules))
+        m = analysis.critical
+        mu = minimal_polynomial(m)
+        assert (m.order, len(mu) - 1) == (order, degree)
+        assert not any(times_ones(m, mu))
+        rate = analysis.rate_type.rate
+        terms = [c * rate ** (degree - i) for i, c in enumerate(mu)]
+        assert abs(sum(terms)) <= 1e-7 * sum(map(abs, terms))
 
 
 class TestSparsePairMatrix:
