@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import __version__
@@ -328,17 +329,31 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     check_m_max(args.m_max)
     pure = pure_base(doc.substitution)
     d_m = nonconstant_counts(pure.pure_base, args.m_max)
-    descriptor = kernel_monoid(pure.pure_base)
-    # each label is overwritten by its line, so the two lists never coexist
-    lines = descriptor.element_strings()
+    kd = kernel_monoid(pure.pure_base)
+    letters = kd.alphabet.letters
+    # maps_to[a][b] spells "a->b"; element tau reads row a at column tau[a]
+    maps_to = [[f"{a}->{b}" for b in letters] for a in letters]
+    const = [f"const {b}" for b in letters]
     phi = [f"phi_{r}" for r in range(pure.pure_base.length_k)]
-    for i, word in enumerate(descriptor.words):
-        spelled = " . ".join(map(phi.__getitem__, word)) if word else "(empty word)"
-        lines[i] = f"  {lines[i]:<24} via {spelled}"
-    lines.insert(0, f"kernel monoid: {len(descriptor.elements)} element(s)")
+    lines = [f"kernel monoid: {len(kd.elements)} element(s)", f"  {'id':<24} via (empty word)"]
     if pure.height_h > 1:
         lines.insert(0, f"height {pure.height_h}; kernel computed on the pure base")
-    lines.append(f"constant elements: {sum(descriptor.constant_flags)}")
+    parents, gens, flags = kd.parent.tolist(), kd.generator.tolist(), kd.constant.tolist()
+    # Level by level: rows lo..hi are the children of rows plo..lo, whose words
+    # alone are kept; parents never decrease, so hi is the first parent >= lo.
+    spelled: list[str] = []
+    plo, lo, hi = 0, 0, 1
+    while hi < len(parents):
+        plo, lo, hi = lo, hi, bisect_left(parents, hi, hi)
+        spelled = [  # a level-1 parent is the identity, whose word is empty
+            f"{phi[r]} . {spelled[p - plo]}" if plo else phi[r]
+            for r, p in zip(gens[lo:hi], parents[lo:hi])
+        ]
+        for row, flag, word in zip(kd.elements[lo:hi].tolist(), flags[lo:hi], spelled):
+            label = const[row[0]] if flag else ", ".join(map(list.__getitem__, maps_to, row))
+            lines.append(f"  {label:<24} via {word}")
+    lines.append(f"constant elements: {sum(flags)}")
+    del spelled, parents, gens, flags  # freed before the join below
     lines.append("nonconstant column counts:")
     lines.extend(f"  d_{m} = {value}" for m, value in enumerate(d_m))
     listing = "\n".join(lines)

@@ -205,36 +205,26 @@ def _assert_report_consistency(r: AnalysisReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelDescriptor:
-    """The monoid of iterated column maps together with shortest words.
+    """The monoid of iterated column maps with a shortest word per element.
 
-    Each element is a column map, a tuple indexed by letter; element 0 is
-    the identity.
-
-    ``words[i]`` spells element i as a composition of generator columns,
-    outermost generator first: word (r0, r1, ..) means phi_r0 . phi_r1 . ..
-    and corresponds to column index r0 + r1*k + r2*k^2 + ... of the
-    matching power.  The kernel of the fixed point x is exactly
-    {tau(x) : tau in the monoid}, so elements double as sequence labels.
+    Row i of ``elements`` is a column map, indexed by letter; row 0 is the
+    identity.  Row i > 0 is phi_r . (row p) for r = ``generator[i]`` and p =
+    ``parent[i]`` < i (both -1 at row 0), so its word, outermost generator
+    first, is r followed by the word of p; rows are listed by word length,
+    then by parent, then by r.  Word (r0, r1, ..) means phi_r0 . phi_r1 . ..
+    and is column r0 + r1*k + r2*k^2 + ... of the matching power.
+    ``constant`` flags the constant maps.  The kernel of the fixed point x
+    is exactly {tau(x) : tau in the monoid}, so elements double as sequence
+    labels.
     """
 
     alphabet: Alphabet
-    elements: tuple[tuple[int, ...], ...]
-    words: tuple[tuple[int, ...], ...]
-    constant_flags: tuple[bool, ...]
-
-    def element_strings(self) -> list[str]:
-        letters = self.alphabet.letters
-        # maps_to[a][b] spells "a->b"; element tau reads row a at column tau[a]
-        maps_to = [[f"{a}->{b}" for b in letters] for a in letters]
-        out = ["id"]
-        for tau, flag in zip(self.elements[1:], self.constant_flags[1:]):
-            if flag:
-                out.append(f"const {letters[tau[0]]}")
-            else:
-                out.append(", ".join(map(list.__getitem__, maps_to, tau)))
-        return out
+    elements: np.ndarray
+    parent: np.ndarray
+    generator: np.ndarray
+    constant: np.ndarray
 
 
 #: Most elements :func:`kernel_monoid` may enumerate.  The monoid can reach
@@ -251,56 +241,50 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
     The closure is breadth first, one level at a time: level L holds the
     elements whose shortest word has L letters.  One numpy gather applies
     all k generators to the frontier; child q*k + r is phi_r . (frontier
-    element q), and a child is kept the first time it is seen.  So elements
-    are listed by word length, then by parent, then by generator, and each
-    word is a shortest one.  A wide frontier is gathered a block of parents
-    at a time, about ``_GATHER_ROWS`` children per block, and the closure
-    raises ResourceLimitError as soon as a block takes it past
-    ``KERNEL_BUDGET`` elements.
+    element q).  A child row, read as one bytes key, is kept the first time
+    that key is seen, and only its parent and generator are recorded.  So
+    elements are listed by word length, then by parent, then by generator,
+    and the words the links spell are shortest ones.  A wide frontier is
+    gathered a block of parents at a time, about ``_GATHER_ROWS`` children
+    per block, and the closure raises ResourceLimitError as soon as a block
+    takes it past ``KERNEL_BUDGET`` elements.
     """
     _require(subst, "kernel_monoid")
     if _dekking_height(subst) != 1:
         raise PreconditionError("kernel_monoid requires height 1; purify first")
     size, k = subst.alphabet.size, subst.length_k
     letter = np.min_scalar_type(size - 1)  # uint8 up to 256 letters
+    key = np.dtype(f"V{size * letter.itemsize}")  # a row read as one bytes key
     gens = np.array(subst.columns(), dtype=letter)  # gens[r, a] = phi_r(a)
-    identity = tuple(range(size))
-    elements = [identity]
-    words: list[tuple[int, ...]] = [()]
-    flags = [size == 1]
-    seen = {identity}
-    frontier = np.array([identity], dtype=letter)
+    frontier = np.arange(size, dtype=letter)[None]
+    seen = {frontier.tobytes()}
+    levels = [frontier]
+    codes: list[int] = []  # parent * k + generator of each element after the identity
     first = 0  # index of the frontier's first element
     parents = max(1, _GATHER_ROWS // k)
     while len(frontier):
         level = []
         for lo in range(0, len(frontier), parents):
-            children = gens[:, frontier[lo:lo + parents]].swapaxes(0, 1).reshape(-1, size)
-            kept = []
-            # zip over the columns builds each row's tuple with no list between
-            for i, child in enumerate(zip(*children.T.tolist())):
-                if child not in seen:
-                    seen.add(child)
-                    elements.append(child)
-                    kept.append(i)
-                    flags.append(child.count(child[0]) == size)
-                    # child = phi_r . parent: the new generator is outermost
-                    q, r = divmod(i, k)
-                    words.append((r,) + words[first + lo + q])
-            if len(elements) > KERNEL_BUDGET:
+            # copy() lays the children out row after row, as view(key) needs
+            children = gens[:, frontier[lo:lo + parents]].swapaxes(0, 1).copy()
+            keys = children.view(key).ravel().tolist()
+            kept = [i for i, c in enumerate(keys) if c not in seen and not seen.add(c)]
+            # child i has parent first + lo + i // k and generator i % k
+            codes += map(((first + lo) * k).__add__, kept)
+            if len(codes) >= KERNEL_BUDGET:
                 raise ResourceLimitError(
                     f"kernel_monoid: more than {KERNEL_BUDGET} elements on "
                     f"{size} letters with k = {k}"
                 )
-            level.append(children[kept])
+            level.append(children.reshape(-1, size).take(kept, 0))
         first += len(frontier)
         frontier = np.concatenate(level)
-    return KernelDescriptor(
-        alphabet=subst.alphabet,
-        elements=tuple(elements),
-        words=tuple(words),
-        constant_flags=tuple(flags),
-    )
+        levels.append(frontier)
+    elements = np.concatenate(levels)
+    parent, generator = np.divmod(np.array([-1] + codes), k)
+    generator[0] = -1
+    constant = (elements == elements[:, :1]).all(axis=1)
+    return KernelDescriptor(subst.alphabet, elements, parent, generator, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +320,18 @@ def nonconstant_counts(pure: Substitution, m_max: int) -> list[int]:
     it is the column set its path from the full alphabet ends at, so the
     column is nonconstant iff that set has two letters or more.  Counts are
     pushed along the k images of each set, one integer per set, so the k^m
-    columns are never materialized.
+    columns are never materialized.  Sets of one letter map onto sets of
+    one letter, so only the counts on wider sets are pushed.
     """
     sets, targets = _column_set_closure(pure)
-    wide = [len(s) >= 2 for s in sets]
-    counts = [0] * len(sets)
-    counts[0] = 1  # the identity, the single column of phi^0, maps onto A
+    wide = {i: j for j, i in enumerate(i for i, s in enumerate(sets) if len(s) >= 2)}
+    rows = [[wide[t] for t in targets[i] if t in wide] for i in wide]
+    counts = [int(i == 0) for i in wide]  # the identity, phi^0's column, maps onto A
     out = []
     for _ in range(m_max + 1):
-        out.append(sum(c for c, w in zip(counts, wide) if w))
+        out.append(sum(counts))
         nxt = [0] * len(counts)
-        for count, row in zip(counts, targets):
+        for count, row in zip(counts, rows):
             if count:
                 for target in row:
                     nxt[target] += count

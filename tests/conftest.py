@@ -37,6 +37,10 @@ WIDE_KERNEL_RULES = {
     "a": "bbe", "b": "eef", "c": "fdb", "d": "caa", "e": "dff", "f": "acc",
 }
 
+#: x_i -> x_{i+1} x0 on the 300 letters x0 .. x299, indices mod 300: height
+#: 1, uint16 letters, a kernel monoid of 600 elements, 300 of them constant.
+WIDE_ALPHABET_RULES = {f"x{i}": [f"x{(i + 1) % 300}", "x0"] for i in range(300)}
+
 
 def example(name: str) -> Substitution:
     return Substitution.from_strings(EXAMPLE_RULES[name])

@@ -6,7 +6,8 @@ primitivity, erasing and closed-walk oracles on tuples of int-tuple images)
 and favors obviousness over speed: words are materialized, columns are
 enumerated one by one, and eigenvalues come from numpy.  None of the
 package's own machinery is imported, so agreement between the two routes
-is meaningful.  Matrices are nested lists of ints.
+is meaningful; the one exception is named in ``brute_kernel_listing``.
+Matrices are nested lists of ints.
 """
 
 from __future__ import annotations
@@ -73,6 +74,49 @@ def brute_kernel_monoid(
                 elements.append(child)
                 words.append((r,) + words[cursor])
     return elements, words, [len(set(tau)) == 1 for tau in elements]
+
+
+def kernel_words(parent: list[int], generator: list[int]) -> list[tuple[int, ...]]:
+    """Word of each monoid element from its parent and generator links.
+
+    Element i > 0 is phi_r . (element p) for r = generator[i] and p =
+    parent[i] < i, so its word is (r,) + the word of p; element 0 spells ().
+    """
+    words: list[tuple[int, ...]] = [()]
+    for r, p in zip(generator[1:], parent[1:]):
+        words.append((r,) + words[p])
+    return words
+
+
+def element_strings(letters, elements) -> list[str]:
+    """Labels of column maps: "id" first, "const x" or "a->b, ..." after."""
+    out = ["id"]
+    for tau in elements[1:]:
+        if len(set(tau)) == 1:
+            out.append(f"const {letters[tau[0]]}")
+        else:
+            out.append(", ".join(f"{letters[a]}->{letters[b]}" for a, b in enumerate(tau)))
+    return out
+
+
+def brute_kernel_listing(subst, m_max: int) -> str:
+    """Stdout of ``substdyn kernel --m-max m_max`` on a height-1 substitution.
+
+    The monoid, its order and its words come from ``brute_kernel_monoid``;
+    only the d_m lines come from the package's ``nonconstant_counts``,
+    which the d_m tests check against ``brute_column_count``.
+    """
+    from substdyn.invariants import nonconstant_counts
+
+    elements, words, flags = brute_kernel_monoid(subst.rules)
+    labels = element_strings(subst.alphabet.letters, elements)
+    spelled = [" . ".join(f"phi_{r}" for r in word) or "(empty word)" for word in words]
+    lines = [f"kernel monoid: {len(elements)} element(s)"]
+    lines += [f"  {label:<24} via {word}" for label, word in zip(labels, spelled)]
+    lines.append(f"constant elements: {sum(flags)}")
+    lines.append("nonconstant column counts:")
+    lines += [f"  d_{m} = {d}" for m, d in enumerate(nonconstant_counts(subst, m_max))]
+    return "\n".join(lines) + "\n"
 
 
 def brute_fixed_point(rules: Rules, seed: str, n_symbols: int) -> str:

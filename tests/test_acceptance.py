@@ -30,7 +30,7 @@ from conftest import (
     pure_base_single_char,
     random_primitive_substitution,
 )
-from oracles import brute_column_count, brute_diff_count, tuple_power
+from oracles import brute_column_count, brute_diff_count, element_strings, tuple_power
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -97,7 +97,7 @@ def test_criterion_05_null_examples_kernel_and_counts():
         assert report.null_and_tame
 
     kd = kernel_monoid(example("e6"))
-    assert kd.element_strings() == [
+    assert element_strings(kd.alphabet.letters, kd.elements.tolist()) == [
         "id",
         "0->0, 1->2, 2->0",
         "const 0",

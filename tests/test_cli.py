@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +24,14 @@ from substdyn import InternalError, PreconditionError, SpecParseError
 from substdyn.cli import parse_spec, render_spec, run
 from substdyn.empirical import separation_profile, write_profile_csv
 
-from conftest import EXAMPLE_RULES, WIDE_KERNEL_RULES, example
+from conftest import (
+    EXAMPLE_RULES,
+    WIDE_ALPHABET_RULES,
+    WIDE_KERNEL_RULES,
+    example,
+    random_primitive_substitution,
+)
+from oracles import brute_kernel_listing
 
 E1_TEXT = """\
 # leading comment
@@ -596,6 +607,46 @@ class TestKernelCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e8a08b141f1552b9f7d5554b3ecc03b168e73c42793440a8c29e6e995b23701d"
         )
+
+    def test_wide_draw_listing_memory(self, tmp_path):
+        # the listing holds the rows and spelled words of one level at a time
+        path = write_spec(tmp_path, "wide.sub", WIDE_KERNEL_RULES)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert run(["kernel", "--m-max", "12", path]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue().startswith("kernel monoid: 36942 element(s)\n")
+        assert peak < 15 * 10**6
+
+    def test_listing_matches_oracle_sweep(self, tmp_path, capsys):
+        # 80 height-1 draws on up to 6 letters with k up to 5
+        rng = random.Random(18)
+        checked = 0
+        while checked < 80:
+            subst = random_primitive_substitution(rng, max_letters=6, max_k=5)
+            if substdyn.height(subst) != 1:
+                continue
+            m_max = rng.randrange(9)
+            path = tmp_path / f"draw{checked}.sub"
+            path.write_text("\n".join(subst.rule_strings()) + "\n", encoding="utf-8")
+            assert run(["kernel", "--m-max", str(m_max), str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out == brute_kernel_listing(subst, m_max), subst.rule_strings()
+            checked += 1
+
+    def test_wide_alphabet_listing_matches_oracle(self, tmp_path, capsys):
+        rules = {a: " ".join(image) for a, image in WIDE_ALPHABET_RULES.items()}
+        path = write_spec(tmp_path, "x300.sub", rules)
+        assert run(["kernel", "--m-max", "4", path]) == 0
+        out = capsys.readouterr().out
+        subst = substdyn.Substitution.from_strings(WIDE_ALPHABET_RULES)
+        assert out == brute_kernel_listing(subst, 4)
+        assert "kernel monoid: 600 element(s)\n" in out
+        assert "constant elements: 300\n" in out
 
     def test_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(substdyn.invariants, "KERNEL_BUDGET", 1000)

@@ -129,7 +129,7 @@ class TestMismatchDensity:
         subst = example("e6")
         n = 5**7
         prefix = fixed_point_prefix(subst, n)
-        g = kernel_monoid(subst).elements[1]  # 0->0, 1->2, 2->0
+        g = kernel_monoid(subst).elements[1].tolist()  # 0->0, 1->2, 2->0
         mapped = np.array([g[s] for s in prefix], dtype=np.int16)
         density = mismatch_density(mapped, np.zeros(n, dtype=np.int16))
         # g(x)_i != 0 exactly when x_i = 1, and letter 1 has frequency 1/4

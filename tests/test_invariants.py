@@ -8,6 +8,7 @@ import random
 import string
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from substdyn import (
@@ -32,6 +33,7 @@ from substdyn.matrices import RATE_TOL, growth_types, max_growth_type
 
 from conftest import (
     EXAMPLE_RULES,
+    WIDE_ALPHABET_RULES,
     WIDE_KERNEL_RULES,
     example,
     power,
@@ -44,6 +46,8 @@ from oracles import (
     brute_graph_condition,
     brute_images_coincide,
     brute_kernel_monoid,
+    element_strings,
+    kernel_words,
 )
 from test_matrices import DEKKING_A8_K5
 
@@ -166,15 +170,23 @@ class TestPowerInvariance:
         assert powered.height_h == base_report.height_h
 
 
+def labels(kd) -> list[str]:
+    return element_strings(kd.alphabet.letters, kd.elements.tolist())
+
+
+def words(kd) -> list[tuple[int, ...]]:
+    return kernel_words(kd.parent.tolist(), kd.generator.tolist())
+
+
 class TestKernelMonoid:
     def test_e5_constants_only(self):
         kd = kernel_monoid(example("e5"))
-        assert kd.element_strings() == ["id", "const 0", "const 1", "const 2"]
-        assert kd.words == ((), (1,), (2,), (3,))
+        assert labels(kd) == ["id", "const 0", "const 1", "const 2"]
+        assert words(kd) == [(), (1,), (2,), (3,)]
 
     def test_e6_five_elements(self):
         kd = kernel_monoid(example("e6"))
-        assert kd.element_strings() == [
+        assert labels(kd) == [
             "id",
             "0->0, 1->2, 2->0",
             "const 0",
@@ -184,24 +196,25 @@ class TestKernelMonoid:
 
     def test_thue_morse_group(self):
         kd = kernel_monoid(example("thue_morse"))
-        assert kd.element_strings() == ["id", "a->b, b->a"]
-        assert kd.constant_flags == (False, False)
+        assert labels(kd) == ["id", "a->b, b->a"]
+        assert kd.constant.tolist() == [False, False]
 
     def test_period_doubling(self):
         kd = kernel_monoid(example("period_doubling"))
-        assert kd.element_strings() == ["id", "const a", "a->b, b->a", "const b"]
+        assert labels(kd) == ["id", "const a", "a->b, b->a", "const b"]
         # the two-step word composes columns outer-first
-        assert kd.words == ((), (0,), (1,), (1, 0))
+        assert words(kd) == [(), (0,), (1,), (1, 0)]
 
     def test_closure_is_a_monoid(self, example_name):
         subst = example(example_name)
         if height(subst) != 1:
             pytest.skip("kernel is defined on the pure base")
         kd = kernel_monoid(subst)
-        elements = set(kd.elements)
+        maps = kd.elements.tolist()
+        elements = set(map(tuple, maps))
         assert len(elements) <= subst.alphabet.size**subst.alphabet.size
-        for f in kd.elements:
-            for g in kd.elements:
+        for f in maps:
+            for g in maps:
                 assert tuple(f[v] for v in g) in elements
 
     def test_requires_height_one(self):
@@ -218,11 +231,22 @@ class TestKernelMonoid:
             if height(subst) != 1:
                 continue
             kd = kernel_monoid(subst)
-            elements, words, flags = brute_kernel_monoid(subst.rules)
-            assert kd.elements == tuple(elements), subst.rule_strings()
-            assert kd.words == tuple(words), subst.rule_strings()
-            assert kd.constant_flags == tuple(flags), subst.rule_strings()
+            elements, expected_words, flags = brute_kernel_monoid(subst.rules)
+            assert kd.elements.tolist() == list(map(list, elements)), subst.rule_strings()
+            assert words(kd) == expected_words, subst.rule_strings()
+            assert kd.constant.tolist() == flags, subst.rule_strings()
             checked += 1
+
+    def test_wide_alphabet_matches_queue_closure(self):
+        subst = Substitution.from_strings(WIDE_ALPHABET_RULES)
+        assert height(subst) == 1
+        kd = kernel_monoid(subst)
+        elements, expected_words, flags = brute_kernel_monoid(subst.rules)
+        assert kd.elements.dtype == np.uint16
+        assert (len(elements), sum(flags)) == (600, 300)
+        assert kd.elements.tolist() == list(map(list, elements))
+        assert words(kd) == expected_words
+        assert kd.constant.tolist() == flags
 
     def test_wide_draw_size_and_budget(self, monkeypatch):
         wide = Substitution.from_strings(WIDE_KERNEL_RULES)
