@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import matrices
 from .core import Substitution, _tarjan
@@ -21,20 +22,11 @@ from .matrices import RATE_TOL, CountMatrix, GrowthType
 from .structure import PureBaseResult, pure_base
 
 
-@dataclass(frozen=True)
-class LetterPair:
-    """Unordered pair of distinct letter indices; stored with lo < hi."""
+class LetterPair(NamedTuple):
+    """Unordered pair of distinct letter indices, lo < hi."""
 
     lo: int
     hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo == self.hi:
-            raise ValueError("a letter pair needs two distinct letters")
-        if self.lo > self.hi:
-            lo, hi = self.hi, self.lo
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
 
     def name(self, letters: tuple[str, ...]) -> str:
         a, b = letters[self.lo], letters[self.hi]
@@ -98,11 +90,11 @@ class GeneralSubstitution:
         return CountMatrix(tuple(tuple(sorted(Counter(rule).items())) for rule in self.rules))
 
     def rule_strings(self, letters: tuple[str, ...]) -> list[str]:
-        out = []
-        for p, rule in enumerate(self.rules):
-            image = "".join(self.pair_alphabet[q].name(letters) for q in rule)
-            out.append(f"{self.pair_alphabet[p].name(letters)} -> {image or 'eps'}")
-        return out
+        names = [p.name(letters) for p in self.pair_alphabet]
+        return [
+            f"{names[p]} -> {''.join(names[q] for q in rule) or 'eps'}"
+            for p, rule in enumerate(self.rules)
+        ]
 
 
 def pair_rules(subst: Substitution) -> GeneralSubstitution:
@@ -115,19 +107,14 @@ def pair_rules(subst: Substitution) -> GeneralSubstitution:
     """
     size = subst.alphabet.size
     pairs = tuple(LetterPair(a, b) for a, b in combinations(range(size), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    rules = []
-    for pair in pairs:
-        image_lo = subst.rules[pair.lo]
-        image_hi = subst.rules[pair.hi]
-        rules.append(
-            tuple(
-                index[LetterPair(x, y)]
-                for x, y in zip(image_lo, image_hi)
-                if x != y
-            )
-        )
-    return GeneralSubstitution.from_rules(pairs, tuple(rules))
+    index = [[0] * size for _ in range(size)]
+    for i, (a, b) in enumerate(pairs):
+        index[a][b] = index[b][a] = i
+    rules = tuple(
+        tuple(index[x][y] for x, y in zip(subst.rules[a], subst.rules[b]) if x != y)
+        for a, b in pairs
+    )
+    return GeneralSubstitution.from_rules(pairs, rules)
 
 
 @dataclass(frozen=True)
@@ -177,17 +164,14 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
 
 
 def _check_pseudometric(maximal: tuple[LetterPair, ...], size: int) -> None:
-    # "Same class" (the complement of S) must be transitive: for {a,b} in S
-    # and any third letter c, at least one of {a,c}, {b,c} is in S.  This is
-    # a theorem, so a violation means a bug, not bad input.
-    in_s = {(p.lo, p.hi) for p in maximal}
-    for p in maximal:
-        for c in range(size):
-            if c in (p.lo, p.hi):
-                continue
-            first = (min(p.lo, c), max(p.lo, c))
-            second = (min(p.hi, c), max(p.hi, c))
-            if first not in in_s and second not in in_s:
-                raise InternalError(
-                    "maximal-growth pairs are not pseudometric-compatible"
-                )
+    # "Same class" (the complement of S) must be an equivalence relation.
+    # same[a] holds a and every letter not paired with a in S; the distinct
+    # rows cover the alphabet, so they partition it iff their sizes sum to
+    # |A|, and then they are the classes.  This
+    # is a theorem, so a violation means a bug, not bad input.
+    same = [(1 << size) - 1] * size
+    for a, b in maximal:
+        same[a] &= ~(1 << b)
+        same[b] &= ~(1 << a)
+    if sum(r.bit_count() for r in set(same)) != size:
+        raise InternalError("maximal-growth pairs are not pseudometric-compatible")

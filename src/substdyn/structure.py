@@ -9,6 +9,7 @@ substitution on blocks is the pure base, and it always has height 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,9 +84,11 @@ class PureBaseResult:
 def pure_base(subst: Substitution) -> PureBaseResult:
     """Induced substitution psi on h-blocks at positions divisible by h.
 
-    Blocks are named by joining their letters (with ``|`` between multi-
-    character letters) and ordered by first occurrence in the fixed point;
-    the image of a block is the image of its letters chopped into k
+    Blocks are ordered by first occurrence in the fixed point and named by
+    joining their letters with a separator that keeps distinct blocks
+    apart: ``""`` when every letter is one character, else ``|`` when no
+    letter contains it, else the first code point after ``|`` in no letter.
+    The image of a block is the image of its letters chopped into k
     h-blocks.  The fixed point is fixed by phi^p (p the seed's first-letter
     cycle length), so each block first occurs in the psi^p-image of a block
     found before it.  A non-primitive psi means the fixed point is periodic
@@ -132,7 +135,10 @@ def pure_base(subst: Substitution) -> PureBaseResult:
     while len(rules) < len(blocks):  # psi can leave the fixed point's blocks
         rules.append(tuple(intern(b) for b in psi(blocks[len(rules)])))
 
-    joiner = "" if all(len(a) == 1 for a in alphabet.letters) else "|"
+    joiner = ""
+    if any(len(a) > 1 for a in alphabet.letters):
+        used = set("".join(alphabet.letters))
+        joiner = next(c for c in map(chr, itertools.count(ord("|"))) if c not in used)
     spelled = [tuple(alphabet.letters[v] for v in block) for block in blocks]
     block_alphabet = Alphabet(joiner.join(letters) for letters in spelled)
     decoding = dict(zip(block_alphabet.letters, spelled))

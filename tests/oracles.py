@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here works on plain ``{letter: image}`` dicts of single-character
-strings (the ``tuple_*`` helpers, ``brute_kernel_monoid`` and the
-primitivity, erasing and closed-walk oracles on tuples of int-tuple images)
-and favors obviousness over speed: words are materialized, columns are
+strings (the ``tuple_*`` helpers, ``brute_kernel_monoid``,
+``brute_pair_rules`` and the primitivity, erasing and closed-walk oracles
+on tuples of int-tuple images, ``brute_pseudometric_compatible`` on index
+pairs) and favors obviousness over speed: words are materialized, columns are
 enumerated one by one, and eigenvalues come from numpy.  None of the
 package's own machinery is imported, so agreement between the two routes
 is meaningful; the one exception is named in ``brute_kernel_listing``.
@@ -222,6 +223,31 @@ def brute_pair_matrix(rules: Rules) -> tuple[list[tuple[str, str]], np.ndarray]:
             if x != y:
                 m[index[tuple(sorted((x, y)))], index[(a, b)]] += 1
     return pairs, m
+
+
+def brute_pair_rules(rules: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Pair rules over int-tuple images, pairs (a, b) with a < b in
+    lexicographic order, each differing position looked up in a dict."""
+    pairs = list(combinations(range(len(rules)), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    return tuple(
+        tuple(index[(min(x, y), max(x, y))] for x, y in zip(rules[a], rules[b]) if x != y)
+        for a, b in pairs
+    )
+
+
+def brute_pseudometric_compatible(pairs: list[tuple[int, int]], size: int) -> bool:
+    """True iff for every {a, b} in ``pairs`` and every third letter c, at
+    least one of {a, c}, {b, c} is in ``pairs``: the complement of the set
+    is transitive.  Pairs are (lo, hi) with lo < hi."""
+    in_s = set(pairs)
+    for a, b in pairs:
+        for c in range(size):
+            if c in (a, b):
+                continue
+            if (min(a, c), max(a, c)) not in in_s and (min(b, c), max(b, c)) not in in_s:
+                return False
+    return True
 
 
 def brute_lambda_s(rules: Rules) -> float:

@@ -657,6 +657,28 @@ class TestKernelCommand:
         assert "kernel_monoid: more than 1000 elements" in captured.err
 
 
+PIPE_SPEC = """\
+p| -> p |q p q p|
+q -> q p x4 p| x4
+|q -> |q p q p x4
+p -> p| q p| q p|
+x4 -> x4 p q p| |q
+"""
+
+
+class TestPipeLetters:
+    """Letters containing ``|`` at height 2 once made two blocks share a name."""
+
+    @pytest.mark.parametrize("command", ["analyze", "kernel"])
+    def test_exits_0_with_distinct_block_names(self, tmp_path, capsys, command):
+        path = tmp_path / "pipe.sub"
+        path.write_text(PIPE_SPEC, encoding="utf-8")
+        assert run([command, str(path)]) == 0
+        out = capsys.readouterr().out
+        # the blocks (p|, q) and (p, |q), joined by "}", the first free code point
+        assert "p|}q" in out and "p}|q" in out and "p||q" not in out
+
+
 class TestColumnSetBudget:
     """The column-set closure of the 6-letter draw reaches all 63 sets."""
 

@@ -3,19 +3,27 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from substdyn import (
+    InternalError,
     Substitution,
     analyze_pairs,
     pure_base,
 )
 from substdyn.core import column_sets
-from substdyn.discrepancy import GeneralSubstitution, LetterPair, pair_rules
+from substdyn.discrepancy import (
+    GeneralSubstitution,
+    LetterPair,
+    _check_pseudometric,
+    pair_rules,
+)
 from substdyn.matrices import RATE_TOL, minimal_polynomial, polynomial_text
 
 from conftest import (
+    WIDE_ALPHABET_RULES,
     example,
     power,
     pure_base_single_char,
@@ -24,6 +32,9 @@ from conftest import (
 from oracles import (
     brute_diff_count,
     brute_lambda_s,
+    brute_pair_matrix,
+    brute_pair_rules,
+    brute_pseudometric_compatible,
     closed_walk_rate_at_most_one,
     kleene_erasing,
     tuple_power,
@@ -76,13 +87,10 @@ def pure_as_single_char(name: str) -> Substitution:
 
 
 class TestLetterPair:
-    def test_normalization(self):
-        assert (LetterPair(2, 1).lo, LetterPair(2, 1).hi) == (1, 2)
-        assert LetterPair(0, 1) == LetterPair(1, 0)
-
-    def test_distinct_letters_required(self):
-        with pytest.raises(ValueError):
-            LetterPair(1, 1)
+    def test_is_a_plain_pair(self):
+        lo, hi = LetterPair(1, 2)
+        assert (lo, hi) == (LetterPair(1, 2).lo, LetterPair(1, 2).hi) == (1, 2)
+        assert LetterPair(1, 2) == (1, 2)
 
     def test_name_formats(self):
         assert LetterPair(0, 1).name(("a", "b")) == "(ab)"
@@ -158,6 +166,25 @@ class TestPairRules:
         subst = Substitution.from_strings({"a": "ab", "b": "ab"})
         g = pair_rules(subst)
         assert g.erasing == frozenset({0})
+
+    def test_incidence_matches_dense_oracle(self):
+        rng = random.Random(1919)
+        for _ in range(60):
+            subst = random_primitive_substitution(rng, max_letters=8, max_k=5)
+            letters = subst.alphabet.letters
+            rules = {
+                a: "".join(letters[s] for s in subst.rules[i])
+                for i, a in enumerate(letters)
+            }
+            _, m = brute_pair_matrix(rules)
+            assert pair_rules(subst).incidence().entries == tuple(map(tuple, m.tolist()))
+
+    def test_wide_alphabet_matches_dict_builder(self):
+        # 44,850 pairs: too many for the dense oracle
+        subst = Substitution.from_strings(WIDE_ALPHABET_RULES)
+        g = pair_rules(subst)
+        assert g.pair_alphabet == tuple(combinations(range(300), 2))
+        assert g.rules == brute_pair_rules(subst.rules)
 
     def test_pair_count_is_all_unordered_pairs(self, example_subst):
         g = pair_rules(example_subst)
@@ -250,17 +277,34 @@ class TestMaximalPairs:
 
     def test_e2_set_is_transitive(self):
         # S must satisfy: {a,b} in S implies {a,c} or {b,c} in S for all c
-        got = {
-            (p.lo, p.hi) for p in analyze_pairs(example("e2")).maximal
-        }
-        assert got == {(0, 1), (0, 2)}
-        for a, b in got:
-            for c in range(3):
-                if c in (a, b):
-                    continue
-                assert (
-                    tuple(sorted((a, c))) in got or tuple(sorted((b, c))) in got
-                )
+        got = [tuple(p) for p in analyze_pairs(example("e2")).maximal]
+        assert got == [(0, 1), (0, 2)]
+        assert brute_pseudometric_compatible(got, 3)
+
+
+class TestPseudometricCheck:
+    def test_matches_oracle_on_partitions_and_flips(self):
+        # S from a random partition is compatible; one flipped pair may not be
+        rng = random.Random(19)
+        verdicts = []
+        for draw in range(400):
+            size = 66 if draw % 80 == 0 else rng.randint(2, 9)
+            label = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
+            all_pairs = list(combinations(range(size), 2))
+            partition = [(a, b) for a, b in all_pairs if label[a] != label[b]]
+            flipped = sorted(set(partition) ^ {rng.choice(all_pairs)})
+            assert brute_pseudometric_compatible(partition, size)
+            for chosen in (partition, flipped):
+                maximal = tuple(LetterPair(a, b) for a, b in chosen)
+                compatible = brute_pseudometric_compatible(chosen, size)
+                verdicts.append(compatible)
+                if compatible:
+                    _check_pseudometric(maximal, size)
+                else:
+                    with pytest.raises(InternalError, match="pseudometric-compatible"):
+                        _check_pseudometric(maximal, size)
+        # 302 flips rejected; 98 flips accepted besides the 400 partitions
+        assert verdicts.count(False) > 200 and verdicts.count(True) > 450
 
 
 class TestCriticalPolynomial:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from substdyn import (
+    Alphabet,
     PreconditionError,
     Substitution,
     classify,
@@ -125,6 +126,19 @@ class TestPureBase:
             for name in result.pure_base.alphabet.letters
         }
         assert decoded == {"01": "01", "02": "02"}
+
+    @pytest.mark.parametrize("letters,joiner", [
+        (("0", "1", "2"), ""),
+        (("x0", "x1", "x2"), "|"),
+        (("x0", "|", "x2"), "}"),
+        (("x0", "|", "}~"), "\x7f"),
+    ])
+    def test_block_separator(self, letters, joiner):
+        # e4 renamed: a separator in no letter keeps the blocks apart
+        e4 = example("e4")
+        result = pure_base(Substitution(Alphabet(letters), e4.rules))
+        for name, spelled in result.decoding.items():
+            assert name == joiner.join(spelled)
 
     def test_pure_base_has_height_one(self, example_subst):
         assert height(pure_base(example_subst).pure_base) == 1
