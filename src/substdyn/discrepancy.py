@@ -55,7 +55,10 @@ class GeneralSubstitution:
         """One pass over the strongly connected components, sinks first: a
         component is erasing iff it is one pair with no self-loop whose rule
         entries are erasing, and the radius is at most 1 iff each component
-        is such a pair or a simple cycle (``invariants`` module docstring)."""
+        is such a pair or a simple cycle (``invariants`` module docstring).
+        The pass does not read ``matrices.decompose``, which power-iterates
+        every component: a 2000-pair cycle with one doubled edge kept that
+        iterating for minutes, up to its iteration cap."""
         erasing: set[int] = set()
         at_most_one = True
         for comp in _tarjan(rules):

@@ -3,8 +3,8 @@
 The amorphic complexity ``log k / (log k - log lambda_s)``, the verdicts of
 the report, the nonconstant column counts d_m on the column-set graph, the
 kernel monoid of iterated column maps, a synthesizer hitting any target
-complexity ``n log k / (n log k - log l)``, and a brute-force witness
-search that can certify a prefix is not null.
+complexity ``n log k / (n log k - log l)``, and a witness search, one
+numpy pass per gap set, that can certify a prefix is not null.
 
 The verdicts are exact tests on the pair substitution of the pure base.
 The system is finite iff every pair is erasing.  Its spectrum is discrete
@@ -375,15 +375,8 @@ def synthesize_target_ac(k: int, n: int, l: int) -> Substitution:
     length = k**n
     if not 1 <= l < length:
         raise PreconditionError("synthesize_target_ac needs 1 <= l < k^n")
-    zero_img = [1] * l
-    one_img = [0] * l
-    if length - l >= 2:
-        zero_img += [0, 1] + [0] * (length - l - 2)
-        one_img += [0, 1] + [0] * (length - l - 2)
-    else:
-        zero_img += [0]
-        one_img += [0]
-    result = Substitution(Alphabet(("0", "1")), (tuple(zero_img), tuple(one_img)))
+    tail = (0, 1) + (0,) * (length - l - 2) if length - l >= 2 else (0,)
+    result = Substitution(Alphabet(("0", "1")), ((1,) * l + tail, (0,) * l + tail))
 
     report = classify(result)
     target = (n * math.log(k)) / (n * math.log(k) - math.log(l))
@@ -429,27 +422,21 @@ def null_witness_search(
     """First (G, a, b) with {a,b}^t contained in the patterns of x along G.
 
     G runs over t-subsets of [0, window) in lexicographic order, letter
-    pairs in lexicographic order; the window must hold t positions.  A witness proves the prefix is not
-    t-null; ``None`` is only evidence, limited by prefix and window.
+    pairs in lexicographic order; the window must hold t positions.  A
+    witness proves the prefix is not t-null; ``None`` is only evidence,
+    limited by prefix and window.  Per pair, the starts whose t letters
+    along G are all a or b must give all 2^t codes (b is a 1 bit).
     """
     check_witness_search(t, window)
     if len(prefix) < 4 * window:
         raise PreconditionError("prefix must be at least 4x the window")
-    letters = sorted(set(prefix))
-    want = 1 << t
+    x = np.asarray(prefix)
+    letters = np.unique(x).tolist()
+    weights = 1 << np.arange(t - 1, -1, -1)
     for gaps in combinations(range(window), t):
-        reach = gaps[-1]
-        patterns = set()
-        for s in range(len(prefix) - reach):
-            patterns.add(tuple(prefix[s + g] for g in gaps))
+        cols = np.stack([x[g : len(x) - gaps[-1] + g] for g in gaps])
         for a, b in combinations(letters, 2):
-            seen = 0
-            for pattern in patterns:
-                if all(v in (a, b) for v in pattern):
-                    code = 0
-                    for v in pattern:
-                        code = (code << 1) | (1 if v == b else 0)
-                    seen |= 1 << code
-            if seen == (1 << want) - 1:
+            ab = cols[:, ((cols == a) | (cols == b)).all(axis=0)]
+            if np.bincount(weights @ (ab == b), minlength=1 << t).all():
                 return NullnessWitness(gaps=gaps, letters=(a, b))
     return None

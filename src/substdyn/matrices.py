@@ -143,7 +143,12 @@ def spectral_radius(m: CountMatrix) -> float:
         shifted[j].append((j, diagonal))
     v = [1.0] * n
     for _ in range(_POWER_ITERATION_CAP):
-        y = [sum([w * v[j] for j, w in row]) for row in shifted]
+        y = []
+        for row in shifted:
+            acc = 0.0  # not sum(): it is compensated from Python 3.12 on
+            for j, w in row:
+                acc += w * v[j]
+            y.append(acc)
         ratios = [y[i] / v[i] for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo < RADIUS_TOL:

@@ -4,7 +4,8 @@ Everything here works on plain ``{letter: image}`` dicts of single-character
 strings (the ``tuple_*`` helpers, ``brute_kernel_monoid``,
 ``brute_pair_rules`` and the primitivity, erasing and closed-walk oracles
 on tuples of int-tuple images, ``brute_pseudometric_compatible`` on index
-pairs) and favors obviousness over speed: words are materialized, columns are
+pairs, ``brute_null_witness_search`` on a tuple of letter indices) and
+favors obviousness over speed: words are materialized, columns are
 enumerated one by one, and eigenvalues come from numpy.  None of the
 package's own machinery is imported, so agreement between the two routes
 is meaningful; the one exception is named in ``brute_kernel_listing``.
@@ -250,6 +251,32 @@ def brute_pseudometric_compatible(pairs: list[tuple[int, int]], size: int) -> bo
     return True
 
 
+def brute_null_witness_search(
+    prefix: tuple[int, ...], t: int, window: int
+) -> tuple[tuple[int, ...], tuple[int, int]] | None:
+    """(gaps, (a, b)) of the first witness that {a,b}^t occurs along the
+    gaps, or None: the set of patterns per gap set, then a t-bit mask per
+    letter pair, gap sets and pairs in lexicographic order."""
+    letters = sorted(set(prefix))
+    want = 1 << t
+    for gaps in combinations(range(window), t):
+        reach = gaps[-1]
+        patterns = set()
+        for s in range(len(prefix) - reach):
+            patterns.add(tuple(prefix[s + g] for g in gaps))
+        for a, b in combinations(letters, 2):
+            seen = 0
+            for pattern in patterns:
+                if all(v in (a, b) for v in pattern):
+                    code = 0
+                    for v in pattern:
+                        code = (code << 1) | (1 if v == b else 0)
+                    seen |= 1 << code
+            if seen == (1 << want) - 1:
+                return gaps, (a, b)
+    return None
+
+
 def brute_lambda_s(rules: Rules) -> float:
     """Spectral radius of the full pair matrix (assumes height 1)."""
     pairs, m = brute_pair_matrix(rules)
@@ -492,7 +519,10 @@ def dense_spectral_radius(rows, tol: float = 1e-10, cap: int = 10**5) -> float:
     shifted = [[float(rows[i][j]) + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     v = [1.0] * n
     for _ in range(cap):
-        y = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
+        y = [0.0] * n
+        for i in range(n):
+            for j in range(n):  # left to right: sum() is compensated from 3.12
+                y[i] += shifted[i][j] * v[j]
         ratios = [y[i] / v[i] for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo < tol:

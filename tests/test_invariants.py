@@ -46,6 +46,7 @@ from oracles import (
     brute_graph_condition,
     brute_images_coincide,
     brute_kernel_monoid,
+    brute_null_witness_search,
     element_strings,
     kernel_words,
 )
@@ -206,9 +207,8 @@ class TestKernelMonoid:
         assert words(kd) == [(), (0,), (1,), (1, 0)]
 
     def test_closure_is_a_monoid(self, example_name):
-        subst = example(example_name)
-        if height(subst) != 1:
-            pytest.skip("kernel is defined on the pure base")
+        # the kernel is defined on the pure base (e4's is A -> AAB, B -> ABA)
+        subst = pure_base(example(example_name)).pure_base
         kd = kernel_monoid(subst)
         maps = kd.elements.tolist()
         elements = set(map(tuple, maps))
@@ -260,11 +260,12 @@ class TestKernelMonoid:
 class TestNonconstantApCounts:
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
     def test_matches_brute_enumeration(self, example_name, m):
-        subst = example(example_name)
-        if height(subst) != 1:
-            pytest.skip("counts are defined on the pure base")
-        counts = nonconstant_ap_counts(subst, m)
-        assert counts[m] == brute_column_count(EXAMPLE_RULES[example_name], m)
+        # counts are defined on the pure base; its block letters are renamed
+        # to one character each, which the string oracle needs
+        base = pure_base_single_char(example(example_name))
+        letters = base.alphabet.letters
+        rules = {a: "".join(letters[b] for b in image) for a, image in zip(letters, base.rules)}
+        assert nonconstant_ap_counts(base, m)[m] == brute_column_count(rules, m)
 
     def test_matches_brute_enumeration_on_random_draws(self):
         # the graph's counts against phi^m built symbol by symbol
@@ -499,6 +500,24 @@ class TestNullWitness:
         with pytest.raises(PreconditionError):
             null_witness_search(prefix, 3, 2)
         assert null_witness_search(prefix, 2, 2) is None  # window = t is allowed
+
+    def test_matches_loop_oracle_sweep(self):
+        # the loop takes 3 ms per gap set on a 4096-symbol prefix, so t = 3
+        # runs on C(8, 3) = 56 gap sets at most
+        rng = random.Random(20)
+        named = [example(name) for name in sorted(EXAMPLE_RULES)]
+        named += [synthesize_target_ac(*c) for c in [(2, 1, 1), (3, 1, 1), (2, 3, 2), (2, 2, 3)]]
+        draws = [random_primitive_substitution(rng, 6, 4) for _ in range(100)]
+        outcomes = Counter()
+        for subst, t3_window in [(s, 8) for s in named] + [(s, rng.randint(3, 5)) for s in draws]:
+            prefix = fixed_point_prefix(subst, 4096)
+            for t, window in ((1, rng.randint(1, 32)), (2, rng.randint(2, 16)), (3, t3_window)):
+                w = null_witness_search(prefix, t, window)
+                expected = brute_null_witness_search(prefix, t, window)
+                assert (w and (w.gaps, w.letters)) == expected, (subst.rule_strings(), t, window)
+                outcomes[t, w is None] += 1
+        # both answers occur at t = 2 and t = 3
+        assert all(outcomes[t, none] for t in (2, 3) for none in (False, True)), outcomes
 
 
 class TestRandomGenerator:
