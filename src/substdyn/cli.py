@@ -7,7 +7,9 @@ image may be written unspaced (``a -> aac``).  ``#`` starts a comment.
 Exit codes: 0 success, 1 parse error (also a spec file that cannot be
 read or is not UTF-8), 2 precondition violation (non-primitive input,
 non-constant length, bad parameters, an output path that cannot be
-written), 3 resource cap exceeded, 4 internal invariant failure.
+written), 3 resource cap exceeded, 4 internal invariant failure, 141
+stdout closed before the output was written (``main`` only; ``run`` lets
+the BrokenPipeError through).
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ import os
 import sys
 import time
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__
 from .core import Alphabet, Substitution, fixed_point_prefix
@@ -39,6 +44,7 @@ from .discrepancy import analyze_pairs
 from .errors import PreconditionError, SpecParseError, SubstError
 from .invariants import (
     DEFAULT_SEED,
+    KernelDescriptor,
     amorphic_complexity,
     check_m_max,
     check_witness_search,
@@ -330,36 +336,92 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     pure = pure_base(doc.substitution)
     d_m = nonconstant_counts(pure.pure_base, args.m_max)
     kd = kernel_monoid(pure.pure_base)
-    letters = kd.alphabet.letters
-    # maps_to[a][b] spells "a->b"; element tau reads row a at column tau[a]
-    maps_to = [[f"{a}->{b}" for b in letters] for a in letters]
-    const = [f"const {b}" for b in letters]
-    phi = [f"phi_{r}" for r in range(pure.pure_base.length_k)]
-    lines = [f"kernel monoid: {len(kd.elements)} element(s)", f"  {'id':<24} via (empty word)"]
+    head = [f"kernel monoid: {len(kd.elements)} element(s)", f"  {'id':<24} via (empty word)"]
     if pure.height_h > 1:
-        lines.insert(0, f"height {pure.height_h}; kernel computed on the pure base")
-    parents, gens, flags = kd.parent.tolist(), kd.generator.tolist(), kd.constant.tolist()
+        head.insert(0, f"height {pure.height_h}; kernel computed on the pure base")
+    tail = [f"constant elements: {int(kd.constant.sum())}", "nonconstant column counts:"]
+    tail.extend(f"  d_{m} = {value}" for m, value in enumerate(d_m))
+    listing = "".join(["\n".join(head), *_element_rows(kd, pure.pure_base.length_k),
+                       "\n", "\n".join(tail)])
+    print(listing)
+    return 0
+
+
+#: Elements rendered per join of the kernel listing: bounds the cell arrays.
+_LIST_ROWS = 1 << 12
+
+
+@functools.lru_cache(maxsize=8)
+def _label_parts(letters: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables for the kernel listing's labels on ``letters``.
+
+    ``cell[c, a, b]`` is what letter a adds to a label when it maps to b:
+    "a->b, " in a nonconstant map (c = 0), with no separator after the
+    last letter, and "const b" from letter 0 alone in a constant map
+    (c = 1); letter 0's part also opens the row with its line break and
+    indent.  ``width`` counts each part's label characters, and ``via[w]``
+    follows a label of w characters: the spaces that ``f"{label:<24}"``
+    adds, then " via " (``via[24]`` serves every longer label).  Kept per
+    alphabet, like the parser, for in-process callers that list many
+    monoids.
+    """
+    n = len(letters)
+    cell = np.full((2, n, n), "", dtype=object)
+    cell[0] = [[f"{a}->{b}, " for b in letters] for a in letters]
+    cell[0, -1] = [f"{letters[-1]}->{b}" for b in letters]
+    cell[1, 0] = [f"const {b}" for b in letters]
+    width = np.array([len(part) for part in cell.ravel().tolist()]).reshape(cell.shape)
+    cell[:, 0] = "\n  " + cell[:, 0]
+    via = np.array([" " * (24 - w) + " via " for w in range(25)], dtype=object)
+    for table in (cell, width, via):
+        table.flags.writeable = False
+    return cell, width, via
+
+
+def _element_rows(kd: KernelDescriptor, k: int) -> Iterator[str]:
+    """The kernel listing's rows after the identity, a block at a time.
+
+    Each row is ``"\\n  " + label + padding + " via " + word``, where the
+    padding gives the label the width of ``f"{label:<24}"``.  A block of
+    rows is one object array, filled by one numpy gather from the
+    ``_label_parts`` tables and joined once; a label's width is the sum of
+    its parts' widths.  Words are spelled level by level from the parent
+    links, keeping only the previous level's words; small levels share a
+    block.
+    """
+    cell, width, via = _label_parts(kd.alphabet.letters)
+    n = kd.alphabet.size
+    kind, letter = kd.constant.astype(np.intp)[:, None], np.arange(n)
+
+    def render(lo: int, words: list[str]) -> str:
+        hi = lo + len(words)
+        parts = (kind[lo:hi], letter, kd.elements[lo:hi])
+        block = np.empty((hi - lo, n + 2), dtype=object)
+        block[:, :-2] = cell[parts]
+        block[:, -2] = via[np.minimum(width[parts].sum(axis=1), 24)]
+        block[:, -1] = words
+        return "".join(block.ravel().tolist())
+
+    phi = [f"phi_{r}" for r in range(k)]
+    parents, gens = kd.parent.tolist(), kd.generator.tolist()
     # Level by level: rows lo..hi are the children of rows plo..lo, whose words
     # alone are kept; parents never decrease, so hi is the first parent >= lo.
     spelled: list[str] = []
-    plo, lo, hi = 0, 0, 1
+    pending: list[str] = []  # words of the rows from done on, not yet rendered
+    plo, lo, hi, done = 0, 0, 1, 1
     while hi < len(parents):
         plo, lo, hi = lo, hi, bisect_left(parents, hi, hi)
         spelled = [  # a level-1 parent is the identity, whose word is empty
             f"{phi[r]} . {spelled[p - plo]}" if plo else phi[r]
             for r, p in zip(gens[lo:hi], parents[lo:hi])
         ]
-        for row, flag, word in zip(kd.elements[lo:hi].tolist(), flags[lo:hi], spelled):
-            label = const[row[0]] if flag else ", ".join(map(list.__getitem__, maps_to, row))
-            lines.append(f"  {label:<24} via {word}")
-    lines.append(f"constant elements: {sum(flags)}")
-    del spelled, parents, gens, flags  # freed before the join below
-    lines.append("nonconstant column counts:")
-    lines.extend(f"  d_{m} = {value}" for m, value in enumerate(d_m))
-    listing = "\n".join(lines)
-    del lines  # only the listing is alive while the stream copies it
-    print(listing)
-    return 0
+        pending += spelled
+        while len(pending) >= _LIST_ROWS:
+            yield render(done, pending[:_LIST_ROWS])
+            del pending[:_LIST_ROWS]
+            done += _LIST_ROWS
+    if pending:
+        yield render(done, pending)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -461,8 +523,22 @@ def run(argv: list[str]) -> int:
         return exc.exit_code
 
 
+#: Exit code when stdout is closed before the output is written, as by
+#: ``substdyn kernel spec | head``: 128 + SIGPIPE, what a shell reports for
+#: a program that SIGPIPE ends.
+EXIT_BROKEN_PIPE = 141
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # as in the signal module's docs: point stdout at devnull, so that the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

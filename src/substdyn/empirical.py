@@ -235,7 +235,9 @@ def fit_slope(profile: SeparationProfile) -> float:
     sample size M are capacity limits, not packing estimates, so the fit
     keeps only the unsaturated points plus the first saturated one (where
     the capacity was just reached) and uses their middle 60% (20% trimmed
-    at each end).
+    at each end).  The slope is the closed-form least-squares one, every
+    sum taken left to right in plain float arithmetic, so it does not
+    depend on a LAPACK build.
     """
     eligible = [t for t, c in enumerate(profile.counts) if c >= 2]
     if len(eligible) < 4:
@@ -253,7 +255,17 @@ def fit_slope(profile: SeparationProfile) -> float:
     middle = informative[trim : len(informative) - trim] if trim else informative
     xs = [-math.log(profile.nu_grid[t]) for t in middle]
     ys = [math.log(profile.counts[t]) for t in middle]
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    mean_x = mean_y = 0.0
+    for x, y in zip(xs, ys):
+        mean_x += x
+        mean_y += y
+    mean_x /= len(xs)
+    mean_y /= len(ys)
+    sxx = sxy = 0.0
+    for x, y in zip(xs, ys):
+        sxx += (x - mean_x) * (x - mean_x)
+        sxy += (x - mean_x) * (y - mean_y)
+    slope = sxy / sxx
     profile.slope = slope
     profile.fit_range = (middle[0], middle[-1])
     return slope

@@ -425,7 +425,10 @@ def null_witness_search(
     pairs in lexicographic order; the window must hold t positions.  A
     witness proves the prefix is not t-null; ``None`` is only evidence,
     limited by prefix and window.  Per pair, the starts whose t letters
-    along G are all a or b must give all 2^t codes (b is a 1 bit).
+    along G are all a or b must give all 2^t codes (b is a 1 bit).  Only
+    the C(window - 1, t - 1) sets with 0 in G are tried: G - min(G) sees
+    every pattern that G sees, at starts min(G) later, and precedes G, so
+    the first witness always starts at 0.
     """
     check_witness_search(t, window)
     if len(prefix) < 4 * window:
@@ -433,7 +436,8 @@ def null_witness_search(
     x = np.asarray(prefix)
     letters = np.unique(x).tolist()
     weights = 1 << np.arange(t - 1, -1, -1)
-    for gaps in combinations(range(window), t):
+    for rest in combinations(range(1, window), t - 1):
+        gaps = (0, *rest)
         cols = np.stack([x[g : len(x) - gaps[-1] + g] for g in gaps])
         for a, b in combinations(letters, 2):
             ab = cols[:, ((cols == a) | (cols == b)).all(axis=0)]

@@ -609,7 +609,7 @@ class TestKernelCommand:
         )
 
     def test_wide_draw_listing_memory(self, tmp_path):
-        # the listing holds the rows and spelled words of one level at a time
+        # the listing holds the cells and spelled words of one block at a time
         path = write_spec(tmp_path, "wide.sub", WIDE_KERNEL_RULES)
         out = io.StringIO()
         tracemalloc.start()
@@ -638,6 +638,28 @@ class TestKernelCommand:
             assert out == brute_kernel_listing(subst, m_max), subst.rule_strings()
             checked += 1
 
+    def test_listing_pads_mixed_width_letters(self, tmp_path, capsys):
+        # letters of 1, 2 and 4 characters, one of them not ASCII: labels of
+        # 23, 24 and 25 characters check the padding to 24 at its edge
+        rng = random.Random(21)
+        widths = set()
+        checked = 0
+        while checked < 40:
+            draw = random_primitive_substitution(rng, max_letters=3, max_k=4)
+            if substdyn.height(draw) != 1:
+                continue
+            names = rng.sample(("α", "bb", "cccc"), draw.alphabet.size)
+            subst = substdyn.Substitution(substdyn.Alphabet(names), draw.rules)
+            path = tmp_path / f"draw{checked}.sub"
+            path.write_text("\n".join(subst.rule_strings()) + "\n", encoding="utf-8")
+            assert run(["kernel", "--m-max", "3", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out == brute_kernel_listing(subst, 3), subst.rule_strings()
+            widths.update(len(line[2:line.index(" via ")].rstrip())
+                          for line in out.splitlines() if " via " in line)
+            checked += 1
+        assert {23, 24, 25} <= widths
+
     def test_wide_alphabet_listing_matches_oracle(self, tmp_path, capsys):
         rules = {a: " ".join(image) for a, image in WIDE_ALPHABET_RULES.items()}
         path = write_spec(tmp_path, "x300.sub", rules)
@@ -647,6 +669,26 @@ class TestKernelCommand:
         assert out == brute_kernel_listing(subst, 4)
         assert "kernel monoid: 600 element(s)\n" in out
         assert "constant elements: 300\n" in out
+
+    def test_closed_stdout_exits_141(self, tmp_path):
+        # the 4.5 MB listing is far more than a pipe buffer holds, so its
+        # write fails once the reader has gone, as under "| head -n 1"
+        path = write_spec(tmp_path, "wide.sub", WIDE_KERNEL_RULES)
+        env = {**os.environ, "PYTHONPATH": str(Path(substdyn.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "substdyn.cli", "kernel", "--m-max", "12", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"kernel monoid: 36942 element(s)\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 141 == substdyn.cli.EXIT_BROKEN_PIPE
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert "Traceback" not in err
 
     def test_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(substdyn.invariants, "KERNEL_BUDGET", 1000)

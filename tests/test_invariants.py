@@ -501,6 +501,17 @@ class TestNullWitness:
             null_witness_search(prefix, 3, 2)
         assert null_witness_search(prefix, 2, 2) is None  # window = t is allowed
 
+    @pytest.mark.parametrize("t, tail", [(2, (1, 1, 0)), (3, (1, 0, 1, 1, 1, 0, 0))])
+    def test_witness_needs_the_last_start(self, t, tail):
+        # zeros, then a tail with one pattern along G = (0, .., t - 1) that
+        # only the last start realizes: a search that stops short of the end
+        # of the prefix finds no witness
+        prefix = (0,) * (64 - len(tail)) + tail
+        w = null_witness_search(prefix, t, 16)
+        assert w is not None and (w.gaps, w.letters) == (tuple(range(t)), (0, 1))
+        assert brute_null_witness_search(prefix, t, 16) == (w.gaps, w.letters)
+        assert brute_null_witness_search(prefix[:-1], t, 16) is None
+
     def test_matches_loop_oracle_sweep(self):
         # the loop takes 3 ms per gap set on a 4096-symbol prefix, so t = 3
         # runs on C(8, 3) = 56 gap sets at most
