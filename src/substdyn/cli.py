@@ -7,9 +7,9 @@ image may be written unspaced (``a -> aac``).  ``#`` starts a comment.
 Exit codes: 0 success, 1 parse error (also a spec file that cannot be
 read or is not UTF-8), 2 precondition violation (non-primitive input,
 non-constant length, bad parameters, an output path that cannot be
-written), 3 resource cap exceeded, 4 internal invariant failure, 141
-stdout closed before the output was written (``main`` only; ``run`` lets
-the BrokenPipeError through).
+written, and in ``main`` stdout itself), 3 resource cap exceeded, 4
+internal invariant failure, 141 stdout closed before the output was
+written (``main`` only; ``run`` lets the BrokenPipeError through).
 """
 
 from __future__ import annotations
@@ -532,12 +532,17 @@ EXIT_BROKEN_PIPE = 141
 def main() -> None:
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        sys.stdout.flush()  # a full disk or closed pipe raises here, not at exit
     except BrokenPipeError:
-        # as in the signal module's docs: point stdout at devnull, so that the
-        # flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except OSError as exc:  # any other failed write of stdout, as to /dev/full
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = PreconditionError.exit_code
+    else:
+        sys.exit(code)
+    # as in the signal module's docs: point stdout at devnull, so that the
+    # flush at exit does not raise again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

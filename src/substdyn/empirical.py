@@ -78,15 +78,6 @@ def _pair_weights(subst: Substitution, pairs: tuple[LetterPair, ...]) -> np.ndar
     return weights.reshape(4, size * size).astype(np.int64)
 
 
-def _mismatch_counts(pair_keys: np.ndarray, weights: np.ndarray) -> list[int]:
-    """Weighted counts of the letter pairs a * |A| + b in ``pair_keys``.
-
-    One bincount is the histogram of the pairs, so a count of N positions
-    costs O(N + |A|^2) with no table lookup per position.
-    """
-    return (weights @ np.bincount(pair_keys, minlength=weights.shape[1])).tolist()
-
-
 @dataclass
 class SeparationProfile:
     """Separation counts over a decreasing resolution grid."""
@@ -99,28 +90,46 @@ class SeparationProfile:
     fit_range: tuple[int, int] | None = None
 
 
+def _shifted_words(rows: np.ndarray, span: int) -> np.ndarray:
+    """The 64 bit-shifts of each 0/1 row of ``rows``, 64 positions a word.
+
+    Entry [p, r, q] holds positions 64q + r ... 64q + r + 63 of row p, bit
+    t for position 64q + r + t, and positions past the row read 0.  So the
+    words [p, r, q : q + w] are row p from position D = 64q + r on, with no
+    shift left to do per start D.  ``rows`` may be up to 64 * span long;
+    the table is rows * 64 * span words.
+    """
+    bits = np.zeros((rows.shape[0], 64 * (span + 1)), dtype=bool)
+    bits[:, : rows.shape[1]] = rows
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    shifts = np.empty((rows.shape[0], 64, span), dtype=np.uint64)
+    shifts[:, 0] = packed[:, :-1]
+    r = np.arange(1, 64, dtype=np.uint64)[:, None]
+    shifts[:, 1:] = packed[:, None, :-1] >> r | packed[:, None, 1:] << 64 - r
+    return shifts
+
+
+def _tail_mask(window_n: int) -> np.uint64:
+    """The bits of the last word of a window of N positions that lie in it."""
+    return np.uint64((1 << (window_n - 64 * (-(-window_n // 64) - 1))) - 1)
+
+
 def _first_row(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
     """Mismatches of x[0 : N] against x[D : D + N] for each lag D < M.
 
     Bit b of every letter is packed 64 positions to a uint64 word, and the
-    64 bit-shifts of each such plane are built once.  The window at lag
-    D = 64q + r is then the words q, q + 1, ... of shift r, and its
-    mismatches with x[0 : N] are the popcount of the OR over planes of the
-    XOR with the first window: O(M * N / 64) word operations per plane.
+    64 bit-shifts of each such plane are built once (``_shifted_words``).
+    The window at lag D = 64q + r is then the words q, q + 1, ... of shift
+    r, and its mismatches with x[0 : N] are the popcount of the OR over
+    planes of the XOR with the first window: O(M * N / 64) word operations
+    per plane.
     """
     words = -(-window_n // 64)  # words of one window
     blocks = -(-m_points // 64)  # lags 64q ... 64q + 63, one block per q
-    span = words + blocks  # words read up to the last lag
     planes = int(prefix.max()).bit_length()
-    bits = np.zeros((planes, 64 * (span + 1)), dtype=bool)
-    bits[:, : len(prefix)] = prefix >> np.arange(planes)[:, None] & 1
-    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    shifts = np.empty((planes, 64, span), dtype=np.uint64)
-    shifts[:, 0] = packed[:, :-1]
-    r = np.arange(1, 64, dtype=np.uint64)[:, None]
-    shifts[:, 1:] = packed[:, None, :-1] >> r | packed[:, None, 1:] << 64 - r
-    first = packed[:, None, :words]
-    tail = np.uint64((1 << (window_n - 64 * (words - 1))) - 1)
+    shifts = _shifted_words(prefix >> np.arange(planes)[:, None] & 1, words + blocks)
+    first = shifts[:, :1, :words]
+    tail = _tail_mask(window_n)
     row = np.empty(64 * blocks, dtype=np.int32)
     for q in range(blocks):
         differs = np.bitwise_or.reduce(shifts[:, :, q : q + words] ^ first, axis=0)
@@ -271,6 +280,67 @@ def fit_slope(profile: SeparationProfile) -> float:
     return slope
 
 
+#: Alphabets up to this size count window pairs on letter bitsets, at
+#: |A|^2 * ceil(N / 64) word operations a pair; above it one O(N) bincount
+#: a pair is the cheaper (the crossover is measured in BENCH_22.json).
+_BITSET_LETTERS = 5
+#: Words ANDed per numpy call on the bitset path, which bounds its
+#: temporaries to under 0.5 MB whatever the number of pairs.
+_BITSET_CHUNK_WORDS = 1 << 15
+
+
+def _pair_histograms(prefix: np.ndarray, size: int, window_n: int, m_starts: int):
+    """A function (starts i, starts j) -> histograms of the window pairs.
+
+    Row p of the integer result holds, in column a * |A| + b, the number of
+    t < N with x[i_p + t] = a and x[j_p + t] = b, where x is ``prefix`` and
+    every start is below ``m_starts``.  Up to _BITSET_LETTERS letters the
+    64 bit-shifts of one bitset per letter are built once, and a pair's
+    histogram is the popcounts of the ANDed words of its two windows, the
+    last word masked to the window: O(|A|^2 * N / 64) word operations, a
+    chunk of pairs per numpy call.  Above it each pair costs one
+    O(N + |A|^2) bincount of the keys a * |A| + b.
+    """
+    if size > _BITSET_LETTERS:
+        # one dtype for both addends: a mixed int16 + intp sum is slower
+        letters = prefix.astype(np.intp)
+        keys = letters * size
+
+        def histograms(starts_i, starts_j):
+            rows = [
+                np.bincount(keys[i : i + window_n] + letters[j : j + window_n],
+                            minlength=size * size)
+                for i, j in zip(starts_i, starts_j)
+            ]
+            return np.array(rows, dtype=np.int64).reshape(len(rows), size * size)
+
+        return histograms
+
+    words = -(-window_n // 64)
+    blocks = -(-m_starts // 64)  # starts 64q ... 64q + 63, one block per q
+    shifts = _shifted_words(prefix == np.arange(size)[:, None], words + blocks)
+    # runs[a, r, q] is the bitset of letter a from position 64q + r on
+    runs = sliding_window_view(shifts, words, axis=2)
+    tail = _tail_mask(window_n)
+    chunk = max(1, _BITSET_CHUNK_WORDS // (size * size * words))
+
+    def histograms(starts_i, starts_j):
+        starts_i, starts_j = np.asarray(starts_i), np.asarray(starts_j)
+        # a count is at most N, which int32 holds for any table numpy can
+        # allocate, and it sums the popcounts twice as fast as int64
+        out = np.empty((len(starts_i), size, size), dtype=np.int32)
+        for lo in range(0, len(starts_i), chunk):
+            i, j = starts_i[lo : lo + chunk], starts_j[lo : lo + chunk]
+            left = runs[:, i % 64, i // 64].swapaxes(0, 1)  # pair, letter, word
+            right = runs[:, j % 64, j // 64].swapaxes(0, 1)
+            left[:, :, -1] &= tail
+            both = left[:, :, None] & right[:, None]
+            np.bitwise_count(both).sum(axis=3, dtype=np.int32, out=out[lo : lo + chunk])
+        return out.reshape(len(starts_i), size * size)
+
+    return histograms
+
+
 def lipschitz_ratio_probe(
     subst: Substitution,
     samples: int = 64,
@@ -284,7 +354,10 @@ def lipschitz_ratio_probe(
     spectrum systems, so the minimum should stay clear of zero.  Each
     sampled pair is also pushed once through the substitution and the
     ratio must not drop by more than 0.05 on the way.  ``analysis`` is
-    ``analyze_pairs(subst)`` when the caller already has it.
+    ``analyze_pairs(subst)`` when the caller already has it.  A pair of
+    N-symbol windows on the pure base's alphabet A costs O(|A|^2 * N / 64)
+    word operations on letter bitsets up to _BITSET_LETTERS letters and one
+    O(N + |A|^2) histogram above (see ``_pair_histograms``).
     """
     if analysis is None:
         analysis = analyze_pairs(subst)
@@ -307,46 +380,52 @@ def _min_density_ratio(
     """The sampling loop of lipschitz_ratio_probe, S being ``pairs``.
 
     ``pure`` must be primitive.  Each sampled pair of windows costs one
-    O(N + |A|^2) histogram; the weights give its four counts, those of the
-    images included, so no k * N image is built.
+    histogram of its letter pairs from ``_pair_histograms``; the weights
+    give its four counts, those of the images included, so no k * N image
+    is built.  The pairs are drawn a batch at a time, at most as many as
+    could still be accepted, and counted in one call, so the draws, the
+    acceptance and the stop are those of a loop that counts one pair a time.
     """
     k = pure.length_k
-    weights = _pair_weights(pure, pairs)
+    weights = _pair_weights(pure, pairs).T
     m_pool = max(4 * samples, 64)
     if window_n < 1:
         raise ValueError("window must be positive")
-    # one dtype for both addends: a mixed int16 + intp sum is slower
-    prefix = fixed_point_array(pure, m_pool + window_n).astype(np.intp)
-    keys = prefix * pure.alphabet.size
+    prefix = fixed_point_array(pure, m_pool + window_n)
+    histograms = _pair_histograms(prefix, pure.alphabet.size, window_n, m_pool)
     rng = random.Random(seed)
 
     best = math.inf
     accepted = 0
     attempts = 0
     while accepted < samples and attempts < 50 * samples:
-        attempts += 1
-        i = rng.randrange(m_pool)
-        j = rng.randrange(m_pool)
-        if i == j:
-            continue
-        plain, filtered, img_plain, img_filtered = _mismatch_counts(
-            keys[i : i + window_n] + prefix[j : j + window_n], weights
-        )
-        d1 = float(plain) / window_n
-        if d1 < 0.01:
-            continue
-        ds = float(filtered) / window_n
-        ratio = ds / d1
-        accepted += 1
-        best = min(best, ratio)
+        # at most as many pairs as could still be accepted, so no batch runs
+        # past the point where a loop over single pairs would stop
+        starts_i, starts_j = [], []
+        while len(starts_i) < samples - accepted and attempts < 50 * samples:
+            attempts += 1
+            i = rng.randrange(m_pool)
+            j = rng.randrange(m_pool)
+            if i != j:
+                starts_i.append(i)
+                starts_j.append(j)
+        counts = (histograms(starts_i, starts_j) @ weights).tolist()
+        for plain, filtered, img_plain, img_filtered in counts:
+            d1 = float(plain) / window_n
+            if d1 < 0.01:
+                continue
+            ds = float(filtered) / window_n
+            ratio = ds / d1
+            accepted += 1
+            best = min(best, ratio)
 
-        # the images of windows i and j are k * N symbols long
-        img_d1 = float(img_plain) / (k * window_n)
-        img_ds = float(img_filtered) / (k * window_n)
-        if img_d1 > 0 and (img_ds / img_d1) < ratio - 0.05:
-            raise InternalError(
-                "density ratio dropped under the substitution beyond slack"
-            )
+            # the images of windows i and j are k * N symbols long
+            img_d1 = float(img_plain) / (k * window_n)
+            img_ds = float(img_filtered) / (k * window_n)
+            if img_d1 > 0 and (img_ds / img_d1) < ratio - 0.05:
+                raise InternalError(
+                    "density ratio dropped under the substitution beyond slack"
+                )
     if accepted == 0:
         raise EstimationError("no sampled pair had plain density >= 0.01")
     return best
@@ -356,19 +435,22 @@ def density_rows(
     analysis: DiscrepancyAnalysis,
 ) -> list[tuple[int, int, float, float]]:
     """(i, j, plain density, S-restricted density) of the windows i < j < 16
-    of 4096 symbols of the pure base's fixed point, S = ``analysis.maximal``."""
+    of 4096 symbols of the pure base's fixed point, S = ``analysis.maximal``.
+
+    The 120 pairs are counted as the probe counts its pairs, by one call
+    of ``_pair_histograms``.
+    """
     m_points, window_n = 16, 4096
     pure = analysis.pure.pure_base
-    weights = _pair_weights(pure, analysis.maximal)[:2]
-    prefix = fixed_point_array(pure, m_points + window_n).astype(np.intp)
-    keys = prefix * pure.alphabet.size
-    rows = []
-    for i in range(m_points):
-        for j in range(i + 1, m_points):
-            pair_keys = keys[i : i + window_n] + prefix[j : j + window_n]
-            plain, filtered = _mismatch_counts(pair_keys, weights)
-            rows.append((i, j, float(plain) / window_n, float(filtered) / window_n))
-    return rows
+    weights = _pair_weights(pure, analysis.maximal)[:2].T
+    prefix = fixed_point_array(pure, m_points + window_n)
+    starts_i, starts_j = np.triu_indices(m_points, k=1)
+    histograms = _pair_histograms(prefix, pure.alphabet.size, window_n, m_points)
+    counts = (histograms(starts_i, starts_j) @ weights).tolist()
+    return [
+        (i, j, float(plain) / window_n, float(filtered) / window_n)
+        for i, j, (plain, filtered) in zip(starts_i.tolist(), starts_j.tolist(), counts)
+    ]
 
 
 def write_profile_csv(profile: SeparationProfile, path: str) -> None:

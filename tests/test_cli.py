@@ -252,6 +252,24 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["kernel"], ["verify", "--points", "32", "--window", "1024"],
+    ])
+    def test_full_stdout_exits_2(self, tmp_path, command):
+        # every write to /dev/full fails with ENOSPC: one error line, the
+        # code of an output path that cannot be written, no traceback
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        env = {**os.environ, "PYTHONPATH": str(Path(substdyn.__file__).parents[1])}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "substdyn.cli", *command, path],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout: [Errno 28]")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestRefusedBeforeTheStage:
     """A bad parameter exits before the expensive stage that would use it."""

@@ -27,10 +27,12 @@ from substdyn import (
 from substdyn.core import fixed_point_array, fixed_point_prefix
 from substdyn.discrepancy import LetterPair
 from substdyn.empirical import (
+    _BITSET_LETTERS,
     SeparationProfile,
     _greedy_counts,
     _lag_counts,
     _min_density_ratio,
+    _pair_histograms,
     _pair_weights,
     build_nu_grid,
     density_rows,
@@ -397,6 +399,7 @@ class TestProbeAgainstOracle:
     @pytest.mark.parametrize("chunk", range(4))
     def test_sweep(self, chunk):
         fired = public = 0
+        bitset_path = set()
         for draw in range(50 * chunk, 50 * chunk + 50):
             subst = sweep_draw(draw)
             rng = random.Random(draw)
@@ -415,6 +418,7 @@ class TestProbeAgainstOracle:
                     public += 1
             # any S, so that the slack check fires too
             size = pure.alphabet.size
+            bitset_path.add(size <= _BITSET_LETTERS)
             pairs = [
                 (a, b) for a in range(size) for b in range(a + 1, size)
                 if rng.random() < 0.5
@@ -425,6 +429,8 @@ class TestProbeAgainstOracle:
                 pure.rules, pairs, *args,
             )
         assert fired > 0 and public > 0
+        # both ways of counting a pair, wherever the switch between them sits
+        assert bitset_path == {True, False}
 
     def test_slack_check_fires(self):
         # S = {(ab)} alone: e1's ratio drops under the substitution
@@ -432,6 +438,69 @@ class TestProbeAgainstOracle:
         analysis = dataclasses.replace(analyze_pairs(e1), maximal=(LetterPair(0, 1),))
         with pytest.raises(InternalError, match="beyond slack"):
             lipschitz_ratio_probe(e1, samples=16, window_n=2048, analysis=analysis)
+
+
+def _draw_of_size(rng: random.Random, size: int) -> Substitution:
+    """A height-1 draw on exactly ``size`` letters, so its own pure base."""
+    while True:
+        subst = random_primitive_substitution(rng, max_letters=size, max_k=4)
+        if subst.alphabet.size == size and substdyn.height(subst) == 1:
+            return subst
+
+
+class TestHistogramPaths:
+    """Window pairs counted at the switch between letter bitsets and one
+    bincount a pair, at a window of whole words and one with a tail."""
+
+    @pytest.mark.parametrize("window_n", [4096, 4000])
+    @pytest.mark.parametrize("size", [_BITSET_LETTERS, _BITSET_LETTERS + 1])
+    def test_probe_matches_oracle(self, size, window_n):
+        rng = random.Random(size * window_n)
+        pure = _draw_of_size(rng, size)
+        every = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        for seed in range(4):
+            # 40 samples draw starts below 160, so from three blocks of 64
+            pairs = every if seed == 0 else [p for p in every if rng.random() < 0.5]
+            flagged = tuple(LetterPair(a, b) for a, b in pairs)
+            _matches_oracle(
+                lambda: _min_density_ratio(pure, flagged, 40, window_n, seed),
+                pure.rules, pairs, 40, window_n, seed,
+            )
+
+    @pytest.mark.parametrize("window_n", [4096, 4000])
+    @pytest.mark.parametrize("size", [_BITSET_LETTERS, _BITSET_LETTERS + 1])
+    def test_histograms_match_lookups(self, size, window_n):
+        rng = random.Random(size + window_n)
+        pure = _draw_of_size(rng, size)
+        m_starts = 160
+        w = orbit_windows(pure.rules, m_starts, window_n)
+        starts = [(0, 159), (63, 64), (64, 63), (127, 1), (5, 5)]
+        starts += [(rng.randrange(m_starts), rng.randrange(m_starts)) for _ in range(60)]
+        got = _pair_histograms(
+            fixed_point_array(pure, m_starts + window_n), size, window_n, m_starts
+        )(*zip(*starts))
+        for row, (i, j) in zip(got, starts):
+            want = np.zeros((size, size), dtype=np.int64)
+            np.add.at(want, (w[i], w[j]), 1)
+            assert row.tolist() == want.ravel().tolist(), (i, j)
+
+    @pytest.mark.parametrize("size", [_BITSET_LETTERS, _BITSET_LETTERS + 1])
+    def test_density_rows_match_lookups(self, size):
+        rng = random.Random(size)
+        subst = _draw_of_size(rng, size)
+        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)
+                 if rng.random() < 0.5]
+        analysis = dataclasses.replace(
+            analyze_pairs(subst), maximal=tuple(LetterPair(a, b) for a, b in pairs)
+        )
+        table = pair_filter_table(size, pairs)
+        w = orbit_windows(subst.rules, 16, 4096)
+        want = [
+            (i, j, mismatch_density(w[i], w[j]), mismatch_density(w[i], w[j], table))
+            for i in range(16)
+            for j in range(i + 1, 16)
+        ]
+        assert density_rows(analysis) == want
 
 
 class TestDensityRows:
