@@ -23,9 +23,7 @@ from .invariants import (
     AnalysisReport,
     amorphic_complexity,
     classify,
-    graph_condition,
     kernel_monoid,
-    nonconstant_ap_counts,
     null_witness_search,
     synthesize_target_ac,
 )
@@ -48,11 +46,9 @@ __all__ = [
     "analyze_pairs",
     "classify",
     "fit_slope",
-    "graph_condition",
     "height",
     "kernel_monoid",
     "lipschitz_ratio_probe",
-    "nonconstant_ap_counts",
     "null_witness_search",
     "pure_base",
     "separation_profile",

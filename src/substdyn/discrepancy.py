@@ -6,6 +6,12 @@ positions i where the two images differ.  Iterating this pair substitution
 counts exactly how many positions of phi^n(a) and phi^n(b) disagree, so
 its growth rate governs how fast orbits separate.  Substitutions of larger
 height are purified first.
+
+Call S the set of pairs whose growth rate attains the largest, lambda_s.
+In an infinite system (lambda_s >= 1) a pair is in S iff its rule holds a
+pair in S.  Proof: a pair's rate is the max of its component's radius and
+the rates of the pairs in its rule, and a pair on a cycle has a member of
+its component, of equal rate, in its rule; off a cycle its radius is 0.
 """
 
 from __future__ import annotations
@@ -153,12 +159,11 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     if not (abs(rate) <= RATE_TOL or 1.0 - RATE_TOL <= rate <= k + RATE_TOL):
         raise InternalError(f"discrepancy rate {rate} outside {{0}} u [1, {k}]")
 
-    maximal = tuple(
-        gs.pair_alphabet[p]
-        for p in range(len(gs.pair_alphabet))
-        if abs(growth[p].rate - rate) <= RATE_TOL
-    )
+    in_s = [abs(g.rate - rate) <= RATE_TOL for g in growth]
+    maximal = tuple(p for p, s in zip(gs.pair_alphabet, in_s) if s)
     _check_pseudometric(maximal, pure.pure_base.alphabet.size)
+    if rate > RATE_TOL:  # in a finite system every pair is in S, at rate 0
+        _check_closed(gs.rules, in_s)
 
     for comp, radius in zip(dec.components, dec.radii):
         if abs(radius - rate) <= RATE_TOL:
@@ -178,3 +183,12 @@ def _check_pseudometric(maximal: tuple[LetterPair, ...], size: int) -> None:
         same[b] &= ~(1 << a)
     if sum(r.bit_count() for r in set(same)) != size:
         raise InternalError("maximal-growth pairs are not pseudometric-compatible")
+
+
+def _check_closed(rules: tuple[tuple[int, ...], ...], in_s: list[bool]) -> None:
+    # The closure of S in an infinite system (module docstring).  The rates
+    # are maxima of the very floats growth_types compares, so the theorem
+    # holds exactly on them, and a violation means a bug, not bad input.
+    members = {p for p, s in enumerate(in_s) if s}
+    if [not members.isdisjoint(rule) for rule in rules] != in_s:
+        raise InternalError("maximal-growth pairs are not closed under the pair rules")

@@ -21,7 +21,6 @@ from .core import Substitution, fixed_point_array, require_primitive
 from .discrepancy import DiscrepancyAnalysis, LetterPair, analyze_pairs
 from .errors import (
     EstimationError,
-    InternalError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -54,28 +53,17 @@ def build_nu_grid(nu_max: float = 0.25, nu_min: float = 0.004) -> tuple[float, .
     return tuple(grid)
 
 
-def _pair_weights(subst: Substitution, pairs: tuple[LetterPair, ...]) -> np.ndarray:
+def _pair_weights(size: int, pairs: tuple[LetterPair, ...]) -> np.ndarray:
     """Mismatch weights of each letter pair (a, b), in column a * |A| + b.
 
     Row 0 is [a != b] and row 1 is [{a, b} in pairs]: the plain and the
-    filtered mismatch of one position.  Rows 2 and 3 count the same over
-    the k positions r of the images, (phi(a)_r, phi(b)_r).  So the product
-    with a histogram of the letter pairs of two windows gives the four
-    mismatch counts of the windows and of their images.
+    filtered mismatch of one position.  So the product with a histogram of
+    the letter pairs of two windows gives their two mismatch counts.
     """
-    size = subst.alphabet.size
     table = np.zeros((size, size), dtype=bool)
     for p in pairs:
         table[p.lo, p.hi] = table[p.hi, p.lo] = True
-    rules = np.asarray(subst.rules, dtype=np.intp)
-    left, right = rules[:, None, :], rules[None, :, :]
-    weights = np.stack([
-        ~np.eye(size, dtype=bool),
-        table,
-        np.count_nonzero(left != right, axis=2),
-        np.count_nonzero(table[left, right], axis=2),
-    ])
-    return weights.reshape(4, size * size).astype(np.int64)
+    return np.stack([~np.eye(size, dtype=bool), table]).reshape(2, size * size).astype(np.int64)
 
 
 @dataclass
@@ -341,6 +329,20 @@ def _pair_histograms(prefix: np.ndarray, size: int, window_n: int, m_starts: int
     return histograms
 
 
+def _window_counts(
+    pure: Substitution, pairs: tuple[LetterPair, ...], window_n: int, m_starts: int
+):
+    """A function (starts i, starts j) -> [(plain, filtered)] mismatch counts
+    of the N-symbol windows of the fixed point of ``pure`` at those starts,
+    every start below ``m_starts`` and the filter being ``pairs``: one call
+    of ``_pair_histograms`` and one product with ``_pair_weights``."""
+    size = pure.alphabet.size
+    weights = _pair_weights(size, pairs).T
+    prefix = fixed_point_array(pure, m_starts + window_n)
+    histograms = _pair_histograms(prefix, size, window_n, m_starts)
+    return lambda starts_i, starts_j: (histograms(starts_i, starts_j) @ weights).tolist()
+
+
 def lipschitz_ratio_probe(
     subst: Substitution,
     samples: int = 64,
@@ -351,13 +353,12 @@ def lipschitz_ratio_probe(
     """Minimum sampled ratio (S-restricted density) / (plain density).
 
     The two densities are Lipschitz-equivalent on infinite discrete-
-    spectrum systems, so the minimum should stay clear of zero.  Each
-    sampled pair is also pushed once through the substitution and the
-    ratio must not drop by more than 0.05 on the way.  ``analysis`` is
-    ``analyze_pairs(subst)`` when the caller already has it.  A pair of
-    N-symbol windows on the pure base's alphabet A costs O(|A|^2 * N / 64)
-    word operations on letter bitsets up to _BITSET_LETTERS letters and one
-    O(N + |A|^2) histogram above (see ``_pair_histograms``).
+    spectrum systems, so the minimum should stay clear of zero.
+    ``analysis`` is ``analyze_pairs(subst)`` when the caller already has
+    it.  A pair of N-symbol windows on the pure base's alphabet A costs
+    O(|A|^2 * N / 64) word operations on letter bitsets up to
+    _BITSET_LETTERS letters and one O(N + |A|^2) histogram above (see
+    ``_pair_histograms``).
     """
     if analysis is None:
         analysis = analyze_pairs(subst)
@@ -380,19 +381,15 @@ def _min_density_ratio(
     """The sampling loop of lipschitz_ratio_probe, S being ``pairs``.
 
     ``pure`` must be primitive.  Each sampled pair of windows costs one
-    histogram of its letter pairs from ``_pair_histograms``; the weights
-    give its four counts, those of the images included, so no k * N image
-    is built.  The pairs are drawn a batch at a time, at most as many as
-    could still be accepted, and counted in one call, so the draws, the
-    acceptance and the stop are those of a loop that counts one pair a time.
+    histogram of its letter pairs (``_window_counts``).  The pairs are
+    drawn a batch at a time, at most as many as could still be accepted,
+    and counted in one call, so the draws, the acceptance and the stop are
+    those of a loop that counts one pair a time.
     """
-    k = pure.length_k
-    weights = _pair_weights(pure, pairs).T
     m_pool = max(4 * samples, 64)
     if window_n < 1:
         raise ValueError("window must be positive")
-    prefix = fixed_point_array(pure, m_pool + window_n)
-    histograms = _pair_histograms(prefix, pure.alphabet.size, window_n, m_pool)
+    counts = _window_counts(pure, pairs, window_n, m_pool)
     rng = random.Random(seed)
 
     best = math.inf
@@ -409,23 +406,13 @@ def _min_density_ratio(
             if i != j:
                 starts_i.append(i)
                 starts_j.append(j)
-        counts = (histograms(starts_i, starts_j) @ weights).tolist()
-        for plain, filtered, img_plain, img_filtered in counts:
+        for plain, filtered in counts(starts_i, starts_j):
             d1 = float(plain) / window_n
             if d1 < 0.01:
                 continue
             ds = float(filtered) / window_n
-            ratio = ds / d1
             accepted += 1
-            best = min(best, ratio)
-
-            # the images of windows i and j are k * N symbols long
-            img_d1 = float(img_plain) / (k * window_n)
-            img_ds = float(img_filtered) / (k * window_n)
-            if img_d1 > 0 and (img_ds / img_d1) < ratio - 0.05:
-                raise InternalError(
-                    "density ratio dropped under the substitution beyond slack"
-                )
+            best = min(best, ds / d1)
     if accepted == 0:
         raise EstimationError("no sampled pair had plain density >= 0.01")
     return best
@@ -438,18 +425,16 @@ def density_rows(
     of 4096 symbols of the pure base's fixed point, S = ``analysis.maximal``.
 
     The 120 pairs are counted as the probe counts its pairs, by one call
-    of ``_pair_histograms``.
+    of ``_window_counts``.
     """
     m_points, window_n = 16, 4096
-    pure = analysis.pure.pure_base
-    weights = _pair_weights(pure, analysis.maximal)[:2].T
-    prefix = fixed_point_array(pure, m_points + window_n)
     starts_i, starts_j = np.triu_indices(m_points, k=1)
-    histograms = _pair_histograms(prefix, pure.alphabet.size, window_n, m_points)
-    counts = (histograms(starts_i, starts_j) @ weights).tolist()
+    counts = _window_counts(analysis.pure.pure_base, analysis.maximal, window_n, m_points)
     return [
         (i, j, float(plain) / window_n, float(filtered) / window_n)
-        for i, j, (plain, filtered) in zip(starts_i.tolist(), starts_j.tolist(), counts)
+        for i, j, (plain, filtered) in zip(
+            starts_i.tolist(), starts_j.tolist(), counts(starts_i, starts_j)
+        )
     ]
 
 

@@ -164,21 +164,18 @@ def brute_lipschitz_ratio_probe(
     samples: int,
     window_n: int,
     seed: int,
-) -> tuple[float, bool]:
-    """(minimum ratio, whether the slack check fired) of the sampled probe.
+) -> float:
+    """Minimum ratio of the sampled probe, inf when no pair was accepted.
 
-    The windows and their images are materialised, and every position is
-    looked up in a 2-D table of the flagged pairs.  The minimum is inf when
-    no pair was accepted; the loop stops at the first pair whose ratio drops
-    by more than 0.05 under the substitution.
+    The windows are materialised, and every position is looked up in a 2-D
+    table of the flagged pairs.
     """
-    size, k = len(rules), len(rules[0])
+    size = len(rules)
     table = np.zeros((size, size), dtype=bool)
     for a, b in pairs:
         table[a, b] = table[b, a] = True
     m_pool = max(4 * samples, 64)
     prefix = np.array(brute_fixed_point_prefix(rules, m_pool + window_n))
-    image = np.array(rules)[prefix].ravel()
 
     def density(u, v, filtered):
         hits = table[u, v] if filtered else u != v
@@ -196,14 +193,9 @@ def brute_lipschitz_ratio_probe(
         d1 = density(u, v, False)
         if d1 < 0.01:
             continue
-        ratio = density(u, v, True) / d1
         accepted += 1
-        best = min(best, ratio)
-        u, v = image[k * i : k * (i + window_n)], image[k * j : k * (j + window_n)]
-        img_d1 = density(u, v, False)
-        if img_d1 > 0 and density(u, v, True) / img_d1 < ratio - 0.05:
-            return best, True
-    return best, False
+        best = min(best, density(u, v, True) / d1)
+    return best
 
 
 def brute_diff_count(rules: Rules, a: str, b: str, n: int) -> int:

@@ -16,12 +16,12 @@ from substdyn import (
     classify,
     height,
     kernel_monoid,
-    nonconstant_ap_counts,
     separation_profile,
     synthesize_target_ac,
 )
 from substdyn.core import is_primitive
 from substdyn.discrepancy import pair_rules
+from substdyn.invariants import nonconstant_ap_counts
 
 from conftest import (
     EXAMPLE_RULES,

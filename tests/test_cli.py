@@ -436,6 +436,23 @@ class TestVerifyCommand:
         assert "min density ratio" in out
         assert csv_path.read_text().startswith("nu,count\n0.25,")
 
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            # 3 letters, so the probe counts on letter bitsets; ac is 2
+            {"a": "bbca", "b": "cabc", "c": "cacc"},
+            # 6 letters, so the probe counts one bincount a pair
+            {"a": "ebc", "b": "dbe", "c": "aec", "d": "efb", "e": "aee", "f": "fbc"},
+        ],
+    )
+    def test_ratio_falling_under_the_substitution_is_no_bug(self, tmp_path, capsys, rules):
+        # the probe once pushed its windows through the substitution and
+        # exited 4 when their ratio fell by more than 0.05, which no theorem
+        # bounds; both specs fell so
+        path = write_spec(tmp_path, "fall.sub", rules)
+        assert run(["verify", path, "--points", "32", "--window", "1024"]) == 0
+        assert "min density ratio (S-restricted / plain):" in capsys.readouterr().out
+
     def test_saturated_profile_reports_na(self, tmp_path, capsys):
         path = write_spec(tmp_path, "tm.sub", EXAMPLE_RULES["thue_morse"])
         assert run(["verify", path, "--points", "64", "--window", "2048"]) == 0

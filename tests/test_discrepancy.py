@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from substdyn import (
@@ -17,6 +18,7 @@ from substdyn.core import column_sets
 from substdyn.discrepancy import (
     GeneralSubstitution,
     LetterPair,
+    _check_closed,
     _check_pseudometric,
     pair_rules,
 )
@@ -305,6 +307,42 @@ class TestPseudometricCheck:
                         _check_pseudometric(maximal, size)
         # 302 flips rejected; 98 flips accepted besides the 400 partitions
         assert verdicts.count(False) > 200 and verdicts.count(True) > 450
+
+
+class TestClosureCheck:
+    """In an infinite system a pair is in S iff its rule holds a pair in S."""
+
+    def test_fires_when_one_pair_is_dropped_or_added(self):
+        # each pair of e1 is maximal and sits in a rule of another
+        rules = analyze_pairs(example("e1")).pairs.rules
+        for p in range(3):
+            with pytest.raises(InternalError, match="not closed"):
+                _check_closed(rules, [q != p for q in range(3)])
+        # on draws, a flip of one pair fires iff the flipped set breaks the
+        # closure, read off the dense pair incidence
+        rng = random.Random(29)
+        fired = {True: 0, False: 0}  # by whether the flip dropped the pair
+        for _ in range(150):
+            analysis = analyze_pairs(random_primitive_substitution(rng, 6, 4))
+            if analysis.rate_type.rate <= RATE_TOL:
+                continue
+            rules = analysis.pairs.rules
+            incidence = np.zeros((len(rules), len(rules)), dtype=np.int64)
+            for p, rule in enumerate(rules):
+                for q in rule:
+                    incidence[q, p] += 1
+            in_s = [p in analysis.maximal for p in analysis.pairs.pair_alphabet]
+            assert np.array_equal(np.array(in_s) @ incidence > 0, in_s)
+            for p in range(len(rules)):
+                flipped = in_s.copy()
+                flipped[p] = not in_s[p]
+                if np.array_equal(np.array(flipped) @ incidence > 0, flipped):
+                    _check_closed(rules, flipped)
+                else:
+                    with pytest.raises(InternalError, match="not closed"):
+                        _check_closed(rules, flipped)
+                    fired[in_s[p]] += 1
+        assert fired[True] > 0 and fired[False] > 0
 
 
 class TestCriticalPolynomial:

@@ -13,7 +13,6 @@ import pytest
 import substdyn
 from substdyn import (
     EstimationError,
-    InternalError,
     PreconditionError,
     ResourceLimitError,
     Substitution,
@@ -118,7 +117,7 @@ class TestMismatchDensity:
         # row 1 of the probe's weights is the filter table
         subst = example("e2")
         size = subst.alphabet.size
-        weights = _pair_weights(subst, analyze_pairs(subst).maximal)
+        weights = _pair_weights(size, analyze_pairs(subst).maximal)
         table = weights[1].reshape(size, size)
         assert np.array_equal(table, table.T)
         assert not table.diagonal().any()
@@ -369,6 +368,19 @@ class TestLipschitzProbe:
         assert 0 < amorphic_complexity(subst) < math.inf
         assert 0 < lipschitz_ratio_probe(subst, samples=8, window_n=1024) <= 1
 
+    def test_only_preconditions_refuse_random_draws(self):
+        # the probe once raised InternalError on 9 of these draws, where the
+        # ratio of a sampled pair fell by more than 0.05 under the substitution
+        rng = random.Random(2323)
+        refused = 0
+        for _ in range(300):
+            subst = random_primitive_substitution(rng, 8, 5)
+            try:
+                assert 0 < lipschitz_ratio_probe(subst) <= 1
+            except PreconditionError:
+                refused += 1
+        assert 0 < refused < 300
+
     def test_rejects_extreme_rates(self):
         with pytest.raises(PreconditionError):
             lipschitz_ratio_probe(example("thue_morse"))  # lambda_s = k
@@ -378,27 +390,23 @@ class TestLipschitzProbe:
             )  # lambda_s = 0
 
 
-def _matches_oracle(call, rules, pairs, samples, window_n, seed) -> bool:
-    """Assert that a probe call ends as the oracle does; True if the slack
-    check fired."""
-    best, broke = brute_lipschitz_ratio_probe(rules, pairs, samples, window_n, seed)
+def _matches_oracle(call, rules, pairs, samples, window_n, seed) -> None:
+    """Assert that a probe call gives the oracle's minimum; an
+    InternalError is no outcome the oracle has, so it fails the test."""
     try:
-        got = call(), False
-    except InternalError:
-        got = None, True
+        got = call()
     except EstimationError:  # no pair accepted
-        got = math.inf, False
-    assert got == ((None, True) if broke else (best, False))
-    return broke
+        got = math.inf
+    assert got == brute_lipschitz_ratio_probe(rules, pairs, samples, window_n, seed)
 
 
 class TestProbeAgainstOracle:
     """The histogram probe against the old loop, which materialises the
-    images and looks every position up in a 2-D pair table."""
+    windows and looks every position up in a 2-D pair table."""
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_sweep(self, chunk):
-        fired = public = 0
+        public = 0
         bitset_path = set()
         for draw in range(50 * chunk, 50 * chunk + 50):
             subst = sweep_draw(draw)
@@ -416,7 +424,7 @@ class TestProbeAgainstOracle:
                         pure.rules, pairs, *args,
                     )
                     public += 1
-            # any S, so that the slack check fires too
+            # any S, so that the filter is not only a closed one
             size = pure.alphabet.size
             bitset_path.add(size <= _BITSET_LETTERS)
             pairs = [
@@ -424,20 +432,13 @@ class TestProbeAgainstOracle:
                 if rng.random() < 0.5
             ]
             flagged = tuple(LetterPair(a, b) for a, b in pairs)
-            fired += _matches_oracle(
+            _matches_oracle(
                 lambda: _min_density_ratio(pure, flagged, *args),
                 pure.rules, pairs, *args,
             )
-        assert fired > 0 and public > 0
+        assert public > 0
         # both ways of counting a pair, wherever the switch between them sits
         assert bitset_path == {True, False}
-
-    def test_slack_check_fires(self):
-        # S = {(ab)} alone: e1's ratio drops under the substitution
-        e1 = example("e1")
-        analysis = dataclasses.replace(analyze_pairs(e1), maximal=(LetterPair(0, 1),))
-        with pytest.raises(InternalError, match="beyond slack"):
-            lipschitz_ratio_probe(e1, samples=16, window_n=2048, analysis=analysis)
 
 
 def _draw_of_size(rng: random.Random, size: int) -> Substitution:

@@ -18,10 +18,8 @@ from substdyn import (
     Substitution,
     amorphic_complexity,
     classify,
-    graph_condition,
     height,
     kernel_monoid,
-    nonconstant_ap_counts,
     null_witness_search,
     pure_base,
     synthesize_target_ac,
@@ -29,6 +27,7 @@ from substdyn import (
 from substdyn import core, invariants
 from substdyn.core import fixed_point_prefix
 from substdyn.discrepancy import pair_rules
+from substdyn.invariants import graph_condition, nonconstant_ap_counts
 from substdyn.matrices import RATE_TOL, growth_types, max_growth_type
 
 from conftest import (
