@@ -12,6 +12,11 @@ In an infinite system (lambda_s >= 1) a pair is in S iff its rule holds a
 pair in S.  Proof: a pair's rate is the max of its component's radius and
 the rates of the pairs in its rule, and a pair on a cycle has a member of
 its component, of equal rate, in its rule; off a cycle its radius is 0.
+
+The complement of S, "same class", is an equivalence relation on the
+letters, so S is the set of pairs whose letters lie in different classes,
+and the S-restricted density is a plain mismatch density on class labels.
+``analyze_pairs`` checks the relation exactly and returns the classes.
 """
 
 from __future__ import annotations
@@ -135,6 +140,7 @@ class DiscrepancyAnalysis:
     growth: tuple[GrowthType, ...]
     rate_type: GrowthType  # (lambda_s, d_s)
     maximal: tuple[LetterPair, ...]  # the pairs whose growth rate attains lambda_s
+    classes: tuple[int, ...]  # letter -> its class; S is the pairs across classes
     critical: CountMatrix  # lambda_s is a root of its minimal polynomial of 1
 
 
@@ -149,7 +155,8 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     gs = pair_rules(pure.pure_base)
     k = subst.length_k
     if not gs.pair_alphabet:
-        return DiscrepancyAnalysis(pure, gs, (), GrowthType(0.0, 1), (), CountMatrix(()))
+        # one letter, so one class
+        return DiscrepancyAnalysis(pure, gs, (), GrowthType(0.0, 1), (), (0,), CountMatrix(()))
 
     m = gs.incidence()
     dec = matrices.decompose(m)
@@ -161,28 +168,33 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
 
     in_s = [abs(g.rate - rate) <= RATE_TOL for g in growth]
     maximal = tuple(p for p, s in zip(gs.pair_alphabet, in_s) if s)
-    _check_pseudometric(maximal, pure.pure_base.alphabet.size)
+    classes = _check_pseudometric(maximal, pure.pure_base.alphabet.size)
     if rate > RATE_TOL:  # in a finite system every pair is in S, at rate 0
         _check_closed(gs.rules, in_s)
 
     for comp, radius in zip(dec.components, dec.radii):
         if abs(radius - rate) <= RATE_TOL:
-            return DiscrepancyAnalysis(pure, gs, growth, rate_type, maximal, m.restrict(comp))
+            return DiscrepancyAnalysis(
+                pure, gs, growth, rate_type, maximal, classes, m.restrict(comp)
+            )
     raise InternalError(f"no strongly connected component attains the rate {rate}")
 
 
-def _check_pseudometric(maximal: tuple[LetterPair, ...], size: int) -> None:
+def _check_pseudometric(maximal: tuple[LetterPair, ...], size: int) -> tuple[int, ...]:
     # "Same class" (the complement of S) must be an equivalence relation.
     # same[a] holds a and every letter not paired with a in S; the distinct
     # rows cover the alphabet, so they partition it iff their sizes sum to
-    # |A|, and then they are the classes.  This
-    # is a theorem, so a violation means a bug, not bad input.
+    # |A|, and then they are the classes, numbered here in the order of
+    # their least letters.  This is a theorem, so a violation means a bug,
+    # not bad input.
     same = [(1 << size) - 1] * size
     for a, b in maximal:
         same[a] &= ~(1 << b)
         same[b] &= ~(1 << a)
     if sum(r.bit_count() for r in set(same)) != size:
         raise InternalError("maximal-growth pairs are not pseudometric-compatible")
+    number: dict[int, int] = {}
+    return tuple(number.setdefault(row, len(number)) for row in same)
 
 
 def _check_closed(rules: tuple[tuple[int, ...], ...], in_s: list[bool]) -> None:

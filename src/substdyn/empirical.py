@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Substitution, fixed_point_array, require_primitive
-from .discrepancy import DiscrepancyAnalysis, LetterPair, analyze_pairs
+from .discrepancy import DiscrepancyAnalysis, analyze_pairs
 from .errors import (
     EstimationError,
     PreconditionError,
@@ -51,19 +51,6 @@ def build_nu_grid(nu_max: float = 0.25, nu_min: float = 0.004) -> tuple[float, .
         grid.append(value)
         value /= math.sqrt(2.0)
     return tuple(grid)
-
-
-def _pair_weights(size: int, pairs: tuple[LetterPair, ...]) -> np.ndarray:
-    """Mismatch weights of each letter pair (a, b), in column a * |A| + b.
-
-    Row 0 is [a != b] and row 1 is [{a, b} in pairs]: the plain and the
-    filtered mismatch of one position.  So the product with a histogram of
-    the letter pairs of two windows gives their two mismatch counts.
-    """
-    table = np.zeros((size, size), dtype=bool)
-    for p in pairs:
-        table[p.lo, p.hi] = table[p.hi, p.lo] = True
-    return np.stack([~np.eye(size, dtype=bool), table]).reshape(2, size * size).astype(np.int64)
 
 
 @dataclass
@@ -268,79 +255,47 @@ def fit_slope(profile: SeparationProfile) -> float:
     return slope
 
 
-#: Alphabets up to this size count window pairs on letter bitsets, at
-#: |A|^2 * ceil(N / 64) word operations a pair; above it one O(N) bincount
-#: a pair is the cheaper (the crossover is measured in BENCH_22.json).
-_BITSET_LETTERS = 5
-#: Words ANDed per numpy call on the bitset path, which bounds its
-#: temporaries to under 0.5 MB whatever the number of pairs.
-_BITSET_CHUNK_WORDS = 1 << 15
-
-
-def _pair_histograms(prefix: np.ndarray, size: int, window_n: int, m_starts: int):
-    """A function (starts i, starts j) -> histograms of the window pairs.
-
-    Row p of the integer result holds, in column a * |A| + b, the number of
-    t < N with x[i_p + t] = a and x[j_p + t] = b, where x is ``prefix`` and
-    every start is below ``m_starts``.  Up to _BITSET_LETTERS letters the
-    64 bit-shifts of one bitset per letter are built once, and a pair's
-    histogram is the popcounts of the ANDed words of its two windows, the
-    last word masked to the window: O(|A|^2 * N / 64) word operations, a
-    chunk of pairs per numpy call.  Above it each pair costs one
-    O(N + |A|^2) bincount of the keys a * |A| + b.
-    """
-    if size > _BITSET_LETTERS:
-        # one dtype for both addends: a mixed int16 + intp sum is slower
-        letters = prefix.astype(np.intp)
-        keys = letters * size
-
-        def histograms(starts_i, starts_j):
-            rows = [
-                np.bincount(keys[i : i + window_n] + letters[j : j + window_n],
-                            minlength=size * size)
-                for i, j in zip(starts_i, starts_j)
-            ]
-            return np.array(rows, dtype=np.int64).reshape(len(rows), size * size)
-
-        return histograms
-
-    words = -(-window_n // 64)
-    blocks = -(-m_starts // 64)  # starts 64q ... 64q + 63, one block per q
-    shifts = _shifted_words(prefix == np.arange(size)[:, None], words + blocks)
-    # runs[a, r, q] is the bitset of letter a from position 64q + r on
-    runs = sliding_window_view(shifts, words, axis=2)
-    tail = _tail_mask(window_n)
-    chunk = max(1, _BITSET_CHUNK_WORDS // (size * size * words))
-
-    def histograms(starts_i, starts_j):
-        starts_i, starts_j = np.asarray(starts_i), np.asarray(starts_j)
-        # a count is at most N, which int32 holds for any table numpy can
-        # allocate, and it sums the popcounts twice as fast as int64
-        out = np.empty((len(starts_i), size, size), dtype=np.int32)
-        for lo in range(0, len(starts_i), chunk):
-            i, j = starts_i[lo : lo + chunk], starts_j[lo : lo + chunk]
-            left = runs[:, i % 64, i // 64].swapaxes(0, 1)  # pair, letter, word
-            right = runs[:, j % 64, j // 64].swapaxes(0, 1)
-            left[:, :, -1] &= tail
-            both = left[:, :, None] & right[:, None]
-            np.bitwise_count(both).sum(axis=3, dtype=np.int32, out=out[lo : lo + chunk])
-        return out.reshape(len(starts_i), size * size)
-
-    return histograms
-
-
 def _window_counts(
-    pure: Substitution, pairs: tuple[LetterPair, ...], window_n: int, m_starts: int
+    pure: Substitution, classes: tuple[int, ...], window_n: int, m_starts: int
 ):
     """A function (starts i, starts j) -> [(plain, filtered)] mismatch counts
     of the N-symbol windows of the fixed point of ``pure`` at those starts,
-    every start below ``m_starts`` and the filter being ``pairs``: one call
-    of ``_pair_histograms`` and one product with ``_pair_weights``."""
-    size = pure.alphabet.size
-    weights = _pair_weights(size, pairs).T
-    prefix = fixed_point_array(pure, m_starts + window_n)
-    histograms = _pair_histograms(prefix, size, window_n, m_starts)
-    return lambda starts_i, starts_j: (histograms(starts_i, starts_j) @ weights).tolist()
+    every start below ``m_starts``; a filtered mismatch is one whose two
+    letters lie in different ``classes``.
+
+    Letter a is coded classes[a] << low | (its rank in its class), so the
+    bit planes from ``low`` up spell the class, and the 64 bit-shifts of
+    each plane of the coded prefix are built once (``_shifted_words``).  A
+    pair's counts are the popcounts of the OR of its two windows' XORed
+    words, the last word masked to the window, over all planes and over the
+    planes from ``low`` up: O(planes * N / 64) word operations a pair.  A
+    numpy call takes 64 pairs, so its temporaries stay within a few times
+    the shift table.
+    """
+    rank = [classes[:a].count(c) for a, c in enumerate(classes)]
+    low = max(rank).bit_length()
+    codes = np.array([c << low | n for c, n in zip(classes, rank)])
+    prefix = codes[fixed_point_array(pure, m_starts + window_n)]
+    words = -(-window_n // 64)
+    planes = int(codes.max()).bit_length()
+    blocks = -(-m_starts // 64)  # starts 64q ... 64q + 63, one block per q
+    shifts = _shifted_words(prefix >> np.arange(planes)[:, None] & 1, words + blocks)
+    # runs[p, r, q] is plane p of the coded prefix from position 64q + r on
+    runs = sliding_window_view(shifts, words, axis=2)
+    tail = _tail_mask(window_n)
+
+    def counts(starts_i, starts_j):
+        out = []
+        for lo in range(0, len(starts_i), 64):
+            i, j = np.array([starts_i[lo : lo + 64], starts_j[lo : lo + 64]], dtype=np.intp)
+            differs = runs[:, i % 64, i // 64] ^ runs[:, j % 64, j // 64]
+            differs[:, :, -1] &= tail
+            across = np.bitwise_or.reduce(differs[low:], axis=0)
+            plain = across | np.bitwise_or.reduce(differs[:low], axis=0)
+            out += np.bitwise_count([plain, across]).sum(axis=2).T.tolist()
+        return out
+
+    return counts
 
 
 def lipschitz_ratio_probe(
@@ -355,11 +310,13 @@ def lipschitz_ratio_probe(
     The two densities are Lipschitz-equivalent on infinite discrete-
     spectrum systems, so the minimum should stay clear of zero.
     ``analysis`` is ``analyze_pairs(subst)`` when the caller already has
-    it.  A pair of N-symbol windows on the pure base's alphabet A costs
-    O(|A|^2 * N / 64) word operations on letter bitsets up to
-    _BITSET_LETTERS letters and one O(N + |A|^2) histogram above (see
-    ``_pair_histograms``).
+    it.  A position of two windows is an S-mismatch iff its letters lie in
+    different classes of ``analysis.classes``, so a pair of N-symbol windows
+    costs O(planes * N / 64) word operations, planes being about
+    log2 |A| bits of class and rank (``_window_counts``).
     """
+    if samples < 1 or window_n < 1:
+        raise PreconditionError("lipschitz_ratio_probe needs samples >= 1 and window_n >= 1")
     if analysis is None:
         analysis = analyze_pairs(subst)
     if not 0 < _ac_from_rate(analysis.rate_type.rate, subst.length_k) < math.inf:
@@ -367,29 +324,27 @@ def lipschitz_ratio_probe(
             "ratio probe needs an infinite system with discrete spectrum"
         )
     return _min_density_ratio(
-        analysis.pure.pure_base, analysis.maximal, samples, window_n, seed
+        analysis.pure.pure_base, analysis.classes, samples, window_n, seed
     )
 
 
 def _min_density_ratio(
     pure: Substitution,
-    pairs: tuple[LetterPair, ...],
+    classes: tuple[int, ...],
     samples: int,
     window_n: int,
     seed: int,
 ) -> float:
-    """The sampling loop of lipschitz_ratio_probe, S being ``pairs``.
+    """The sampling loop of lipschitz_ratio_probe, S being the pairs of
+    letters in different ``classes``.
 
-    ``pure`` must be primitive.  Each sampled pair of windows costs one
-    histogram of its letter pairs (``_window_counts``).  The pairs are
-    drawn a batch at a time, at most as many as could still be accepted,
-    and counted in one call, so the draws, the acceptance and the stop are
-    those of a loop that counts one pair a time.
+    ``pure`` must be primitive.  The pairs are drawn a batch at a time, at
+    most as many as could still be accepted, and counted in one call of
+    ``_window_counts``, so the draws, the acceptance and the stop are those
+    of a loop that counts one pair a time.
     """
     m_pool = max(4 * samples, 64)
-    if window_n < 1:
-        raise ValueError("window must be positive")
-    counts = _window_counts(pure, pairs, window_n, m_pool)
+    counts = _window_counts(pure, classes, window_n, m_pool)
     rng = random.Random(seed)
 
     best = math.inf
@@ -422,14 +377,15 @@ def density_rows(
     analysis: DiscrepancyAnalysis,
 ) -> list[tuple[int, int, float, float]]:
     """(i, j, plain density, S-restricted density) of the windows i < j < 16
-    of 4096 symbols of the pure base's fixed point, S = ``analysis.maximal``.
+    of 4096 symbols of the pure base's fixed point, S being the pairs of
+    letters in different ``analysis.classes``.
 
     The 120 pairs are counted as the probe counts its pairs, by one call
     of ``_window_counts``.
     """
     m_points, window_n = 16, 4096
     starts_i, starts_j = np.triu_indices(m_points, k=1)
-    counts = _window_counts(analysis.pure.pure_base, analysis.maximal, window_n, m_points)
+    counts = _window_counts(analysis.pure.pure_base, analysis.classes, window_n, m_points)
     return [
         (i, j, float(plain) / window_n, float(filtered) / window_n)
         for i, j, (plain, filtered) in zip(

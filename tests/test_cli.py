@@ -439,9 +439,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "rules",
         [
-            # 3 letters, so the probe counts on letter bitsets; ac is 2
+            # 3 letters in the classes {a} and {b, c}; ac is 2
             {"a": "bbca", "b": "cabc", "c": "cacc"},
-            # 6 letters, so the probe counts one bincount a pair
+            # 6 letters in five classes, c and e sharing one
             {"a": "ebc", "b": "dbe", "c": "aec", "d": "efb", "e": "aee", "f": "fbc"},
         ],
     )

@@ -283,6 +283,20 @@ class TestMaximalPairs:
         assert got == [(0, 1), (0, 2)]
         assert brute_pseudometric_compatible(got, 3)
 
+    def test_maximal_is_the_cross_class_pairs(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            analysis = analyze_pairs(random_primitive_substitution(rng, 8, 5))
+            classes = analysis.classes
+            assert len(classes) == analysis.pure.pure_base.alphabet.size
+            # numbered 0, 1, ... in the order of their least letters
+            first = [c for a, c in enumerate(classes) if c not in classes[:a]]
+            assert first == list(range(len(first)))
+            cross = [
+                p for p in analysis.pairs.pair_alphabet if classes[p.lo] != classes[p.hi]
+            ]
+            assert analysis.maximal == tuple(cross)
+
 
 class TestPseudometricCheck:
     def test_matches_oracle_on_partitions_and_flips(self):
@@ -301,7 +315,13 @@ class TestPseudometricCheck:
                 compatible = brute_pseudometric_compatible(chosen, size)
                 verdicts.append(compatible)
                 if compatible:
-                    _check_pseudometric(maximal, size)
+                    classes = _check_pseudometric(maximal, size)
+                    # S is the pairs across the returned classes
+                    cross = [(a, b) for a, b in all_pairs if classes[a] != classes[b]]
+                    assert cross == chosen
+                    if chosen is partition:  # the drawn classes, renamed
+                        renaming = set(zip(classes, label))
+                        assert len(renaming) == len(set(classes)) == len(set(label))
                 else:
                     with pytest.raises(InternalError, match="pseudometric-compatible"):
                         _check_pseudometric(maximal, size)

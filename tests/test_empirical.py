@@ -26,13 +26,11 @@ from substdyn import (
 from substdyn.core import fixed_point_array, fixed_point_prefix
 from substdyn.discrepancy import LetterPair
 from substdyn.empirical import (
-    _BITSET_LETTERS,
     SeparationProfile,
     _greedy_counts,
     _lag_counts,
     _min_density_ratio,
-    _pair_histograms,
-    _pair_weights,
+    _window_counts,
     build_nu_grid,
     density_rows,
     write_density_csv,
@@ -112,18 +110,6 @@ class TestMismatchDensity:
             for j in range(1, 32, 7):
                 filtered = mismatch_density(w[i], w[j], table)
                 assert filtered <= mismatch_density(w[i], w[j]) + 1e-12
-
-    def test_filter_table_is_symmetric_without_diagonal(self):
-        # row 1 of the probe's weights is the filter table
-        subst = example("e2")
-        size = subst.alphabet.size
-        weights = _pair_weights(size, analyze_pairs(subst).maximal)
-        table = weights[1].reshape(size, size)
-        assert np.array_equal(table, table.T)
-        assert not table.diagonal().any()
-        # S = {(ab), (ac)} for this rule set
-        assert table[0, 1] and table[0, 2] and not table[1, 2]
-        assert np.array_equal(table, pair_filter_table(size, [(0, 1), (0, 2)]))
 
     def test_e6_kernel_image_density_against_fixed_word(self):
         """D(g(x), 000...) is the frequency of the letter g displaces."""
@@ -328,6 +314,10 @@ class TestFitSlope:
             )
 
 
+def _not_called(subst):
+    raise AssertionError("analyze_pairs ran before the arguments were checked")
+
+
 class TestLipschitzProbe:
     def test_ratio_is_one_when_all_pairs_dominate(self):
         # S is every pair for this rule set, so both densities coincide
@@ -354,9 +344,15 @@ class TestLipschitzProbe:
         b = lipschitz_ratio_probe(example("e3"), samples=32, window_n=4096, seed=5)
         assert a == b
 
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
+    def test_rejects_empty_window(self, monkeypatch):
+        monkeypatch.setattr(substdyn.empirical, "analyze_pairs", _not_called)
+        with pytest.raises(PreconditionError, match="lipschitz_ratio_probe"):
             lipschitz_ratio_probe(example("e1"), window_n=0)
+
+    def test_rejects_no_samples(self, monkeypatch):
+        monkeypatch.setattr(substdyn.empirical, "analyze_pairs", _not_called)
+        with pytest.raises(PreconditionError, match="lipschitz_ratio_probe"):
+            lipschitz_ratio_probe(example("e1"), samples=0)
 
     def test_builds_no_polynomial(self, monkeypatch):
         # only the report prints the critical polynomial
@@ -400,14 +396,24 @@ def _matches_oracle(call, rules, pairs, samples, window_n, seed) -> None:
     assert got == brute_lipschitz_ratio_probe(rules, pairs, samples, window_n, seed)
 
 
+def _random_classes(rng: random.Random, size: int) -> tuple[int, ...]:
+    """Class labels of a random partition of ``size`` letters."""
+    return tuple(rng.randrange(rng.randint(1, size)) for _ in range(size))
+
+
+def _cross_pairs(classes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The pairs of letters in different classes: S for these classes."""
+    size = len(classes)
+    return [(a, b) for a in range(size) for b in range(a + 1, size) if classes[a] != classes[b]]
+
+
 class TestProbeAgainstOracle:
-    """The histogram probe against the old loop, which materialises the
+    """The class-plane probe against the old loop, which materialises the
     windows and looks every position up in a 2-D pair table."""
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_sweep(self, chunk):
         public = 0
-        bitset_path = set()
         for draw in range(50 * chunk, 50 * chunk + 50):
             subst = sweep_draw(draw)
             rng = random.Random(draw)
@@ -424,21 +430,14 @@ class TestProbeAgainstOracle:
                         pure.rules, pairs, *args,
                     )
                     public += 1
-            # any S, so that the filter is not only a closed one
-            size = pure.alphabet.size
-            bitset_path.add(size <= _BITSET_LETTERS)
-            pairs = [
-                (a, b) for a in range(size) for b in range(a + 1, size)
-                if rng.random() < 0.5
-            ]
-            flagged = tuple(LetterPair(a, b) for a, b in pairs)
+            # any partition, so that S is not only a closed one; every S that
+            # analyze_pairs returns is the pairs across the classes of one
+            classes = _random_classes(rng, pure.alphabet.size)
             _matches_oracle(
-                lambda: _min_density_ratio(pure, flagged, *args),
-                pure.rules, pairs, *args,
+                lambda: _min_density_ratio(pure, classes, *args),
+                pure.rules, _cross_pairs(classes), *args,
             )
         assert public > 0
-        # both ways of counting a pair, wherever the switch between them sits
-        assert bitset_path == {True, False}
 
 
 def _draw_of_size(rng: random.Random, size: int) -> Substitution:
@@ -449,50 +448,79 @@ def _draw_of_size(rng: random.Random, size: int) -> Substitution:
             return subst
 
 
-class TestHistogramPaths:
-    """Window pairs counted at the switch between letter bitsets and one
-    bincount a pair, at a window of whole words and one with a tail."""
+def _partition(kind: str, rng: random.Random, size: int) -> tuple[int, ...]:
+    """One class, all singletons, or a random partition with at least two
+    classes and a class of at least two letters."""
+    if kind == "one":
+        return (0,) * size
+    if kind == "singletons":
+        return tuple(range(size))
+    while True:
+        classes = _random_classes(rng, size)
+        if 1 < len(set(classes)) < size:
+            return classes
+
+
+# one class and all singletons take 1, 2, 3 and 5 bit planes at these sizes
+_PARTITIONS = [
+    (size, kind)
+    for size in (2, 4, 7, 20)
+    for kind in ("one", "singletons", "mixed")
+    if size > 2 or kind != "mixed"
+]
+
+
+class TestWindowCounts:
+    """Window pairs counted on the bit planes of class and rank, at a
+    window of whole words and one with a tail."""
+
+    def test_e2_classes(self):
+        # S = {(ab), (ac)}, so the classes are {a} and {b, c}
+        analysis = analyze_pairs(example("e2"))
+        assert analysis.classes == (0, 1, 1)
+        assert _cross_pairs(analysis.classes) == [tuple(p) for p in analysis.maximal]
 
     @pytest.mark.parametrize("window_n", [4096, 4000])
-    @pytest.mark.parametrize("size", [_BITSET_LETTERS, _BITSET_LETTERS + 1])
-    def test_probe_matches_oracle(self, size, window_n):
+    @pytest.mark.parametrize("size,kind", _PARTITIONS)
+    def test_counts_match_lookups(self, size, kind, window_n):
         rng = random.Random(size * window_n)
         pure = _draw_of_size(rng, size)
-        every = [(a, b) for a in range(size) for b in range(a + 1, size)]
-        for seed in range(4):
-            # 40 samples draw starts below 160, so from three blocks of 64
-            pairs = every if seed == 0 else [p for p in every if rng.random() < 0.5]
-            flagged = tuple(LetterPair(a, b) for a, b in pairs)
-            _matches_oracle(
-                lambda: _min_density_ratio(pure, flagged, 40, window_n, seed),
-                pure.rules, pairs, 40, window_n, seed,
-            )
-
-    @pytest.mark.parametrize("window_n", [4096, 4000])
-    @pytest.mark.parametrize("size", [_BITSET_LETTERS, _BITSET_LETTERS + 1])
-    def test_histograms_match_lookups(self, size, window_n):
-        rng = random.Random(size + window_n)
-        pure = _draw_of_size(rng, size)
+        classes = _partition(kind, rng, size)
+        table = pair_filter_table(size, _cross_pairs(classes))
         m_starts = 160
         w = orbit_windows(pure.rules, m_starts, window_n)
         starts = [(0, 159), (63, 64), (64, 63), (127, 1), (5, 5)]
-        starts += [(rng.randrange(m_starts), rng.randrange(m_starts)) for _ in range(60)]
-        got = _pair_histograms(
-            fixed_point_array(pure, m_starts + window_n), size, window_n, m_starts
-        )(*zip(*starts))
-        for row, (i, j) in zip(got, starts):
-            want = np.zeros((size, size), dtype=np.int64)
-            np.add.at(want, (w[i], w[j]), 1)
-            assert row.tolist() == want.ravel().tolist(), (i, j)
+        starts += [(rng.randrange(m_starts), rng.randrange(m_starts)) for _ in range(100)]
+        got = _window_counts(pure, classes, window_n, m_starts)(*zip(*starts))
+        want = [
+            [np.count_nonzero(w[i] != w[j]), np.count_nonzero(table[w[i], w[j]])]
+            for i, j in starts
+        ]
+        assert [list(row) for row in got] == want
 
-    @pytest.mark.parametrize("size", [_BITSET_LETTERS, _BITSET_LETTERS + 1])
+    @pytest.mark.parametrize("window_n", [4096, 4000])
+    @pytest.mark.parametrize("size", [3, 20])
+    def test_probe_matches_oracle(self, size, window_n):
+        rng = random.Random(size * window_n)
+        pure = _draw_of_size(rng, size)
+        for seed in range(4):
+            # 40 samples draw starts below 160, so from three blocks of 64
+            classes = tuple(range(size)) if seed == 0 else _random_classes(rng, size)
+            _matches_oracle(
+                lambda: _min_density_ratio(pure, classes, 40, window_n, seed),
+                pure.rules, _cross_pairs(classes), 40, window_n, seed,
+            )
+
+    @pytest.mark.parametrize("size", [3, 20])
     def test_density_rows_match_lookups(self, size):
         rng = random.Random(size)
         subst = _draw_of_size(rng, size)
-        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)
-                 if rng.random() < 0.5]
+        classes = _partition("mixed", rng, size)
+        pairs = _cross_pairs(classes)
         analysis = dataclasses.replace(
-            analyze_pairs(subst), maximal=tuple(LetterPair(a, b) for a, b in pairs)
+            analyze_pairs(subst),
+            maximal=tuple(LetterPair(a, b) for a, b in pairs),
+            classes=classes,
         )
         table = pair_filter_table(size, pairs)
         w = orbit_windows(subst.rules, 16, 4096)
