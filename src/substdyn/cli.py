@@ -448,11 +448,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on first use and kept.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own parser, built on first use
+    and kept.
 
     ``parse_args`` fills a fresh namespace on each call and never writes
-    to the parser; each subcommand looks up the library at call time.
+    to a parser; each subcommand looks up the library at call time.
     """
     parser = argparse.ArgumentParser(
         prog="substdyn",
@@ -507,13 +508,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--t", type=int, default=2)
     p_oracle.add_argument("--window", type=int, default=16)
     p_oracle.set_defaults(func=_cmd_oracle)
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """What the full parser makes of ``argv``, but the arguments of a known
+    subcommand go straight to that subcommand's parser.
+
+    The full parser would hand them to it too, then refuse what it left
+    over; this refuses the leftovers with the full parser's own message,
+    so every usage line, message and exit code is the same.  Only the
+    ``command`` attribute is missing.  Anything else (``--version``,
+    ``-h``, no arguments, an unknown command) goes to the full parser.
+    """
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import matrices
 from .core import (
-    WORD_BUDGET,
     Alphabet,
     Substitution,
     Word,
@@ -228,7 +227,8 @@ class KernelDescriptor:
 
 
 #: Most elements :func:`kernel_monoid` may enumerate.  The monoid can reach
-#: |A|^|A| column maps (46,656 on six letters, 10^10 on ten).
+#: |A|^|A| column maps (46,656 on six letters, 10^10 on ten); up to 7
+#: letters every one of them fits, so only a wider alphabet can exceed it.
 KERNEL_BUDGET = 1 << 20
 
 # Children gathered at once: bounds the temporary arrays of a wide level.
@@ -241,47 +241,77 @@ def kernel_monoid(subst: Substitution) -> KernelDescriptor:
     The closure is breadth first, one level at a time: level L holds the
     elements whose shortest word has L letters.  One numpy gather applies
     all k generators to the frontier; child q*k + r is phi_r . (frontier
-    element q).  A child row, read as one bytes key, is kept the first time
-    that key is seen, and only its parent and generator are recorded.  So
-    elements are listed by word length, then by parent, then by generator,
-    and the words the links spell are shortest ones.  A wide frontier is
-    gathered a block of parents at a time, about ``_GATHER_ROWS`` children
-    per block, and the closure raises ResourceLimitError as soon as a block
-    takes it past ``KERNEL_BUDGET`` elements.
+    element q).  A child is kept the first time its map is seen, and only
+    its parent and generator are recorded.  So elements are listed by word
+    length, then by parent, then by generator, and the words the links
+    spell are shortest ones.  A wide frontier is gathered a block of
+    parents at a time, about ``_GATHER_ROWS`` children per block.
+
+    When every map on the alphabet fits the budget, |A|^|A| <=
+    ``KERNEL_BUDGET`` (up to 7 letters), map tau has the code sum_a
+    tau(a) |A|^a, and one gather on a flag array of |A|^|A| bytes picks a
+    block's unseen children; a stable sort of those few codes keeps each
+    one's first occurrence.  The monoid then has at most |A|^|A| elements,
+    so the budget cannot be exceeded.  On a wider alphabet each child row
+    is read as one bytes key and looked up in a set, and the closure
+    raises ResourceLimitError as soon as a block takes it past
+    ``KERNEL_BUDGET`` elements.  The path is chosen from the budget at
+    call time.
     """
     _require(subst, "kernel_monoid")
     if _dekking_height(subst) != 1:
         raise PreconditionError("kernel_monoid requires height 1; purify first")
     size, k = subst.alphabet.size, subst.length_k
     letter = np.min_scalar_type(size - 1)  # uint8 up to 256 letters
-    key = np.dtype(f"V{size * letter.itemsize}")  # a row read as one bytes key
-    gens = np.array(subst.columns(), dtype=letter)  # gens[r, a] = phi_r(a)
+    flat = np.array(subst.columns(), dtype=letter).ravel()  # phi_r(a) at r*size + a
+    offset = np.arange(0, k * size, size)[:, None]
     frontier = np.arange(size, dtype=letter)[None]
-    seen = {frontier.tobytes()}
+    direct = size**size <= KERNEL_BUDGET
+    if direct:
+        weight = size ** np.arange(size, dtype=np.int64)
+        seen = np.zeros(size**size, dtype=bool)
+        seen[sum(a * size**a for a in range(size))] = True  # the identity
+    else:
+        key = np.dtype(f"V{size * letter.itemsize}")  # a row read as one bytes key
+        keys = {frontier.tobytes()}
     levels = [frontier]
-    codes: list[int] = []  # parent * k + generator of each element after the identity
+    links = [np.array([-1])]  # parent * k + generator of each element
     first = 0  # index of the frontier's first element
     parents = max(1, _GATHER_ROWS // k)
     while len(frontier):
         level = []
         for lo in range(0, len(frontier), parents):
-            # copy() lays the children out row after row, as view(key) needs
-            children = gens[:, frontier[lo:lo + parents]].swapaxes(0, 1).copy()
-            keys = children.view(key).ravel().tolist()
-            kept = [i for i, c in enumerate(keys) if c not in seen and not seen.add(c)]
+            # row q*k + r is phi_r . (frontier row lo + q), laid out as view(key) needs
+            children = flat.take(frontier[lo:lo + parents, None] + offset).reshape(-1, size)
+            if direct:
+                code = children @ weight
+                kept = (~seen[code]).nonzero()[0]
+                if len(kept) > 1:
+                    # a stable sort puts each code's first child in the block
+                    # first; the others, equal to the code before, are dropped
+                    order = code[kept].argsort(kind="stable")
+                    ranked = code[kept[order]]
+                    lead = np.ones(len(kept), dtype=bool)
+                    lead[order[1:][ranked[1:] == ranked[:-1]]] = False
+                    kept = kept[lead]
+                seen[code[kept]] = True
+            else:
+                rows = children.view(key).ravel().tolist()
+                kept = [i for i, c in enumerate(rows) if c not in keys and not keys.add(c)]
+                kept = np.array(kept, dtype=np.intp)
+                if len(keys) > KERNEL_BUDGET:
+                    raise ResourceLimitError(
+                        f"kernel_monoid: more than {KERNEL_BUDGET} elements on "
+                        f"{size} letters with k = {k}"
+                    )
             # child i has parent first + lo + i // k and generator i % k
-            codes += map(((first + lo) * k).__add__, kept)
-            if len(codes) >= KERNEL_BUDGET:
-                raise ResourceLimitError(
-                    f"kernel_monoid: more than {KERNEL_BUDGET} elements on "
-                    f"{size} letters with k = {k}"
-                )
-            level.append(children.reshape(-1, size).take(kept, 0))
+            links.append(kept + (first + lo) * k)
+            level.append(children.take(kept, 0))
         first += len(frontier)
         frontier = np.concatenate(level)
         levels.append(frontier)
     elements = np.concatenate(levels)
-    parent, generator = np.divmod(np.array([-1] + codes), k)
+    parent, generator = np.divmod(np.concatenate(links), k)
     generator[0] = -1
     constant = (elements == elements[:, :1]).all(axis=1)
     return KernelDescriptor(subst.alphabet, elements, parent, generator, constant)
@@ -354,23 +384,29 @@ def nonconstant_ap_counts(subst: Substitution, m_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+#: Longest rule length k^n that :func:`synthesize_target_ac` builds.  At
+#: 2^22 symbols its two rules, self-check and spec text take about 140 MB
+#: and 2-4 s, and each doubling of k^n about doubles both.
+SYNTH_BUDGET = 1 << 22
+
+
 def synthesize_target_ac(k: int, n: int, l: int) -> Substitution:
     """A two-letter substitution of length k^n with ac = n log k/(n log k - log l).
 
     The first l columns swap the letters (so one distinct pair survives l
     times per step and lambda_s = l exactly); the remaining columns are
     constants arranged so both letters occur in both images whenever
-    possible.  The result is primitive, of height 1, and is re-analyzed
-    before being returned.  A rule length k^n over ``WORD_BUDGET`` raises
-    ResourceLimitError before anything is built.
+    possible.  The result is primitive, of height 1, and its pair analysis
+    is checked before it is returned.  A rule length k^n over
+    ``SYNTH_BUDGET`` raises ResourceLimitError before anything is built.
     """
     if k < 2 or n < 1:
         raise PreconditionError("synthesize_target_ac needs k >= 2 and n >= 1")
     # k^n >= 2^n, so a large n is refused before k^n is computed
-    if n >= WORD_BUDGET.bit_length() or k**n > WORD_BUDGET:
+    if n >= SYNTH_BUDGET.bit_length() or k**n > SYNTH_BUDGET:
         raise ResourceLimitError(
             f"synthesize_target_ac: rule length {k}^{n} exceeds the "
-            f"{WORD_BUDGET}-symbol budget"
+            f"{SYNTH_BUDGET}-symbol budget"
         )
     length = k**n
     if not 1 <= l < length:
@@ -378,13 +414,14 @@ def synthesize_target_ac(k: int, n: int, l: int) -> Substitution:
     tail = (0, 1) + (0,) * (length - l - 2) if length - l >= 2 else (0,)
     result = Substitution(Alphabet(("0", "1")), ((1,) * l + tail, (0,) * l + tail))
 
-    report = classify(result)
+    # analyze_pairs refuses a non-primitive result; it builds no rule strings
+    analysis = analyze_pairs(result)
+    ac = amorphic_complexity(result, analysis)
     target = (n * math.log(k)) / (n * math.log(k) - math.log(l))
     ok = (
-        report.primitive
-        and report.height_h == 1
-        and abs(report.lambda_s - l) <= 1e-6
-        and abs(report.ac - target) <= 1e-9 * max(1.0, target)
+        analysis.pure.height_h == 1
+        and abs(analysis.rate_type.rate - l) <= 1e-6
+        and abs(ac - target) <= 1e-9 * max(1.0, target)
     )
     if not ok:
         raise InternalError(

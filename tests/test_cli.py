@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -615,6 +616,20 @@ class TestSynthesizeCommand:
         assert run(["synthesize", "--k", "10", "--n", "30", "--l", "1"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k,n", [(2, 23), (3, 14), (4, 12), (2**22 + 1, 1)])
+    def test_smallest_refused_lengths_exit_3_at_once(self, capsys, k, n):
+        # the shortest rules over the 2^22-symbol synthesis budget, each
+        # refused before a symbol is built
+        started = time.perf_counter()
+        assert run(["synthesize", "--k", str(k), "--n", str(n), "--l", "1"]) == 3
+        assert time.perf_counter() - started < 0.25
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: synthesize_target_ac: rule length {k}^{n} exceeds the "
+            "4194304-symbol budget\n"
+        )
+
 
 class TestKernelCommand:
     def test_e6_monoid(self, tmp_path, capsys):
@@ -784,7 +799,8 @@ class TestStageCounts:
     # column_sets (which lists the vertices alone) and computes each image
     # set once.  The generators are read once each by that closure and by
     # kernel_monoid.  Only the report prints the critical polynomial, so
-    # verify builds none.
+    # verify builds none, and synthesize checks its result on the pair
+    # analysis alone.
     EXPECTED = {
         ("analyze", "e1"): (1, 0, 0, 1, 1, 1, 1),
         ("analyze", "e4"): (1, 0, 0, 1, 1, 1, 1),
@@ -792,7 +808,7 @@ class TestStageCounts:
         ("kernel", "e4"): (1, 0, 1, 0, 0, 0, 2),
         ("plain_analyze", "e1"): (1, 0, 0, 1, 1, 1, 0),
         ("plain_analyze", "e4"): (1, 0, 0, 1, 1, 1, 0),
-        ("synthesize", "k2_n3_l3"): (1, 0, 0, 1, 1, 1, 0),
+        ("synthesize", "k2_n3_l3"): (1, 0, 0, 1, 1, 0, 0),
         ("verify", "e1"): (1, 0, 0, 1, 1, 0, 0),
     }
     ARGV = {
@@ -979,6 +995,64 @@ class TestParserReuse:
         assert results[6] == results[4]
         for argv, got in zip(calls[:6], results):
             assert got == self.fresh(argv, env), argv
+
+    ARGV = [
+        # valid
+        ["analyze", "e1.sub"],
+        ["analyze", "--json", "e1.sub", "--m-max", "12"],
+        ["analyze", "--m-max=3", "--text", "e1.sub"],
+        ["analyze", "--js", "e1.sub"],
+        ["kernel", "--m-max", "12", "e1.sub"],
+        ["kernel", "--m", "3", "e1.sub"],
+        ["kernel", "--", "e1.sub"],
+        ["verify", "e1.sub", "--seed", "5", "--points", "512", "--window", "16384"],
+        ["verify", "e1.sub", "--csv", "out.csv", "--density-csv", "d.csv", "--nu-min", "0.01"],
+        ["synthesize", "--k", "2", "--n", "3", "--l", "1", "-o", "x.sub"],
+        ["oracle", "e1.sub", "--t", "3", "--window", "8"],
+        # refused by a subcommand's parser, or with leftovers
+        ["analyze"],
+        ["analyze", "--json", "--text", "e1.sub"],
+        ["analyze", "e1.sub", "extra"],
+        ["analyze", "e1.sub", "extra", "--bogus", "more"],
+        ["kernel", "--m-max", "x", "e1.sub"],
+        ["kernel", "e1.sub", "--", "x"],
+        ["kernel", "-h"],
+        ["verify", "e1.sub", "--version"],
+        ["verify", "--points"],
+        ["synthesize", "--k", "2"],
+        ["synthesize", "--k", "2", "--n", "3", "--l", "1", "--help"],
+        ["oracle", "e1.sub", "e2.sub"],
+        # the full parser's own
+        [],
+        ["--version"],
+        ["-h"],
+        ["frobnicate", "e1.sub"],
+        ["--", "kernel", "e1.sub"],
+    ]
+
+    @staticmethod
+    def parsed(parse, argv) -> tuple:
+        """(namespace without ``command``, exit code, stdout, stderr) of parse(argv)."""
+        out, err = io.StringIO(), io.StringIO()
+        namespace, code = None, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                namespace = vars(parse(argv))
+            except SystemExit as exc:
+                code = exc.code
+        if namespace is not None:
+            namespace.pop("command", None)
+        return namespace, code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_subcommand_parser_matches_the_full_parser(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full, commands = substdyn.cli.build_parser()
+        got = self.parsed(substdyn.cli.parse_args, argv)
+        assert got == self.parsed(full.parse_args, argv)
+        assert (got[0] is None) == (got[1] is not None)
+        if argv and argv[0] in commands and got[1] == 2:
+            assert got[3].startswith("usage: substdyn")
 
 
 class TestMinimalPolynomialCheck:

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import string
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -246,6 +247,45 @@ class TestKernelMonoid:
         assert kd.elements.tolist() == list(map(list, elements))
         assert words(kd) == expected_words
         assert kd.constant.tolist() == flags
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_both_membership_paths_match_queue_closure(self, block, monkeypatch):
+        # height-1 draws of 2-7 letters, k 2-5, four or more of them on 7
+        # letters per block: |A|^|A| <= KERNEL_BUDGET indexes a flag array, a
+        # budget patched to |A|^|A| - 1 looks the children up in a set
+        assert 7**7 <= invariants.KERNEL_BUDGET < 8**8
+        rng = random.Random(9400 + block)
+        drawn = Counter()
+        while drawn[7] < 4 or drawn.total() < 25:
+            subst = random_primitive_substitution(rng, max_letters=7, max_k=5)
+            if height(subst) != 1:
+                continue
+            size = subst.alphabet.size
+            elements, expected_words, flags = brute_kernel_monoid(subst.rules)
+            results = [kernel_monoid(subst)]
+            with monkeypatch.context() as patch:
+                patch.setattr(invariants, "KERNEL_BUDGET", size**size - 1)
+                if len(elements) < size**size:
+                    results.append(kernel_monoid(subst))
+                else:  # every map: too many for the patched budget
+                    with pytest.raises(ResourceLimitError):
+                        kernel_monoid(subst)
+            for kd in results:
+                assert kd.elements.tolist() == list(map(list, elements)), subst.rule_strings()
+                assert words(kd) == expected_words, subst.rule_strings()
+                assert kd.constant.tolist() == flags, subst.rule_strings()
+            drawn[size] += 1
+
+    def test_wide_draw_closure_memory(self):
+        # the flag array and a block's candidates, not one bytes key per element
+        wide = Substitution.from_strings(WIDE_KERNEL_RULES)
+        tracemalloc.start()
+        try:
+            assert len(kernel_monoid(wide).elements) == 36942
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10**6
 
     def test_wide_draw_size_and_budget(self, monkeypatch):
         wide = Substitution.from_strings(WIDE_KERNEL_RULES)
