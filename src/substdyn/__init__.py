@@ -6,7 +6,6 @@ from .core import WORD_BUDGET, Alphabet, Substitution
 from .discrepancy import analyze_pairs
 from .empirical import (
     COMPARISON_BUDGET,
-    fit_slope,
     lipschitz_ratio_probe,
     separation_profile,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "amorphic_complexity",
     "analyze_pairs",
     "classify",
-    "fit_slope",
     "height",
     "kernel_monoid",
     "lipschitz_ratio_probe",

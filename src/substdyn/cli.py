@@ -265,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     subst = doc.substitution
     grid = build_nu_grid(args.nu_max, args.nu_min)
-    check_sample_size(args.points, args.window)
+    check_sample_size(args.points, args.window, subst.alphabet.size)
     with _claiming([path for path in (args.csv, args.density_csv) if path]):
         analysis = analyze_pairs(subst)
         exact = amorphic_complexity(subst, analysis)

@@ -32,6 +32,13 @@ from .invariants import DEFAULT_SEED, _ac_from_rate
 #: arithmetic.
 COMPARISON_BUDGET = 1 << 38
 
+#: Hard cap in bytes on the table of the 64 bit-shifts of each bit plane of
+#: the M + N prefix that the first row of counts reads (``_shifted_words``):
+#: 512 bytes a plane for every 64 positions.  The XOR over it in
+#: ``_first_row`` is as large again, so the table is most of a profile's
+#: peak memory on long windows.
+SHIFT_TABLE_BUDGET = 1 << 27
+
 _MIN_POINTS = 32
 _MIN_WINDOW = 1 << 10
 
@@ -175,8 +182,9 @@ def _greedy_counts(
     return tuple(counts)
 
 
-def check_sample_size(m_points: int, window_n: int) -> None:
-    """Refuse an orbit sample that separation_profile cannot take."""
+def check_sample_size(m_points: int, window_n: int, letters: int) -> None:
+    """Refuse an orbit sample that separation_profile cannot take on
+    ``letters`` letters, before anything is built."""
     if m_points < _MIN_POINTS:
         raise PreconditionError(f"need at least {_MIN_POINTS} orbit points")
     if window_n < _MIN_WINDOW:
@@ -184,6 +192,13 @@ def check_sample_size(m_points: int, window_n: int) -> None:
     if m_points * m_points * window_n > COMPARISON_BUDGET:
         raise ResourceLimitError(
             f"M^2*N = {m_points**2 * window_n} exceeds {COMPARISON_BUDGET}"
+        )
+    planes = (letters - 1).bit_length()
+    table = 512 * planes * (-(-window_n // 64) + -(-m_points // 64))
+    if table > SHIFT_TABLE_BUDGET:
+        raise ResourceLimitError(
+            f"separation_profile: a shift table of {table} bytes exceeds the "
+            f"{SHIFT_TABLE_BUDGET}-byte budget"
         )
 
 
@@ -198,7 +213,7 @@ def separation_profile(
     Deterministic: points are scanned in index order and kept when at
     mismatch density >= nu from everything kept so far.
     """
-    check_sample_size(m_points, window_n)
+    check_sample_size(m_points, window_n, subst.alphabet.size)
     grid = tuple(nu_grid) if nu_grid is not None else build_nu_grid()
     require_primitive(subst, "separation_profile")
     # the windows x[i : i + N], i < M, stand in for the orbit points T^i x

@@ -321,12 +321,19 @@ class TestRefusedBeforeTheStage:
             (["--points", "16"], 2),
             (["--window", "512"], 2),
             (["--points", "8192", "--window", "8192"], 3),
+            # on e1's 3 letters the bit-plane shift table of the M + N prefix
+            # would take 128 MiB, and 1 GiB at the longest window that
+            # WORD_BUDGET admits
+            (["--points", "32", "--window", "8388608"], 3),
+            (["--points", "32", "--window", "67108832"], 3),
         ],
     )
     def test_verify_sample_size(self, tmp_path, capsys, monkeypatch, size, code):
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
         calls = self.count(monkeypatch, "analyze_pairs")
+        started = time.perf_counter()
         assert run(["verify", path, *size]) == code
+        assert time.perf_counter() - started < 0.25
         assert capsys.readouterr().out == ""
         assert calls == []
 
@@ -438,28 +445,39 @@ class TestVerifyCommand:
         assert csv_path.read_text().startswith("nu,count\n0.25,")
 
     @pytest.mark.parametrize(
-        "rules",
+        "rules,density_sha256",
         [
             # 3 letters in the classes {a} and {b, c}; ac is 2
-            {"a": "bbca", "b": "cabc", "c": "cacc"},
+            ({"a": "bbca", "b": "cabc", "c": "cacc"},
+             "f86454ae802d7aac0541353f5803fdb5dd71067faf4eaf3a345a53af0ddd36d2"),
             # 6 letters in five classes, c and e sharing one
-            {"a": "ebc", "b": "dbe", "c": "aec", "d": "efb", "e": "aee", "f": "fbc"},
+            ({"a": "ebc", "b": "dbe", "c": "aec", "d": "efb", "e": "aee", "f": "fbc"},
+             "5f5a6fb07c30a6a9918fbfa180ab7c41d62a22b5dec2a76f03f09b6ba442be1d"),
         ],
+        ids=["rules0", "rules1"],
     )
-    def test_ratio_falling_under_the_substitution_is_no_bug(self, tmp_path, capsys, rules):
+    def test_ratio_falling_under_the_substitution_is_no_bug(
+        self, tmp_path, capsys, rules, density_sha256
+    ):
         # the probe once pushed its windows through the substitution and
         # exited 4 when their ratio fell by more than 0.05, which no theorem
-        # bounds; both specs fell so
+        # bounds; both specs fell so.  Their density rows are pinned byte for
+        # byte, so every Python and numpy writes the same CSV.
         path = write_spec(tmp_path, "fall.sub", rules)
-        assert run(["verify", path, "--points", "32", "--window", "1024"]) == 0
+        density = tmp_path / "density.csv"
+        argv = ["verify", path, "--points", "32", "--window", "1024",
+                "--density-csv", str(density)]
+        assert run(argv) == 0
         assert "min density ratio (S-restricted / plain):" in capsys.readouterr().out
+        assert hashlib.sha256(density.read_bytes()).hexdigest() == density_sha256
 
     def test_saturated_profile_reports_na(self, tmp_path, capsys):
         path = write_spec(tmp_path, "tm.sub", EXAMPLE_RULES["thue_morse"])
-        assert run(["verify", path, "--points", "64", "--window", "2048"]) == 0
-        out = capsys.readouterr().out
-        assert "exact ac: infinity" in out
-        assert "fitted slope: n/a" in out
+        for points, window in (("32", "1024"), ("64", "2048")):
+            assert run(["verify", path, "--points", points, "--window", window]) == 0
+            out = capsys.readouterr().out
+            assert "exact ac: infinity" in out
+            assert "fitted slope: n/a" in out
 
     def test_density_csv(self, tmp_path, capsys):
         path = write_spec(tmp_path, "e3.sub", EXAMPLE_RULES["e3"])
@@ -656,6 +674,19 @@ class TestKernelCommand:
         assert out.startswith("kernel monoid: 36942 element(s)\n")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e8a08b141f1552b9f7d5554b3ecc03b168e73c42793440a8c29e6e995b23701d"
+        )
+
+    def test_eight_letter_draw_pinned(self, tmp_path, capsys):
+        # 8^8 maps exceed KERNEL_BUDGET, so the closure keys each map by its
+        # bytes instead of indexing the map space
+        rules = {"a": "efa", "b": "dcg", "c": "ecb", "d": "eea",
+                 "e": "che", "f": "chg", "g": "cdg", "h": "fea"}
+        path = write_spec(tmp_path, "eight.sub", rules)
+        assert run(["kernel", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("kernel monoid: 449 element(s)\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3bb4bf88cd7d7909e42df4501255448cadcc6a9e3548fd3fbe79fcf29468e9cb"
         )
 
     def test_wide_draw_listing_memory(self, tmp_path):

@@ -18,7 +18,6 @@ from substdyn import (
     Substitution,
     amorphic_complexity,
     analyze_pairs,
-    fit_slope,
     kernel_monoid,
     lipschitz_ratio_probe,
     separation_profile,
@@ -32,7 +31,9 @@ from substdyn.empirical import (
     _min_density_ratio,
     _window_counts,
     build_nu_grid,
+    check_sample_size,
     density_rows,
+    fit_slope,
     write_density_csv,
     write_profile_csv,
 )
@@ -244,6 +245,18 @@ class TestSeparationProfile:
     def test_comparison_budget(self):
         with pytest.raises(ResourceLimitError):
             separation_profile(example("e5"), m_points=1 << 13, window_n=1 << 13)
+
+    def test_shift_table_budget(self, monkeypatch):
+        # on 3 letters, 2 bit planes, the table takes 1024 bytes for every 64
+        # positions of the M + N prefix: at M = 32 it admits N up to
+        # 64 * (2^17 - 1) and refuses one position more, before the prefix
+        def unbuilt(*args):
+            raise AssertionError("the prefix was built")
+
+        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
+        check_sample_size(32, 64 * (2**17 - 1), 3)
+        with pytest.raises(ResourceLimitError, match="separation_profile: a shift table"):
+            separation_profile(example("e1"), 32, 64 * (2**17 - 1) + 1)
 
     def test_refusal_names_separation_profile(self):
         subst = Substitution.from_strings({"a": "ab", "b": "bb"})
