@@ -13,6 +13,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,10 +34,11 @@ from .invariants import DEFAULT_SEED, _ac_from_rate
 COMPARISON_BUDGET = 1 << 38
 
 #: Hard cap in bytes on the table of the 64 bit-shifts of each bit plane of
-#: the M + N prefix that the first row of counts reads (``_shifted_words``):
-#: 512 bytes a plane for every 64 positions.  The XOR over it in
-#: ``_first_row`` is as large again, so the table is most of a profile's
-#: peak memory on long windows.
+#: an M + N prefix (``_plane_runs``): 512 bytes a plane for every 64
+#: positions, checked in ``_check_table`` before the prefix is built.  The
+#: profile's first row of counts and the ratio probe both read it.  The XOR
+#: over it in ``_first_row`` is as large again, so the table is most of a
+#: profile's peak memory on long windows.
 SHIFT_TABLE_BUDGET = 1 << 27
 
 _MIN_POINTS = 32
@@ -72,49 +74,57 @@ class SeparationProfile:
     fit_range: tuple[int, int] | None = None
 
 
-def _shifted_words(rows: np.ndarray, span: int) -> np.ndarray:
-    """The 64 bit-shifts of each 0/1 row of ``rows``, 64 positions a word.
+def _plane_runs(
+    prefix: np.ndarray, window_n: int, m_starts: int
+) -> tuple[np.ndarray, np.uint64]:
+    """The bit planes of ``prefix`` from every start below ``m_starts``,
+    N positions of each, 64 positions a uint64 word.
 
-    Entry [p, r, q] holds positions 64q + r ... 64q + r + 63 of row p, bit
-    t for position 64q + r + t, and positions past the row read 0.  So the
-    words [p, r, q : q + w] are row p from position D = 64q + r on, with no
-    shift left to do per start D.  ``rows`` may be up to 64 * span long;
-    the table is rows * 64 * span words.
+    Bit b of every symbol is packed into plane b, and the 64 bit-shifts of
+    each plane are built once: runs[p, r, q] is the ceil(N / 64) words of
+    plane p from position D = 64q + r on, bit t for position D + t, with
+    positions past the prefix read as 0, so no shift is left to do per
+    start.  ``tail`` masks the last word of a run to the window.  The table
+    is 512 * planes * (ceil(N / 64) + ceil(M / 64)) bytes
+    (``_check_table``).
     """
-    bits = np.zeros((rows.shape[0], 64 * (span + 1)), dtype=bool)
-    bits[:, : rows.shape[1]] = rows
+    words = -(-window_n // 64)  # words of one window
+    span = words + -(-m_starts // 64)  # and one block per 64 starts
+    planes = int(prefix.max()).bit_length()
+    bits = np.zeros((planes, 64 * (span + 1)), dtype=bool)
+    bits[:, : len(prefix)] = prefix >> np.arange(planes)[:, None] & 1
     packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    shifts = np.empty((rows.shape[0], 64, span), dtype=np.uint64)
+    shifts = np.empty((planes, 64, span), dtype=np.uint64)
     shifts[:, 0] = packed[:, :-1]
     r = np.arange(1, 64, dtype=np.uint64)[:, None]
     shifts[:, 1:] = packed[:, None, :-1] >> r | packed[:, None, 1:] << 64 - r
-    return shifts
+    tail = np.uint64((1 << (window_n - 64 * (words - 1))) - 1)
+    return sliding_window_view(shifts, words, axis=2), tail
 
 
-def _tail_mask(window_n: int) -> np.uint64:
-    """The bits of the last word of a window of N positions that lie in it."""
-    return np.uint64((1 << (window_n - 64 * (-(-window_n // 64) - 1))) - 1)
+def _check_table(op: str, planes: int, window_n: int, m_starts: int) -> None:
+    """Refuse a ``_plane_runs`` table over SHIFT_TABLE_BUDGET bytes."""
+    table = 512 * planes * (-(-window_n // 64) + -(-m_starts // 64))
+    if table > SHIFT_TABLE_BUDGET:
+        raise ResourceLimitError(
+            f"{op}: a shift table of {table} bytes exceeds the "
+            f"{SHIFT_TABLE_BUDGET}-byte budget"
+        )
 
 
 def _first_row(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
     """Mismatches of x[0 : N] against x[D : D + N] for each lag D < M.
 
-    Bit b of every letter is packed 64 positions to a uint64 word, and the
-    64 bit-shifts of each such plane are built once (``_shifted_words``).
-    The window at lag D = 64q + r is then the words q, q + 1, ... of shift
-    r, and its mismatches with x[0 : N] are the popcount of the OR over
-    planes of the XOR with the first window: O(M * N / 64) word operations
-    per plane.
+    The window at lag D = 64q + r is run [:, r, q] of ``_plane_runs``, and
+    its mismatches with x[0 : N] are the popcount of the OR over planes of
+    the XOR with the first window: O(M * N / 64) word operations per plane.
     """
-    words = -(-window_n // 64)  # words of one window
-    blocks = -(-m_points // 64)  # lags 64q ... 64q + 63, one block per q
-    planes = int(prefix.max()).bit_length()
-    shifts = _shifted_words(prefix >> np.arange(planes)[:, None] & 1, words + blocks)
-    first = shifts[:, :1, :words]
-    tail = _tail_mask(window_n)
+    runs, tail = _plane_runs(prefix, window_n, m_points)
+    first = runs[:, :1, 0]
+    blocks = -(-m_points // 64)
     row = np.empty(64 * blocks, dtype=np.int32)
     for q in range(blocks):
-        differs = np.bitwise_or.reduce(shifts[:, :, q : q + words] ^ first, axis=0)
+        differs = np.bitwise_or.reduce(runs[:, :, q] ^ first, axis=0)
         differs[:, -1] &= tail
         row[64 * q : 64 * q + 64] = np.bitwise_count(differs).sum(axis=1)
     return row[:m_points]
@@ -193,13 +203,7 @@ def check_sample_size(m_points: int, window_n: int, letters: int) -> None:
         raise ResourceLimitError(
             f"M^2*N = {m_points**2 * window_n} exceeds {COMPARISON_BUDGET}"
         )
-    planes = (letters - 1).bit_length()
-    table = 512 * planes * (-(-window_n // 64) + -(-m_points // 64))
-    if table > SHIFT_TABLE_BUDGET:
-        raise ResourceLimitError(
-            f"separation_profile: a shift table of {table} bytes exceeds the "
-            f"{SHIFT_TABLE_BUDGET}-byte budget"
-        )
+    _check_table("separation_profile", (letters - 1).bit_length(), window_n, m_points)
 
 
 def separation_profile(
@@ -279,25 +283,20 @@ def _window_counts(
     letters lie in different ``classes``.
 
     Letter a is coded classes[a] << low | (its rank in its class), so the
-    bit planes from ``low`` up spell the class, and the 64 bit-shifts of
-    each plane of the coded prefix are built once (``_shifted_words``).  A
-    pair's counts are the popcounts of the OR of its two windows' XORed
-    words, the last word masked to the window, over all planes and over the
-    planes from ``low`` up: O(planes * N / 64) word operations a pair.  A
-    numpy call takes 64 pairs, so its temporaries stay within a few times
-    the shift table.
+    bit planes from ``low`` up spell the class, and the windows are read
+    from the ``_plane_runs`` of the coded prefix, whose table is checked
+    against SHIFT_TABLE_BUDGET before the prefix is built.  A pair's counts
+    are the popcounts of the OR of its two windows' XORed words, the last
+    word masked to the window, over all planes and over the planes from
+    ``low`` up: O(planes * N / 64) word operations a pair.  A numpy call
+    takes 64 pairs, so its temporaries stay within a few times the table.
     """
     rank = [classes[:a].count(c) for a, c in enumerate(classes)]
     low = max(rank).bit_length()
     codes = np.array([c << low | n for c, n in zip(classes, rank)])
+    _check_table("lipschitz_ratio_probe", int(codes.max()).bit_length(), window_n, m_starts)
     prefix = codes[fixed_point_array(pure, m_starts + window_n)]
-    words = -(-window_n // 64)
-    planes = int(codes.max()).bit_length()
-    blocks = -(-m_starts // 64)  # starts 64q ... 64q + 63, one block per q
-    shifts = _shifted_words(prefix >> np.arange(planes)[:, None] & 1, words + blocks)
-    # runs[p, r, q] is plane p of the coded prefix from position 64q + r on
-    runs = sliding_window_view(shifts, words, axis=2)
-    tail = _tail_mask(window_n)
+    runs, tail = _plane_runs(prefix, window_n, m_starts)
 
     def counts(starts_i, starts_j):
         out = []
@@ -328,7 +327,9 @@ def lipschitz_ratio_probe(
     it.  A position of two windows is an S-mismatch iff its letters lie in
     different classes of ``analysis.classes``, so a pair of N-symbol windows
     costs O(planes * N / 64) word operations, planes being about
-    log2 |A| bits of class and rank (``_window_counts``).
+    log2 |A| bits of class and rank (``_window_counts``).  The table of
+    those planes from max(4 * samples, 64) starts is refused with
+    ResourceLimitError past SHIFT_TABLE_BUDGET, before the prefix is built.
     """
     if samples < 1 or window_n < 1:
         raise PreconditionError("lipschitz_ratio_probe needs samples >= 1 and window_n >= 1")
@@ -353,36 +354,25 @@ def _min_density_ratio(
     """The sampling loop of lipschitz_ratio_probe, S being the pairs of
     letters in different ``classes``.
 
-    ``pure`` must be primitive.  The pairs are drawn a batch at a time, at
-    most as many as could still be accepted, and counted in one call of
-    ``_window_counts``, so the draws, the acceptance and the stop are those
-    of a loop that counts one pair a time.
+    ``pure`` must be primitive.  Of the first 50 * samples draws, the pairs
+    with i != j are taken a batch at a time, at most as many as could still
+    be accepted, and counted in one call of ``_window_counts``, so the
+    draws, the acceptance and the stop are those of a loop that counts one
+    pair a time.
     """
     m_pool = max(4 * samples, 64)
     counts = _window_counts(pure, classes, window_n, m_pool)
     rng = random.Random(seed)
+    draws = ((rng.randrange(m_pool), rng.randrange(m_pool)) for _ in range(50 * samples))
+    pairs = ((i, j) for i, j in draws if i != j)
 
     best = math.inf
     accepted = 0
-    attempts = 0
-    while accepted < samples and attempts < 50 * samples:
-        # at most as many pairs as could still be accepted, so no batch runs
-        # past the point where a loop over single pairs would stop
-        starts_i, starts_j = [], []
-        while len(starts_i) < samples - accepted and attempts < 50 * samples:
-            attempts += 1
-            i = rng.randrange(m_pool)
-            j = rng.randrange(m_pool)
-            if i != j:
-                starts_i.append(i)
-                starts_j.append(j)
-        for plain, filtered in counts(starts_i, starts_j):
-            d1 = float(plain) / window_n
-            if d1 < 0.01:
-                continue
-            ds = float(filtered) / window_n
-            accepted += 1
-            best = min(best, ds / d1)
+    while accepted < samples and (batch := list(islice(pairs, samples - accepted))):
+        densities = np.array(counts(*zip(*batch))) / window_n
+        ratios = [ds / d1 for d1, ds in densities.tolist() if d1 >= 0.01]
+        accepted += len(ratios)
+        best = min([best, *ratios])
     if accepted == 0:
         raise EstimationError("no sampled pair had plain density >= 0.01")
     return best

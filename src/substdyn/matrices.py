@@ -74,7 +74,7 @@ class CountMatrix:
 
 @dataclass(frozen=True)
 class GrowthType:
-    """|phi^n(a)| ~ c * n^degree * rate^n, ordered lexicographically."""
+    """|phi^n(a)| ~ c * n^degree * rate^n; ``max_growth_type`` orders them."""
 
     rate: float
     degree: int

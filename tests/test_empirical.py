@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -390,6 +391,28 @@ class TestLipschitzProbe:
                 refused += 1
         assert 0 < refused < 300
 
+    def test_table_budget(self, monkeypatch):
+        # e2's classes (0, 1, 1) code its letters on 2 bit planes, so the
+        # table takes 1024 bytes for every 64 positions of the window and of
+        # the max(4 * samples, 64) starts: at 8 samples it admits N up to
+        # 64 * (2^17 - 1), and at N = 2^14 up to 16 * (2^17 - 2^8) samples
+        def unbuilt(*args):
+            raise AssertionError("the prefix was built")
+
+        subst = example("e2")
+        analysis = analyze_pairs(subst)
+        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
+        for admitted, refused in [
+            ((8, 8_388_544), (8, 8_388_545)),
+            ((2_093_056, 1 << 14), (2_093_057, 1 << 14)),
+        ]:
+            with pytest.raises(AssertionError, match="the prefix was built"):
+                lipschitz_ratio_probe(subst, *admitted, analysis=analysis)
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match="lipschitz_ratio_probe: a shift table"):
+                lipschitz_ratio_probe(subst, *refused, analysis=analysis)
+            assert time.perf_counter() - start < 0.25
+
     def test_rejects_extreme_rates(self):
         with pytest.raises(PreconditionError):
             lipschitz_ratio_probe(example("thue_morse"))  # lambda_s = k
@@ -516,13 +539,41 @@ class TestWindowCounts:
     def test_probe_matches_oracle(self, size, window_n):
         rng = random.Random(size * window_n)
         pure = _draw_of_size(rng, size)
-        for seed in range(4):
-            # 40 samples draw starts below 160, so from three blocks of 64
-            classes = tuple(range(size)) if seed == 0 else _random_classes(rng, size)
+        # 40 samples draw starts below 160, so from three blocks of 64; 65
+        # and 130 take more than one counting call of 64 pairs
+        for samples in (40, 65, 130):
+            for seed in range(4):
+                classes = tuple(range(size)) if seed == 0 else _random_classes(rng, size)
+                _matches_oracle(
+                    lambda: _min_density_ratio(pure, classes, samples, window_n, seed),
+                    pure.rules, _cross_pairs(classes), samples, window_n, seed,
+                )
+
+    @pytest.mark.parametrize("window_n", [4096, 4000])
+    def test_probe_matches_oracle_past_rejections(self, monkeypatch, window_n):
+        # the random draws above never reject a pair; this draw has window
+        # pairs closer than density 0.01, so at 130 samples seeds 1 and 3
+        # count a second batch
+        pure = Substitution.from_strings({"a": "ab", "b": "cb", "c": "aa"})
+        batches = []
+
+        def counted(*args):
+            counts = _window_counts(*args)
+
+            def call(starts_i, starts_j):
+                batches.append(len(starts_i))
+                return counts(starts_i, starts_j)
+
+            return call
+
+        monkeypatch.setattr(substdyn.empirical, "_window_counts", counted)
+        for seed in (1, 3):
+            batches.clear()
             _matches_oracle(
-                lambda: _min_density_ratio(pure, classes, 40, window_n, seed),
-                pure.rules, _cross_pairs(classes), 40, window_n, seed,
+                lambda: _min_density_ratio(pure, (0, 0, 1), 130, window_n, seed),
+                pure.rules, [(0, 2), (1, 2)], 130, window_n, seed,
             )
+            assert batches[0] == 130 and len(batches) > 1
 
     @pytest.mark.parametrize("size", [3, 20])
     def test_density_rows_match_lookups(self, size):
