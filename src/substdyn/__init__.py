@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .core import WORD_BUDGET, Alphabet, Substitution
 from .discrepancy import analyze_pairs
 from .empirical import (
-    COMPARISON_BUDGET,
     lipschitz_ratio_probe,
     separation_profile,
 )
@@ -29,7 +28,6 @@ from .invariants import (
 from .structure import height, pure_base
 
 __all__ = [
-    "COMPARISON_BUDGET",
     "DEFAULT_SEED",
     "WORD_BUDGET",
     "Alphabet",

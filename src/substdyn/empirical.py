@@ -27,19 +27,12 @@ from .errors import (
 )
 from .invariants import DEFAULT_SEED, _ac_from_rate
 
-#: Hard cap on the sample size M^2 * N of a profile: M^2 window pairs of N
-#: symbols each.  The counts take O(M^2 + M * N * ceil(log2 |A|) / 64) work
-#: and one int32 M x M matrix, so the cap bounds the sample, not the
-#: arithmetic.
-COMPARISON_BUDGET = 1 << 38
-
-#: Hard cap in bytes on the table of the 64 bit-shifts of each bit plane of
-#: an M + N prefix (``_plane_runs``): 512 bytes a plane for every 64
-#: positions, checked in ``_check_table`` before the prefix is built.  The
-#: profile's first row of counts and the ratio probe both read it.  The XOR
-#: over it in ``_first_row`` is as large again, so the table is most of a
-#: profile's peak memory on long windows.
-SHIFT_TABLE_BUDGET = 1 << 27
+#: Hard cap in bytes on each array an orbit sample builds, checked before
+#: the prefix is: the ``_plane_runs`` table (``_check_table``) that the
+#: profile and the ratio probe read, and the profile's int32 M x M counts,
+#: 4 * M^2 bytes.  The two are checked apart, not summed, since
+#: ``_lag_counts`` frees the table before it allocates the counts.
+ARRAY_BUDGET = 1 << 27
 
 _MIN_POINTS = 32
 _MIN_WINDOW = 1 << 10
@@ -91,25 +84,31 @@ def _plane_runs(
     words = -(-window_n // 64)  # words of one window
     span = words + -(-m_starts // 64)  # and one block per 64 starts
     planes = int(prefix.max()).bit_length()
-    bits = np.zeros((planes, 64 * (span + 1)), dtype=bool)
-    bits[:, : len(prefix)] = prefix >> np.arange(planes)[:, None] & 1
-    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    packed = np.zeros((planes, span + 1), dtype="<u8")
+    for p in range(planes):
+        plane = np.packbits((prefix & 1 << p) != 0, bitorder="little")
+        packed[p].view(np.uint8)[: len(plane)] = plane
+    # shifted in place: the left shifts are the one table-sized temporary
     shifts = np.empty((planes, 64, span), dtype=np.uint64)
     shifts[:, 0] = packed[:, :-1]
     r = np.arange(1, 64, dtype=np.uint64)[:, None]
-    shifts[:, 1:] = packed[:, None, :-1] >> r | packed[:, None, 1:] << 64 - r
+    np.right_shift(packed[:, None, :-1], r, out=shifts[:, 1:])
+    shifts[:, 1:] |= packed[:, None, 1:] << 64 - r
     tail = np.uint64((1 << (window_n - 64 * (words - 1))) - 1)
     return sliding_window_view(shifts, words, axis=2), tail
 
 
-def _check_table(op: str, planes: int, window_n: int, m_starts: int) -> None:
-    """Refuse a ``_plane_runs`` table over SHIFT_TABLE_BUDGET bytes."""
-    table = 512 * planes * (-(-window_n // 64) + -(-m_starts // 64))
-    if table > SHIFT_TABLE_BUDGET:
+def _check_bytes(op: str, array: str, size: int) -> None:
+    """Refuse an array of ``size`` bytes over ARRAY_BUDGET."""
+    if size > ARRAY_BUDGET:
         raise ResourceLimitError(
-            f"{op}: a shift table of {table} bytes exceeds the "
-            f"{SHIFT_TABLE_BUDGET}-byte budget"
+            f"{op}: a {array} of {size} bytes exceeds the {ARRAY_BUDGET}-byte budget"
         )
+
+
+def _check_table(op: str, planes: int, window_n: int, m_starts: int) -> None:
+    """Refuse a ``_plane_runs`` table over ARRAY_BUDGET bytes."""
+    _check_bytes(op, "shift table", 512 * planes * (-(-window_n // 64) + -(-m_starts // 64)))
 
 
 def _first_row(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
@@ -199,10 +198,7 @@ def check_sample_size(m_points: int, window_n: int, letters: int) -> None:
         raise PreconditionError(f"need at least {_MIN_POINTS} orbit points")
     if window_n < _MIN_WINDOW:
         raise PreconditionError(f"need a window of at least {_MIN_WINDOW}")
-    if m_points * m_points * window_n > COMPARISON_BUDGET:
-        raise ResourceLimitError(
-            f"M^2*N = {m_points**2 * window_n} exceeds {COMPARISON_BUDGET}"
-        )
+    _check_bytes("separation_profile", "count matrix", 4 * m_points * m_points)
     _check_table("separation_profile", (letters - 1).bit_length(), window_n, m_points)
 
 
@@ -285,7 +281,7 @@ def _window_counts(
     Letter a is coded classes[a] << low | (its rank in its class), so the
     bit planes from ``low`` up spell the class, and the windows are read
     from the ``_plane_runs`` of the coded prefix, whose table is checked
-    against SHIFT_TABLE_BUDGET before the prefix is built.  A pair's counts
+    against ARRAY_BUDGET before the prefix is built.  A pair's counts
     are the popcounts of the OR of its two windows' XORed words, the last
     word masked to the window, over all planes and over the planes from
     ``low`` up: O(planes * N / 64) word operations a pair.  A numpy call
@@ -329,7 +325,7 @@ def lipschitz_ratio_probe(
     costs O(planes * N / 64) word operations, planes being about
     log2 |A| bits of class and rank (``_window_counts``).  The table of
     those planes from max(4 * samples, 64) starts is refused with
-    ResourceLimitError past SHIFT_TABLE_BUDGET, before the prefix is built.
+    ResourceLimitError past ARRAY_BUDGET, before the prefix is built.
     """
     if samples < 1 or window_n < 1:
         raise PreconditionError("lipschitz_ratio_probe needs samples >= 1 and window_n >= 1")

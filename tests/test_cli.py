@@ -326,11 +326,18 @@ class TestRefusedBeforeTheStage:
             # WORD_BUDGET admits
             (["--points", "32", "--window", "8388608"], 3),
             (["--points", "32", "--window", "67108832"], 3),
+            # the int32 M x M counts would take 256 MiB and 1 GiB
+            (["--points", "8192", "--window", "4096"], 3),
+            (["--points", "16384", "--window", "1024"], 3),
         ],
     )
     def test_verify_sample_size(self, tmp_path, capsys, monkeypatch, size, code):
+        def unbuilt(*args):
+            raise AssertionError("the prefix was built")
+
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
         calls = self.count(monkeypatch, "analyze_pairs")
+        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
         started = time.perf_counter()
         assert run(["verify", path, *size]) == code
         assert time.perf_counter() - started < 0.25

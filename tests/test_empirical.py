@@ -243,9 +243,26 @@ class TestSeparationProfile:
         with pytest.raises(PreconditionError):
             separation_profile(example("e5"), m_points=64, window_n=512)
 
-    def test_comparison_budget(self):
-        with pytest.raises(ResourceLimitError):
+    def test_count_matrix_budget(self):
+        with pytest.raises(ResourceLimitError, match="separation_profile: a count matrix"):
             separation_profile(example("e5"), m_points=1 << 13, window_n=1 << 13)
+
+    def test_count_matrix_edge(self, monkeypatch):
+        # the int32 M x M counts take 4 * M^2 bytes: 2^27 bytes admit M up to
+        # 5792 at any window, before the prefix
+        def unbuilt(*args):
+            raise AssertionError("the prefix was built")
+
+        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
+        check_sample_size(5792, 1024, 3)
+        start = time.perf_counter()
+        with pytest.raises(
+            ResourceLimitError,
+            match="separation_profile: a count matrix of 134235396 bytes "
+            "exceeds the 134217728-byte budget",
+        ):
+            separation_profile(example("e1"), 5793, 1024)
+        assert time.perf_counter() - start < 0.25
 
     def test_shift_table_budget(self, monkeypatch):
         # on 3 letters, 2 bit planes, the table takes 1024 bytes for every 64
@@ -412,6 +429,29 @@ class TestLipschitzProbe:
             with pytest.raises(ResourceLimitError, match="lipschitz_ratio_probe: a shift table"):
                 lipschitz_ratio_probe(subst, *refused, analysis=analysis)
             assert time.perf_counter() - start < 0.25
+
+    def test_draw_cap(self, monkeypatch):
+        # with every pair rejected, the probe counts the pairs with i != j
+        # among its first 50 * samples draws and gives up; seed 0's next draw
+        # has i != j, so one draw more would count one pair more
+        samples, seed = 3, 0
+        m_pool = max(4 * samples, 64)
+        rng = random.Random(seed)
+        draws = [(rng.randrange(m_pool), rng.randrange(m_pool)) for _ in range(50 * samples + 1)]
+        assert draws[-1][0] != draws[-1][1]
+        counted = []
+
+        def rejecting(*args):
+            def counts(starts_i, starts_j):
+                counted.extend(zip(starts_i, starts_j))
+                return [(0, 0)] * len(starts_i)
+
+            return counts
+
+        monkeypatch.setattr(substdyn.empirical, "_window_counts", rejecting)
+        with pytest.raises(EstimationError, match="no sampled pair"):
+            lipschitz_ratio_probe(example("e2"), samples, 4096, seed)
+        assert counted == [(i, j) for i, j in draws[:-1] if i != j]
 
     def test_rejects_extreme_rates(self):
         with pytest.raises(PreconditionError):
