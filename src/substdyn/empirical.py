@@ -117,16 +117,28 @@ def _first_row(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
     The window at lag D = 64q + r is run [:, r, q] of ``_plane_runs``, and
     its mismatches with x[0 : N] are the popcount of the OR over planes of
     the XOR with the first window: O(M * N / 64) word operations per plane.
+    Each plane is XORed into one buffer and ORed into another, so beside the
+    table at most two planes' 64 runs are held.
     """
     runs, tail = _plane_runs(prefix, window_n, m_points)
     first = runs[:, :1, 0]
     blocks = -(-m_points // 64)
     row = np.empty(64 * blocks, dtype=np.int32)
+    differs = np.empty((64, runs.shape[-1]), dtype=np.uint64)
+    plane = np.empty_like(differs) if len(runs) > 1 else None
     for q in range(blocks):
-        differs = np.bitwise_or.reduce(runs[:, :, q] ^ first, axis=0)
+        np.bitwise_xor(runs[0, :, q], first[0], out=differs)
+        for p in range(1, len(runs)):
+            np.bitwise_xor(runs[p, :, q], first[p], out=plane)
+            differs |= plane
         differs[:, -1] &= tail
         row[64 * q : 64 * q + 64] = np.bitwise_count(differs).sum(axis=1)
     return row[:m_points]
+
+
+#: Rows of the count matrix compared at a time, so the compares and the
+#: dead-triangle mask take O(M * _LAG_ROWS) bytes beside its 4 * M^2.
+_LAG_ROWS = 256
 
 
 def _lag_counts(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
@@ -135,25 +147,30 @@ def _lag_counts(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
     H[i, D] counts t < N with x[i + t] != x[i + D + t], for i + D < M, so
     the pair (i, i + D) sits in row i.  Row 0 is ``_first_row``; each next
     row adds [x[i - 1 + N] != x[i - 1 + N + D]] and drops
-    [x[i - 1] != x[i - 1 + D]], so the rest is two M x M compares and one
-    cumsum down the columns.  Entries with i + D >= M pair a window with
-    one past the sample; they hold N + 1, which no threshold counts as close.
+    [x[i - 1] != x[i - 1 + D]], so the rest is two compares and a cumsum
+    down the columns, _LAG_ROWS rows at a time, each block summed on from
+    the row above it.  Entries with i + D >= M pair a window with one past
+    the sample; they hold N + 1, which no threshold counts as close.
     """
     # row 0 first, so its word buffers are freed before the M x M counts exist
     first = _first_row(prefix, m_points, window_n)
     pad = np.zeros(m_points - 1, dtype=prefix.dtype)
     windows = sliding_window_view(np.concatenate([prefix, pad]), m_points)
-    adds = windows[window_n : window_n + m_points - 1]
-    drops = windows[: m_points - 1]
     counts = np.empty((m_points, m_points), dtype=np.int32)
     counts[0] = first
-    np.subtract(
-        (adds != adds[:, :1]).view(np.int8),
-        (drops != drops[:, :1]).view(np.int8),
-        out=counts[1:],
-    )
-    np.cumsum(counts, axis=0, dtype=np.int32, out=counts)
-    counts[:, ::-1][np.tri(m_points, k=-1, dtype=bool)] = window_n + 1
+    for lo in range(1, m_points, _LAG_ROWS):
+        hi = min(lo + _LAG_ROWS, m_points)
+        adds = windows[window_n + lo - 1 : window_n + hi - 1]
+        drops = windows[lo - 1 : hi - 1]
+        np.subtract(
+            (adds != adds[:, :1]).view(np.int8),
+            (drops != drops[:, :1]).view(np.int8),
+            out=counts[lo:hi],
+        )
+        # a dead entry of row lo - 1 only feeds entries dead in this block too
+        np.cumsum(counts[lo - 1 : hi], axis=0, dtype=np.int32, out=counts[lo - 1 : hi])
+        dead = np.tri(hi - lo, m_points, lo - 1, dtype=bool)  # i + D >= M, D reversed
+        counts[lo:hi, ::-1][dead] = window_n + 1
     return counts
 
 

@@ -8,19 +8,24 @@ A :class:`CountMatrix` stores the nonzeros of each column, so successors,
 principal blocks, power iteration and Krylov sequences cost O(nonzeros): a
 pair matrix has at most k per column.  Nothing here reads ``entries``.
 
-That polynomial is mu, the minimal polynomial of the all-ones vector: the
-Krylov sequence mod primes below 2^31, Berlekamp-Massey, CRT until the
-join is stable, then the exact check mu(M) 1 = 0 over Python integers.
+That polynomial is mu, the minimal polynomial of the all-ones vector: t - r
+outright when every row sums to r; otherwise an int64 Krylov sequence mod
+each prime below 2^26 in turn, every product reduced before it is summed,
+Berlekamp-Massey, and CRT until the join is a candidate (on the first prime
+when its residues are below sqrt(p)), then the exact check mu(M) 1 = 0 over
+Python integers, which alone makes a candidate the answer.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import _tarjan
 from .errors import InternalError
@@ -149,12 +154,12 @@ def spectral_radius(m: CountMatrix) -> float:
             for j, w in row:
                 acc += w * v[j]
             y.append(acc)
-        ratios = [y[i] / v[i] for i in range(n)]
+        ratios = list(map(operator.truediv, y, v))
         lo, hi = min(ratios), max(ratios)
         if hi - lo < RADIUS_TOL:
             return (lo + hi) / 2.0 - 1.0
         top = max(y)
-        v = [max(y[i] / top, 1e-300) for i in range(n)]
+        v = [q if (q := w / top) > 1e-300 else 1e-300 for w in y]
     raise InternalError(
         f"power iteration did not reach {RADIUS_TOL} accuracy in "
         f"{_POWER_ITERATION_CAP} steps on a matrix of order {n}"
@@ -228,8 +233,9 @@ def _is_prime(n: int) -> bool:
 
 @functools.cache
 def _prime(i: int) -> int:
-    """The i-th largest prime below 2^31; asked for in order, so recursion stays shallow."""
-    candidate = _prime(i - 1) - 2 if i else (1 << 31) - 1
+    """The i-th largest prime below 2^26, so a product of two residues fits
+    in 52 bits; asked for in order, so recursion stays shallow."""
+    candidate = _prime(i - 1) - 2 if i else (1 << 26) - 1
     while not _is_prime(candidate):
         candidate -= 2
     return candidate
@@ -244,37 +250,47 @@ def _recurrences(
 ) -> list[list[int]]:
     """Minimal polynomial mod p (descending powers) of s_t = u . M^t 1, per p.
 
-    ``rows[i]`` holds row i's nonzeros as (column, value).  One Krylov run
-    mod the product P of the primes serves them all, with u drawn from
-    [0, P) by a generator seeded with the first prime; Berlekamp-Massey
-    (Massey 1969) reads its terms mod each p.  The run stops after 2n terms
-    or, unless ``full``, once t >= 2L + _QUIET_TERMS for every length L.
+    ``rows[i]`` holds row i's nonzeros as (column, value).  Each prime gets
+    one int64 Krylov run over the rows in CSR form: the values reduced mod p
+    in Python (entries can pass 2^63), and every row closed by a zero entry,
+    since ``np.add.reduceat`` returns an element, not 0, on an empty
+    segment.  A step gathers, multiplies and reduces each product below p <
+    2^26 before it sums a row, so no row length or order overflows.  u,
+    drawn from [0, p) by a generator seeded with p, rides as row n, so the
+    step that maps x to M x also sums the term u . x; Berlekamp-Massey
+    (Massey 1969) reads the terms as they come.  A run stops after 2n terms
+    or, unless ``full``, once t >= 2L + _QUIET_TERMS for its length L.
     """
     n = len(rows)
-    modulus = math.prod(primes)
-    u = random.Random(primes[0]).sample(range(modulus), n)
-    # per prime: p, connection c, c at the last length change, length, steps since, discrepancy
-    runs = [[p, [1], [1], 0, 1, 1] for p in primes]
-    terms: list[int] = []
-    x = [1] * n
-    for t in range(2 * n):
-        if t:
-            x = [sum([v * x[j] for j, v in row]) % modulus for row in rows]
-        terms.append(sum(map(operator.mul, u, x)) % modulus)
-        for run in runs:
-            p, c, before, length, shift, last = run
-            d = sum(ci * terms[t - i] for i, ci in enumerate(c)) % p
-            run[4] += 1
+    flat = [entry for row in rows for entry in (*row, (0, 0))]
+    columns = np.array([j for j, _ in flat] + list(range(n)), dtype=np.intp)
+    starts = np.array([0, *itertools.accumulate(len(row) + 1 for row in rows)])
+    polys = []
+    for p in primes:
+        u = random.Random(p).sample(range(p), n)
+        values = np.array([v % p for _, v in flat] + u, dtype=np.int64)
+        x = np.ones(n + 1, dtype=np.int64)
+        terms: list[int] = []
+        # connection c, c at the last length change, length, steps since, discrepancy
+        c, before, length, shift, last = [1], [1], 0, 1, 1
+        for t in range(2 * n):
+            x = np.add.reduceat(values * x[columns] % p, starts) % p
+            terms.append(int(x[n]))
+            d = sum(map(operator.mul, c, reversed(terms))) % p
             if d:
                 scale = d * pow(last, -1, p) % p
-                run[1] = c + [0] * (len(before) + shift - len(c))
-                for i, b in enumerate(before, shift):
-                    run[1][i] = (run[1][i] - scale * b) % p
+                grown = c + [0] * (len(before) + shift - len(c))
+                grown[shift : shift + len(before)] = [
+                    (a - scale * b) % p for a, b in zip(grown[shift:], before)
+                ]
                 if 2 * length <= t:
-                    run[2:] = c, t + 1 - length, 1, d
-        if not full and all(t + 1 >= 2 * run[3] + _QUIET_TERMS for run in runs):
-            break
-    return [(c + [0] * length)[: length + 1] for _, c, _, length, _, _ in runs]
+                    before, length, shift, last = c, t + 1 - length, 0, d
+                c = grown
+            shift += 1
+            if not full and t + 1 >= 2 * length + _QUIET_TERMS:
+                break
+        polys.append((c + [0] * length)[: length + 1])
+    return polys
 
 
 def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
@@ -283,18 +299,22 @@ def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
     a root: a nonnegative left eigenvector w has w . 1 > 0 and w mu(M) 1 =
     mu(rho) w . 1.
 
-    Wiedemann's method (1986): :func:`_recurrences` on pairs of primes below
-    2^31 (one if it passes the bound), joined by CRT into symmetric residues
-    over the primes of the largest degree seen (a prime or a projection can
-    only lose degree).  The join is a candidate once the next prime agrees
-    with it, or once the primes' product passes 2B, with B = 2^n prod_j
-    (1 + column sum j): Hadamard bounds the coefficients of det(tI - M),
-    summed, by the product, and Mignotte's 2^n extends that to a monic
-    divisor.  A candidate is returned only if mu(M) 1 = 0 over Python
-    integers.  It is then minimal: its degree, the length of a projected
-    Krylov recurrence mod p, is at most the Krylov rank over Q.  A failed
-    candidate restarts the join on full sequences; past twice the primes
-    the bound needs, InternalError.
+    If every row sums to r, then M 1 = r 1 and mu = t - r, with no prime.
+    Otherwise Wiedemann's method (1986): :func:`_recurrences` one prime
+    below 2^26 at a time, joined by CRT into symmetric residues over the
+    primes of the largest degree seen (a prime or a projection can only
+    lose degree).  The join is a candidate once every coefficient c has c^2
+    below the primes' product P (so a mu with coefficients under sqrt(p)
+    settles on its first prime), once the next prime agrees with it, or
+    once P passes 2B, with B = 2^n prod_j (1 + column sum j): Hadamard
+    bounds the coefficients of det(tI - M), summed, by the product, and
+    Mignotte's 2^n extends that to a monic divisor.  A candidate is returned
+    only if mu(M) 1 = 0 over Python integers, so no rule for proposing one
+    can make it wrong.  It is then minimal: its degree, the length of a
+    projected Krylov recurrence mod p, is at most the Krylov rank over Q,
+    and two monic annihilators of that degree differ by one of lower
+    degree.  A failed candidate restarts the join on full sequences; past
+    twice the primes the bound needs, InternalError.
     """
     n = m.order
     if n == 0:
@@ -305,29 +325,32 @@ def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
         limit *= 1 + sum(v for _, v in column)
         for i, v in column:
             rows[i].append((j, v))
+    sums = {sum(v for _, v in row) for row in rows}
+    if len(sums) == 1:
+        return (1, -sums.pop())
     full, lift, modulus = False, [], 1
-    width = 1 if _prime(0) > limit else 2
-    for first in range(0, 2 * (limit.bit_length() // 30 + 1), width):
-        primes = [_prime(i) for i in range(first, first + width)]
-        for p, residues in zip(primes, _recurrences(rows, primes, full)):
-            if len(residues) < len(lift):
-                continue  # an unlucky prime or projection
-            if len(residues) > len(lift):
-                lift, modulus = [0] * len(residues), 1
-            stable = all(c % p == r for c, r in zip(lift, residues))
-            step = pow(modulus, -1, p)
-            lift = [c + modulus * ((r - c) * step % p) for c, r in zip(lift, residues)]
-            modulus *= p
-            lift = [c - modulus if 2 * c > modulus else c for c in lift]
-            if stable or modulus > limit:
-                x = [1] * n
-                for c in lift[1:]:
-                    x = [sum([v * x[j] for j, v in row]) + c for row in rows]
-                if not any(x):
-                    return tuple(lift)
-                full, lift = True, []
+    tries = 2 * (limit.bit_length() // 25 + 1)  # each prime passes 2^25
+    for i in range(tries):
+        p = _prime(i)
+        (residues,) = _recurrences(rows, [p], full)
+        if len(residues) < len(lift):
+            continue  # an unlucky prime or projection
+        if len(residues) > len(lift):
+            lift, modulus = [0] * len(residues), 1
+        stable = all(c % p == r for c, r in zip(lift, residues))
+        step = pow(modulus, -1, p)
+        lift = [c + modulus * ((r - c) * step % p) for c, r in zip(lift, residues)]
+        modulus *= p
+        lift = [c - modulus if 2 * c > modulus else c for c in lift]
+        if stable or modulus > limit or all(c * c < modulus for c in lift):
+            x = [1] * n
+            for c in lift[1:]:
+                x = [sum([v * x[j] for j, v in row]) + c for row in rows]
+            if not any(x):
+                return tuple(lift)
+            full, lift = True, []
     raise InternalError(
-        f"minimal_polynomial: order {n}: no polynomial certified from {first + width} primes"
+        f"minimal_polynomial: order {n}: no polynomial certified from {tries} primes"
     )
 
 

@@ -1100,7 +1100,7 @@ class TestMinimalPolynomialCheck:
 
     def corrupt(self, monkeypatch, bad):
         """Add 1 to the constant term mod p of the i-th prime of batch b
-        whenever ``bad(b, i)``; the primes come in batches of two."""
+        whenever ``bad(b, i)``; each batch is one prime."""
         recurrences = substdyn.matrices._recurrences
         batches = []
 

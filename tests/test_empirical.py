@@ -26,7 +26,9 @@ from substdyn import (
 from substdyn.core import fixed_point_array, fixed_point_prefix
 from substdyn.discrepancy import LetterPair
 from substdyn.empirical import (
+    _LAG_ROWS,
     SeparationProfile,
+    _first_row,
     _greedy_counts,
     _lag_counts,
     _min_density_ratio,
@@ -236,6 +238,50 @@ class TestSeparationProfile:
             tracemalloc.stop()
         assert profile.counts[-1] == 512
         assert peak < 2.0 * 2**20
+
+    @pytest.mark.parametrize("name", ["e1", "e2"])
+    def test_lag_counts_across_row_blocks(self, name):
+        # the compares and the cumsum run _LAG_ROWS rows at a time; the
+        # kernel draws above all fit in one block
+        m, n = 2 * _LAG_ROWS + 3, 37
+        subst = example(name)
+        lags = _lag_counts(fixed_point_array(subst, m + n), m, n)
+        brute = brute_mismatch_counts(orbit_windows(subst.rules, m, n))
+        i, j = np.triu_indices(m)
+        assert np.array_equal(lags[i, j - i], brute[i, j])
+        i, d = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) >= m)
+        assert (lags[i, d] == n + 1).all()
+
+    def test_lag_counts_peak_memory(self):
+        # beside the 4 * M^2 bytes of counts, the compares and the dead-triangle
+        # mask hold three bytes per entry of one block of rows
+        m, n = 2048, 1024
+        prefix = fixed_point_array(example("e1"), m + n)
+        tracemalloc.start()
+        try:
+            lags = _lag_counts(prefix, m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * m + 4 * m * _LAG_ROWS
+        assert np.array_equal(lags[0], _first_row(prefix, m, n))
+
+    def test_first_row_peak_memory(self):
+        # e1 codes in two bit planes, so the table takes 512 * 2 * (N / 64 +
+        # 1) bytes, 16 MiB; its build and the per-plane XOR each hold about
+        # one table more
+        m, n = 32, 1 << 20
+        prefix = fixed_point_array(example("e1"), m + n)
+        table = 512 * 2 * (n // 64 + 1)
+        tracemalloc.start()
+        try:
+            row = _first_row(prefix, m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * table
+        want = [np.count_nonzero(prefix[:n] != prefix[d : d + n]) for d in range(m)]
+        assert row.tolist() == want
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

@@ -330,6 +330,32 @@ DEKKING_A24_K5 = {
 }
 
 
+#: ``bench/inputs.raw_draw(random.Random(1), 30, 3)``: its critical block
+#: has order 317 and a mu of degree 291 with 78-bit coefficients, so the join
+#: needs several primes.
+RAW_A30_K3 = {
+    "a": "eAB", "b": "kjd", "c": "wqA", "d": "Dtj", "e": "eCg", "f": "erD", "g": "xby",
+    "h": "kAC", "i": "tzv", "j": "DrA", "k": "xwg", "l": "fjn", "m": "rfb", "n": "wBv",
+    "o": "hiy", "p": "cvo", "q": "znr", "r": "iro", "s": "Bro", "t": "amA", "u": "kfi",
+    "v": "paz", "w": "uDn", "x": "sab", "y": "wls", "z": "ese", "A": "eiA", "B": "ims",
+    "C": "mft", "D": "chp",
+}
+
+
+def count_prime_runs(monkeypatch) -> list[int]:
+    """Patch ``matrices._recurrences`` to record every prime it runs on."""
+    from substdyn import matrices
+
+    recurrences, primes_run = matrices._recurrences, []
+
+    def counted(rows, primes, full):
+        primes_run.extend(primes)
+        return recurrences(rows, primes, full)
+
+    monkeypatch.setattr(matrices, "_recurrences", counted)
+    return primes_run
+
+
 class TestCharacteristicPolynomial:
     """The critical polynomial: mu, the minimal polynomial of 1, against the
     characteristic polynomial and Krylov-rank oracles."""
@@ -386,6 +412,36 @@ class TestCharacteristicPolynomial:
         p, q = _prime(0), _prime(1)
         minpoly_vs_oracles([[p, 1, 0], [2 * p, q, p * q], [0, 3, p]])
         minpoly_vs_oracles([[10**30, 1], [7, 10**30 + 5]])
+
+    def test_constant_row_sums_need_no_prime(self, monkeypatch):
+        # M 1 = r 1 settles mu = t - r exactly, without a Krylov run
+        primes_run = count_prime_runs(monkeypatch)
+        big = 2**70
+        assert minpoly_vs_oracles([[0]]) == (1, 0)
+        assert minpoly_vs_oracles([[10**30]]) == (1, -(10**30))
+        rows = [[big, 10**30, 0], [0, 3, big + 10**30 - 3], [10**30 + 1, big - 1, 0]]
+        assert minpoly_vs_oracles(rows) == (1, -(big + 10**30))
+        assert primes_run == []
+
+    def test_int64_sums_stay_exact(self, monkeypatch):
+        # Row 0 holds a, then 2,112 entries b = -1 mod the first prime p, past
+        # 2^63; each other row holds b on its diagonal alone.  Once x is M 1,
+        # row 0 sums 2,112 products (p - 1)^2 mod p, more than int64 holds
+        # unless each product is reduced before the sum.  The ones of row 0
+        # and of the rest span an invariant plane, on which M acts as
+        # [[a, (n - 1) b], [0, b]], so mu = (t - a)(t - b).
+        p = _prime(0)
+        n, a, b = 2113, 2**40 + 3, 2**40 * p - 1
+        m = CountMatrix(
+            (((0, a),),) + tuple(((0, b), (j, b)) for j in range(1, n))
+        )
+        assert b > 2**63 and b % p == p - 1
+        assert sum(column[0][0] == 0 for column in m.columns) == n > 2**11
+        primes_run = count_prime_runs(monkeypatch)
+        assert minimal_polynomial(m) == (1, -(a + b), a * b)
+        # the coefficients pass 2^66, so the join takes several primes
+        assert primes_run == [_prime(i) for i in range(len(primes_run))]
+        assert len(primes_run) > 1
 
     def test_pinned_order_50_critical_block(self):
         from substdyn import analyze_pairs
@@ -445,21 +501,25 @@ class TestCharacteristicPolynomial:
 
         monkeypatch.setattr(matrices, "_recurrences", wrong)
         assert minimal_polynomial(critical) == want
-        # the bad residue keeps the join from settling until its primes pass
-        # the bound; the failed certificate then restarts it on full sequences
+        # mu's coefficients are under sqrt(p), so the bad residue is a
+        # first-prime candidate; the certificate rejects it, and the join
+        # restarts on full sequences
         assert batches[0] is False and batches[-1] is True
 
-    @pytest.mark.parametrize("rules,order,degree", [
-        (DEKKING_A20_K3, 236, 77), (DEKKING_A24_K5, 566, 127),
-    ], ids=["a20_k3", "a24_k5"])
-    def test_dekking_draws_at_scale(self, rules, order, degree):
-        # the Hessenberg characteristic polynomial took 4 s and 194 s here
+    @pytest.mark.parametrize("rules,order,degree,primes", [
+        (DEKKING_A20_K3, 236, 77, 2), (DEKKING_A24_K5, 566, 127, 4), (RAW_A30_K3, 317, 291, 5),
+    ], ids=["a20_k3", "a24_k5", "raw_a30_k3"])
+    def test_dekking_draws_at_scale(self, monkeypatch, rules, order, degree, primes):
+        # the Hessenberg characteristic polynomial took 4 s and 194 s on the
+        # first two; every mu here has coefficients past sqrt(p), so each
+        # joins several primes by CRT
         from substdyn import analyze_pairs
 
         analysis = analyze_pairs(Substitution.from_strings(rules))
         m = analysis.critical
+        primes_run = count_prime_runs(monkeypatch)
         mu = minimal_polynomial(m)
-        assert (m.order, len(mu) - 1) == (order, degree)
+        assert (m.order, len(mu) - 1, len(primes_run)) == (order, degree, primes)
         assert not any(times_ones(m, mu))
         rate = analysis.rate_type.rate
         terms = [c * rate ** (degree - i) for i, c in enumerate(mu)]
