@@ -137,7 +137,6 @@ class DiscrepancyAnalysis:
 
     pure: PureBaseResult
     pairs: GeneralSubstitution
-    growth: tuple[GrowthType, ...]
     rate_type: GrowthType  # (lambda_s, d_s)
     maximal: tuple[LetterPair, ...]  # the pairs whose growth rate attains lambda_s
     classes: tuple[int, ...]  # letter -> its class; S is the pairs across classes
@@ -145,7 +144,7 @@ class DiscrepancyAnalysis:
 
 
 def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
-    """Pure base, pair substitution, per-pair growth, (lambda_s, d_s), S.
+    """Pure base, pair substitution, (lambda_s, d_s), S and its classes.
 
     ``critical`` is the pair matrix's principal block on the first strongly
     connected component (in discovery order) whose Perron radius attains
@@ -156,11 +155,11 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
     k = subst.length_k
     if not gs.pair_alphabet:
         # one letter, so one class
-        return DiscrepancyAnalysis(pure, gs, (), GrowthType(0.0, 1), (), (0,), CountMatrix(()))
+        return DiscrepancyAnalysis(pure, gs, GrowthType(0.0, 1), (), (0,), CountMatrix(()))
 
     m = gs.incidence()
     dec = matrices.decompose(m)
-    growth = tuple(dec.growth_types(gs.erasing))
+    growth = dec.growth_types(gs.erasing)
     rate_type = matrices.max_growth_type(growth)
     rate = rate_type.rate
     if not (abs(rate) <= RATE_TOL or 1.0 - RATE_TOL <= rate <= k + RATE_TOL):
@@ -174,9 +173,7 @@ def analyze_pairs(subst: Substitution) -> DiscrepancyAnalysis:
 
     for comp, radius in zip(dec.components, dec.radii):
         if abs(radius - rate) <= RATE_TOL:
-            return DiscrepancyAnalysis(
-                pure, gs, growth, rate_type, maximal, classes, m.restrict(comp)
-            )
+            return DiscrepancyAnalysis(pure, gs, rate_type, maximal, classes, m.restrict(comp))
     raise InternalError(f"no strongly connected component attains the rate {rate}")
 
 

@@ -67,6 +67,11 @@ class SeparationProfile:
     fit_range: tuple[int, int] | None = None
 
 
+def _planes(top: int) -> int:
+    """Bit planes of symbols up to ``top``: at least one, even for one letter."""
+    return max(1, top.bit_length())
+
+
 def _plane_runs(
     prefix: np.ndarray, window_n: int, m_starts: int
 ) -> tuple[np.ndarray, np.uint64]:
@@ -83,7 +88,7 @@ def _plane_runs(
     """
     words = -(-window_n // 64)  # words of one window
     span = words + -(-m_starts // 64)  # and one block per 64 starts
-    planes = int(prefix.max()).bit_length()
+    planes = _planes(int(prefix.max()))
     packed = np.zeros((planes, span + 1), dtype="<u8")
     for p in range(planes):
         plane = np.packbits((prefix & 1 << p) != 0, bitorder="little")
@@ -216,7 +221,7 @@ def check_sample_size(m_points: int, window_n: int, letters: int) -> None:
     if window_n < _MIN_WINDOW:
         raise PreconditionError(f"need a window of at least {_MIN_WINDOW}")
     _check_bytes("separation_profile", "count matrix", 4 * m_points * m_points)
-    _check_table("separation_profile", (letters - 1).bit_length(), window_n, m_points)
+    _check_table("separation_profile", _planes(letters - 1), window_n, m_points)
 
 
 def separation_profile(
@@ -307,7 +312,7 @@ def _window_counts(
     rank = [classes[:a].count(c) for a, c in enumerate(classes)]
     low = max(rank).bit_length()
     codes = np.array([c << low | n for c, n in zip(classes, rank)])
-    _check_table("lipschitz_ratio_probe", int(codes.max()).bit_length(), window_n, m_starts)
+    _check_table("lipschitz_ratio_probe", _planes(int(codes.max())), window_n, m_starts)
     prefix = codes[fixed_point_array(pure, m_starts + window_n)]
     runs, tail = _plane_runs(prefix, window_n, m_starts)
 

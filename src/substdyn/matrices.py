@@ -9,17 +9,19 @@ principal blocks, power iteration and Krylov sequences cost O(nonzeros): a
 pair matrix has at most k per column.  Nothing here reads ``entries``.
 
 That polynomial is mu, the minimal polynomial of the all-ones vector: t - r
-outright when every row sums to r; otherwise an int64 Krylov sequence mod
-each prime below 2^26 in turn, every product reduced before it is summed,
-Berlekamp-Massey, and CRT until the join is a candidate (on the first prime
-when its residues are below sqrt(p)), then the exact check mu(M) 1 = 0 over
-Python integers, which alone makes a candidate the answer.
+outright when every row sums to r; otherwise one int64 Krylov sequence and
+one Berlekamp-Massey pass per prime below 2^26 (found by trial division),
+every product reduced before it is summed, joined by CRT until the join is a
+candidate (on the first prime when its residues are below sqrt(p)), then the
+exact check mu(M) 1 = 0 over Python integers, which alone makes a candidate
+the answer.  A failed check restarts the join; a second one, on full sequences.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -208,89 +210,63 @@ def max_growth_type(types: Iterable[GrowthType]) -> GrowthType:
     return GrowthType(top_rate, top_degree)
 
 
-def _is_prime(n: int) -> bool:
-    # Miller-Rabin with bases 2, 3, 5, 7 is exact for n < 3,215,031,751
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @functools.cache
 def _prime(i: int) -> int:
     """The i-th largest prime below 2^26, so a product of two residues fits
-    in 52 bits; asked for in order, so recursion stays shallow."""
-    candidate = _prime(i - 1) - 2 if i else (1 << 26) - 1
-    while not _is_prime(candidate):
-        candidate -= 2
-    return candidate
+    in 52 bits, by trial division of the odd numbers down from 2^26 - 1;
+    asked for in order, so recursion stays shallow."""
+    n = _prime(i - 1) - 2 if i else (1 << 26) - 1
+    while any(n % q == 0 for q in range(3, math.isqrt(n) + 1, 2)):
+        n -= 2
+    return n
 
 
 #: Zero discrepancies past twice the recurrence length that end a Krylov sequence early.
 _QUIET_TERMS = 4
 
 
-def _recurrences(
-    rows: list[list[tuple[int, int]]], primes: Sequence[int], full: bool
-) -> list[list[int]]:
-    """Minimal polynomial mod p (descending powers) of s_t = u . M^t 1, per p.
+def _recurrence(rows: list[list[tuple[int, int]]], p: int, full: bool) -> list[int]:
+    """Minimal polynomial mod p (descending powers) of s_t = u . M^t 1.
 
-    ``rows[i]`` holds row i's nonzeros as (column, value).  Each prime gets
-    one int64 Krylov run over the rows in CSR form: the values reduced mod p
-    in Python (entries can pass 2^63), and every row closed by a zero entry,
+    ``rows[i]`` holds row i's nonzeros as (column, value).  One int64
+    Krylov run goes over the rows in CSR form: the values reduced mod p in
+    Python (entries can pass 2^63), and every row closed by a zero entry,
     since ``np.add.reduceat`` returns an element, not 0, on an empty
     segment.  A step gathers, multiplies and reduces each product below p <
     2^26 before it sums a row, so no row length or order overflows.  u,
     drawn from [0, p) by a generator seeded with p, rides as row n, so the
-    step that maps x to M x also sums the term u . x; Berlekamp-Massey
-    (Massey 1969) reads the terms as they come.  A run stops after 2n terms
-    or, unless ``full``, once t >= 2L + _QUIET_TERMS for its length L.
+    step that maps x to M x also sums the term u . x; one Berlekamp-Massey
+    pass (Massey 1969) reads the terms as they come.  The run stops after
+    2n terms or, unless ``full``, once t >= 2L + _QUIET_TERMS for its
+    length L.
     """
     n = len(rows)
     flat = [entry for row in rows for entry in (*row, (0, 0))]
     columns = np.array([j for j, _ in flat] + list(range(n)), dtype=np.intp)
     starts = np.array([0, *itertools.accumulate(len(row) + 1 for row in rows)])
-    polys = []
-    for p in primes:
-        u = random.Random(p).sample(range(p), n)
-        values = np.array([v % p for _, v in flat] + u, dtype=np.int64)
-        x = np.ones(n + 1, dtype=np.int64)
-        terms: list[int] = []
-        # connection c, c at the last length change, length, steps since, discrepancy
-        c, before, length, shift, last = [1], [1], 0, 1, 1
-        for t in range(2 * n):
-            x = np.add.reduceat(values * x[columns] % p, starts) % p
-            terms.append(int(x[n]))
-            d = sum(map(operator.mul, c, reversed(terms))) % p
-            if d:
-                scale = d * pow(last, -1, p) % p
-                grown = c + [0] * (len(before) + shift - len(c))
-                grown[shift : shift + len(before)] = [
-                    (a - scale * b) % p for a, b in zip(grown[shift:], before)
-                ]
-                if 2 * length <= t:
-                    before, length, shift, last = c, t + 1 - length, 0, d
-                c = grown
-            shift += 1
-            if not full and t + 1 >= 2 * length + _QUIET_TERMS:
-                break
-        polys.append((c + [0] * length)[: length + 1])
-    return polys
+    u = random.Random(p).sample(range(p), n)
+    values = np.array([v % p for _, v in flat] + u, dtype=np.int64)
+    x = np.ones(n + 1, dtype=np.int64)
+    terms: list[int] = []
+    # connection c, c at the last length change, length, steps since, discrepancy
+    c, before, length, shift, last = [1], [1], 0, 1, 1
+    for t in range(2 * n):
+        x = np.add.reduceat(values * x[columns] % p, starts) % p
+        terms.append(int(x[n]))
+        d = sum(map(operator.mul, c, reversed(terms))) % p
+        if d:
+            scale = d * pow(last, -1, p) % p
+            grown = c + [0] * (len(before) + shift - len(c))
+            grown[shift : shift + len(before)] = [
+                (a - scale * b) % p for a, b in zip(grown[shift:], before)
+            ]
+            if 2 * length <= t:
+                before, length, shift, last = c, t + 1 - length, 0, d
+            c = grown
+        shift += 1
+        if not full and t + 1 >= 2 * length + _QUIET_TERMS:
+            break
+    return (c + [0] * length)[: length + 1]
 
 
 def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
@@ -300,8 +276,8 @@ def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
     mu(rho) w . 1.
 
     If every row sums to r, then M 1 = r 1 and mu = t - r, with no prime.
-    Otherwise Wiedemann's method (1986): :func:`_recurrences` one prime
-    below 2^26 at a time, joined by CRT into symmetric residues over the
+    Otherwise Wiedemann's method (1986): one :func:`_recurrence` per prime
+    below 2^26, in turn, joined by CRT into symmetric residues over the
     primes of the largest degree seen (a prime or a projection can only
     lose degree).  The join is a candidate once every coefficient c has c^2
     below the primes' product P (so a mu with coefficients under sqrt(p)
@@ -313,8 +289,9 @@ def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
     can make it wrong.  It is then minimal: its degree, the length of a
     projected Krylov recurrence mod p, is at most the Krylov rank over Q,
     and two monic annihilators of that degree differ by one of lower
-    degree.  A failed candidate restarts the join on full sequences; past
-    twice the primes the bound needs, InternalError.
+    degree.  A failed candidate restarts the join; a second failure
+    restarts it on full sequences, in case one stopped early.  Past twice
+    the primes the bound needs, InternalError.
     """
     n = m.order
     if n == 0:
@@ -328,11 +305,11 @@ def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
     sums = {sum(v for _, v in row) for row in rows}
     if len(sums) == 1:
         return (1, -sums.pop())
-    full, lift, modulus = False, [], 1
+    full, rejected, lift, modulus = False, False, [], 1
     tries = 2 * (limit.bit_length() // 25 + 1)  # each prime passes 2^25
     for i in range(tries):
         p = _prime(i)
-        (residues,) = _recurrences(rows, [p], full)
+        residues = _recurrence(rows, p, full)
         if len(residues) < len(lift):
             continue  # an unlucky prime or projection
         if len(residues) > len(lift):
@@ -348,7 +325,7 @@ def minimal_polynomial(m: CountMatrix) -> tuple[int, ...]:
                 x = [sum([v * x[j] for j, v in row]) + c for row in rows]
             if not any(x):
                 return tuple(lift)
-            full, lift = True, []
+            full, rejected, lift = rejected, True, []
     raise InternalError(
         f"minimal_polynomial: order {n}: no polynomial certified from {tries} primes"
     )

@@ -42,6 +42,25 @@ WIDE_KERNEL_RULES = {
 WIDE_ALPHABET_RULES = {f"x{i}": [f"x{(i + 1) % 300}", "x0"] for i in range(300)}
 
 
+def patch_recurrence(monkeypatch, bad=lambda call: False) -> list[tuple[int, bool]]:
+    """Wrap ``matrices._recurrence`` to record (p, full) of every call, and
+    to add 1 mod p to the constant term of call number ``call`` (from 0)
+    whenever ``bad(call)``."""
+    from substdyn import matrices
+
+    recurrence, calls = matrices._recurrence, []
+
+    def wrapped(rows, p, full):
+        poly = recurrence(rows, p, full)
+        if bad(len(calls)):
+            poly[-1] = (poly[-1] + 1) % p
+        calls.append((p, full))
+        return poly
+
+    monkeypatch.setattr(matrices, "_recurrence", wrapped)
+    return calls
+
+
 def example(name: str) -> Substitution:
     return Substitution.from_strings(EXAMPLE_RULES[name])
 

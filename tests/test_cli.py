@@ -30,6 +30,7 @@ from conftest import (
     WIDE_ALPHABET_RULES,
     WIDE_KERNEL_RULES,
     example,
+    patch_recurrence,
     random_primitive_substitution,
 )
 from oracles import brute_kernel_listing
@@ -508,6 +509,30 @@ class TestVerifyCommand:
         lines = dens.read_text().splitlines()
         assert lines[0] == "i,j,d1,ds"
         assert len(lines) == 1 + 16 * 15 // 2
+
+    def test_one_letter(self, tmp_path, capsys, monkeypatch):
+        # one letter still packs one bit plane: with none, the probe indexed
+        # an empty table, and the budget checks priced the table at 0 bytes
+        path = write_spec(tmp_path, "one.sub", {"a": "aa"})
+        density = tmp_path / "density.csv"
+        for extra in ([], ["--density-csv", str(density)]):
+            assert run(["verify", path, "--points", "32", "--window", "1024", *extra]) == 0
+            out = capsys.readouterr().out
+            assert "exact ac: 0.0000000000" in out
+            assert re.findall(r"^0\.\d{6} +(\d+)$", out, re.M) == ["1"] * 13
+            assert "fitted slope: n/a" in out
+        rows = density.read_text().splitlines()
+        assert rows[0] == "i,j,d1,ds"
+        assert rows[1:] == [f"{i},{j},0.0,0.0" for i in range(16) for j in range(i + 1, 16)]
+
+        def unbuilt(*args):
+            raise AssertionError("the prefix was built")
+
+        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
+        started = time.perf_counter()
+        assert run(["verify", path, "--points", "32", "--window", "16777216"]) == 3
+        assert time.perf_counter() - started < 0.25
+        assert "shift table" in capsys.readouterr().err
 
     def test_bad_grid_bounds(self, tmp_path, capsys):
         path = write_spec(tmp_path, "e5.sub", EXAMPLE_RULES["e5"])
@@ -1093,37 +1118,46 @@ class TestParserReuse:
             assert got[3].startswith("usage: substdyn")
 
 
+class TestSeededSweep:
+    """Seeded specs of 1-5 letters with k from 1 to 4 through every
+    subcommand: each call exits 0-3, and none raises."""
+
+    def test_every_exit_is_documented(self, tmp_path, capsys):
+        density = str(tmp_path / "density.csv")
+        argvs = (
+            ["analyze"],
+            ["analyze", "--json", "--m-max", "3"],
+            ["kernel", "--m-max", "2"],
+            ["oracle", "--t", "2", "--window", "8"],
+            ["verify", "--points", "32", "--window", "1024"],
+            ["verify", "--points", "32", "--window", "1024", "--density-csv", density],
+        )
+        rng = random.Random(30)
+        for draw in range(150):
+            letters = "abcde"[: rng.randint(1, 5)]
+            k = rng.randint(1, 4)
+            rules = {a: "".join(rng.choice(letters) for _ in range(k)) for a in letters}
+            path = write_spec(tmp_path, "draw.sub", rules)
+            for command, *options in argvs:
+                assert run([command, path, *options]) in (0, 1, 2, 3), (rules, command, options)
+                capsys.readouterr()
+
+
 class TestMinimalPolynomialCheck:
     """The modular stage of the critical polynomial is checked exactly: a
     wrong residue costs a restart, and a stage that is never right exits 4
     and names the stage."""
 
-    def corrupt(self, monkeypatch, bad):
-        """Add 1 to the constant term mod p of the i-th prime of batch b
-        whenever ``bad(b, i)``; each batch is one prime."""
-        recurrences = substdyn.matrices._recurrences
-        batches = []
-
-        def wrong(rows, primes, full):
-            polys = recurrences(rows, primes, full)
-            for i, p in enumerate(primes):
-                if bad(len(batches), i):
-                    polys[i][-1] = (polys[i][-1] + 1) % p
-            batches.append(primes)
-            return polys
-
-        monkeypatch.setattr(substdyn.matrices, "_recurrences", wrong)
-
     def test_one_bad_prime_still_certifies(self, tmp_path, capsys, monkeypatch):
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
-        self.corrupt(monkeypatch, lambda b, i: (b, i) == (0, 0))
+        patch_recurrence(monkeypatch, lambda call: call == 0)
         assert run(["analyze", path]) == 0
         assert "[root of t^2 - t - 1]" in capsys.readouterr().out
 
     def test_stage_never_right_exits_4(self, tmp_path, capsys, monkeypatch):
         order = substdyn.analyze_pairs(example("e1")).critical.order
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
-        self.corrupt(monkeypatch, lambda b, i: True)
+        patch_recurrence(monkeypatch, lambda call: True)
         assert run(["analyze", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

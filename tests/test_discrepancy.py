@@ -22,7 +22,7 @@ from substdyn.discrepancy import (
     _check_pseudometric,
     pair_rules,
 )
-from substdyn.matrices import RATE_TOL, minimal_polynomial, polynomial_text
+from substdyn.matrices import RATE_TOL, growth_types, minimal_polynomial, polynomial_text
 
 from conftest import (
     WIDE_ALPHABET_RULES,
@@ -232,8 +232,9 @@ class TestRateAndDegree:
     def test_e3_per_pair_types(self):
         analysis = analyze_pairs(example("e3"))
         letters = analysis.pure.pure_base.alphabet.letters
+        growth = growth_types(analysis.pairs.incidence(), analysis.pairs.erasing)
         by_name = {
-            p.name(letters): (analysis.growth[i].rate, analysis.growth[i].degree)
+            p.name(letters): (growth[i].rate, growth[i].degree)
             for i, p in enumerate(analysis.pairs.pair_alphabet)
         }
         assert by_name["(ab)"] == (pytest.approx(2.0, abs=1e-9), 1)

@@ -27,7 +27,7 @@ from substdyn.matrices import (
 )
 from substdyn.matrices import _prime
 
-from conftest import EXAMPLE_RULES, example
+from conftest import EXAMPLE_RULES, example, patch_recurrence
 from oracles import (
     dense_spectral_radius,
     faddeev_leverrier,
@@ -342,18 +342,15 @@ RAW_A30_K3 = {
 }
 
 
-def count_prime_runs(monkeypatch) -> list[int]:
-    """Patch ``matrices._recurrences`` to record every prime it runs on."""
-    from substdyn import matrices
-
-    recurrences, primes_run = matrices._recurrences, []
-
-    def counted(rows, primes, full):
-        primes_run.extend(primes)
-        return recurrences(rows, primes, full)
-
-    monkeypatch.setattr(matrices, "_recurrences", counted)
-    return primes_run
+def int64_block(a: int) -> tuple[CountMatrix, int]:
+    """Row 0 holds a, then 2,112 entries b = -1 mod the first prime p, past
+    2^63; each other row holds b on its diagonal alone.  Once x is M 1, row
+    0 sums 2,112 products (p - 1)^2 mod p, more than int64 holds unless
+    each product is reduced before the sum.  The ones of row 0 and of the
+    rest span an invariant plane, on which M acts as [[a, (n - 1) b], [0,
+    b]], so mu = (t - a)(t - b).  Returns the block and b."""
+    n, b = 2113, 2**40 * _prime(0) - 1
+    return CountMatrix((((0, a),),) + tuple(((0, b), (j, b)) for j in range(1, n))), b
 
 
 class TestCharacteristicPolynomial:
@@ -413,35 +410,44 @@ class TestCharacteristicPolynomial:
         minpoly_vs_oracles([[p, 1, 0], [2 * p, q, p * q], [0, 3, p]])
         minpoly_vs_oracles([[10**30, 1], [7, 10**30 + 5]])
 
+    def test_primes_are_the_largest_below_2_26(self):
+        want = [sympy.prevprime(2**26)]
+        while len(want) < 40:
+            want.append(sympy.prevprime(want[-1]))
+        assert [_prime(i) for i in range(40)] == want
+
     def test_constant_row_sums_need_no_prime(self, monkeypatch):
         # M 1 = r 1 settles mu = t - r exactly, without a Krylov run
-        primes_run = count_prime_runs(monkeypatch)
+        calls = patch_recurrence(monkeypatch)
         big = 2**70
         assert minpoly_vs_oracles([[0]]) == (1, 0)
         assert minpoly_vs_oracles([[10**30]]) == (1, -(10**30))
         rows = [[big, 10**30, 0], [0, 3, big + 10**30 - 3], [10**30 + 1, big - 1, 0]]
         assert minpoly_vs_oracles(rows) == (1, -(big + 10**30))
-        assert primes_run == []
+        assert calls == []
 
     def test_int64_sums_stay_exact(self, monkeypatch):
-        # Row 0 holds a, then 2,112 entries b = -1 mod the first prime p, past
-        # 2^63; each other row holds b on its diagonal alone.  Once x is M 1,
-        # row 0 sums 2,112 products (p - 1)^2 mod p, more than int64 holds
-        # unless each product is reduced before the sum.  The ones of row 0
-        # and of the rest span an invariant plane, on which M acts as
-        # [[a, (n - 1) b], [0, b]], so mu = (t - a)(t - b).
         p = _prime(0)
-        n, a, b = 2113, 2**40 + 3, 2**40 * p - 1
-        m = CountMatrix(
-            (((0, a),),) + tuple(((0, b), (j, b)) for j in range(1, n))
-        )
+        a = 2**40 + 3
+        m, b = int64_block(a)
         assert b > 2**63 and b % p == p - 1
-        assert sum(column[0][0] == 0 for column in m.columns) == n > 2**11
-        primes_run = count_prime_runs(monkeypatch)
+        assert sum(column[0][0] == 0 for column in m.columns) == m.order > 2**11
+        calls = patch_recurrence(monkeypatch)
         assert minimal_polynomial(m) == (1, -(a + b), a * b)
         # the coefficients pass 2^66, so the join takes several primes
+        primes_run = [q for q, _ in calls]
         assert primes_run == [_prime(i) for i in range(len(primes_run))]
         assert len(primes_run) > 1
+
+    def test_restart_keeps_the_early_stop(self, monkeypatch):
+        # with a = 2, mu's residues mod the first prime are (1, -1, -2), all
+        # below sqrt(p): a first-prime candidate that the certificate
+        # rejects; the restart still stops its sequences early
+        a = 2
+        m, b = int64_block(a)
+        calls = patch_recurrence(monkeypatch)
+        assert minimal_polynomial(m) == (1, -(a + b), a * b)
+        assert len(calls) > 2 and not any(full for _, full in calls)
 
     def test_pinned_order_50_critical_block(self):
         from substdyn import analyze_pairs
@@ -485,26 +491,19 @@ class TestCharacteristicPolynomial:
 
 
     def test_one_bad_prime_is_dropped_by_the_restart(self, monkeypatch):
-        from substdyn import analyze_pairs, matrices
+        from substdyn import analyze_pairs
 
         critical = analyze_pairs(Substitution.from_strings(DEKKING_A8_K5)).critical
         want = minimal_polynomial(critical)
-        recurrences = matrices._recurrences
-        batches = []
-
-        def wrong(rows, primes, full):
-            polys = recurrences(rows, primes, full)
-            if not batches:
-                polys[0][-1] = (polys[0][-1] + 1) % primes[0]
-            batches.append(full)
-            return polys
-
-        monkeypatch.setattr(matrices, "_recurrences", wrong)
-        assert minimal_polynomial(critical) == want
-        # mu's coefficients are under sqrt(p), so the bad residue is a
+        # mu's coefficients are under sqrt(p), so a bad residue is a
         # first-prime candidate; the certificate rejects it, and the join
-        # restarts on full sequences
-        assert batches[0] is False and batches[-1] is True
+        # restarts on early-stopped sequences, and after a second rejection
+        # on full ones
+        for bad, fulls in ((1, [False, False]), (2, [False, False, True])):
+            with monkeypatch.context() as patch:
+                calls = patch_recurrence(patch, lambda call: call < bad)
+                assert minimal_polynomial(critical) == want
+                assert [full for _, full in calls] == fulls
 
     @pytest.mark.parametrize("rules,order,degree,primes", [
         (DEKKING_A20_K3, 236, 77, 2), (DEKKING_A24_K5, 566, 127, 4), (RAW_A30_K3, 317, 291, 5),
@@ -517,9 +516,9 @@ class TestCharacteristicPolynomial:
 
         analysis = analyze_pairs(Substitution.from_strings(rules))
         m = analysis.critical
-        primes_run = count_prime_runs(monkeypatch)
+        calls = patch_recurrence(monkeypatch)
         mu = minimal_polynomial(m)
-        assert (m.order, len(mu) - 1, len(primes_run)) == (order, degree, primes)
+        assert (m.order, len(mu) - 1, len(calls)) == (order, degree, primes)
         assert not any(times_ones(m, mu))
         rate = analysis.rate_type.rate
         terms = [c * rate ** (degree - i) for i, c in enumerate(mu)]
