@@ -265,13 +265,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     subst = doc.substitution
     grid = build_nu_grid(args.nu_max, args.nu_min)
-    check_sample_size(args.points, args.window, subst.alphabet.size)
+    check_sample_size(subst, args.points, args.window)
+    if args.window is not None:
+        print("verify: --window changes no number; the densities are exact "
+              "(N = infinity)", file=sys.stderr)
     with _claiming([path for path in (args.csv, args.density_csv) if path]):
         analysis = analyze_pairs(subst)
         exact = amorphic_complexity(subst, analysis)
-        profile = separation_profile(
-            subst, m_points=args.points, window_n=args.window, nu_grid=grid
-        )
+        profile = separation_profile(subst, m_points=args.points, nu_grid=grid)
         if args.csv:
             with _writing(args.csv):
                 write_profile_csv(profile, args.csv)
@@ -477,13 +478,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     p_verify.add_argument("file")
     p_verify.add_argument("--points", type=int, default=256, help="orbit points M")
-    p_verify.add_argument("--window", type=int, default=8192, help="window length N")
+    p_verify.add_argument("--window", type=int, help="ignored: the densities are exact")
     p_verify.add_argument("--nu-max", type=float, default=0.25)
     p_verify.add_argument("--nu-min", type=float, default=0.004)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--csv", default=None, help="write (nu,count) rows here")
     p_verify.add_argument(
-        "--density-csv", default=None, help="write sampled (i,j,d1,ds) rows here"
+        "--density-csv", default=None, help="write (i,j,d1,ds) rows here"
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -1,37 +1,34 @@
-"""Orbit-sampled separation estimates.
+"""Orbit-pair densities and the separation estimates read from them.
 
-Everything here is desk-scale statistics on long fixed-point prefixes:
-one-sided mismatch densities between shifted windows, greedy packings
-that estimate separation numbers on a geometric resolution grid, and a
-log-log slope that should reproduce the exact amorphic complexity for
-systems where it is finite.
+P_d(a, b) is the frequency of the positions n of the fixed point u with
+u_n = a and u_{n+d} = b, the same for every point of a primitive subshift.
+The mismatch density of the orbit points T^i x and T^j x, the N -> infinity
+limit of their disagreements in N symbols over N, is
+delta(|i - j|) = 1 - trace P_{|i - j|}: exact, read from one table of P_d
+built by renormalisation (``_pair_sums``).  On it sit greedy packings that
+estimate separation numbers on a geometric resolution grid, a log-log slope
+that should reproduce the exact amorphic complexity where it is finite, and
+the ratio of the S-restricted density to the plain one.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Substitution, fixed_point_array, require_primitive
+from .core import Substitution, require_primitive
 from .discrepancy import DiscrepancyAnalysis, analyze_pairs
-from .errors import (
-    EstimationError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import EstimationError, InternalError, PreconditionError, ResourceLimitError
 from .invariants import DEFAULT_SEED, _ac_from_rate
 
-#: Hard cap in bytes on each array an orbit sample builds, checked before
-#: the prefix is: the ``_plane_runs`` table (``_check_table``) that the
-#: profile and the ratio probe read, and the profile's int32 M x M counts,
-#: 4 * M^2 bytes.  The two are checked apart, not summed, since
-#: ``_lag_counts`` frees the table before it allocates the counts.
+#: Hard cap in bytes on the work of one table of pair densities, checked
+#: before anything is built (``_check_cost``).
 ARRAY_BUDGET = 1 << 27
 
 _MIN_POINTS = 32
@@ -62,166 +59,206 @@ class SeparationProfile:
     nu_grid: tuple[float, ...]
     counts: tuple[int, ...]
     m_points: int
-    window_n: int
     slope: float | None = None
     fit_range: tuple[int, int] | None = None
 
 
-def _planes(top: int) -> int:
-    """Bit planes of symbols up to ``top``: at least one, even for one letter."""
-    return max(1, top.bit_length())
-
-
-def _plane_runs(
-    prefix: np.ndarray, window_n: int, m_starts: int
-) -> tuple[np.ndarray, np.uint64]:
-    """The bit planes of ``prefix`` from every start below ``m_starts``,
-    N positions of each, 64 positions a uint64 word.
-
-    Bit b of every symbol is packed into plane b, and the 64 bit-shifts of
-    each plane are built once: runs[p, r, q] is the ceil(N / 64) words of
-    plane p from position D = 64q + r on, bit t for position D + t, with
-    positions past the prefix read as 0, so no shift is left to do per
-    start.  ``tail`` masks the last word of a run to the window.  The table
-    is 512 * planes * (ceil(N / 64) + ceil(M / 64)) bytes
-    (``_check_table``).
-    """
-    words = -(-window_n // 64)  # words of one window
-    span = words + -(-m_starts // 64)  # and one block per 64 starts
-    planes = _planes(int(prefix.max()))
-    packed = np.zeros((planes, span + 1), dtype="<u8")
-    for p in range(planes):
-        plane = np.packbits((prefix & 1 << p) != 0, bitorder="little")
-        packed[p].view(np.uint8)[: len(plane)] = plane
-    # shifted in place: the left shifts are the one table-sized temporary
-    shifts = np.empty((planes, 64, span), dtype=np.uint64)
-    shifts[:, 0] = packed[:, :-1]
-    r = np.arange(1, 64, dtype=np.uint64)[:, None]
-    np.right_shift(packed[:, None, :-1], r, out=shifts[:, 1:])
-    shifts[:, 1:] |= packed[:, None, 1:] << 64 - r
-    tail = np.uint64((1 << (window_n - 64 * (words - 1))) - 1)
-    return sliding_window_view(shifts, words, axis=2), tail
-
-
-def _check_bytes(op: str, array: str, size: int) -> None:
-    """Refuse an array of ``size`` bytes over ARRAY_BUDGET."""
-    if size > ARRAY_BUDGET:
+def _check_cost(
+    op: str, subst: Substitution, lags: int, points: int = 0, int_bytes: int = 0
+) -> None:
+    """Refuse a table of P_d for d < ``lags`` over ARRAY_BUDGET bytes: 8 a
+    cell of the (2k + 1) * lags matrices of |A|^2 entries that ``_pair_sums``
+    holds at most (the table, its index map, a block's gathered parents) and
+    of the |A|^3 of the frequency solve, plus ``int_bytes`` a table entry
+    when they are Python ints; plus, for a greedy packing of ``points``
+    points, the bit per pair that its bitsets sweep at most."""
+    size, k = subst.alphabet.size, subst.length_k
+    cells = (2 * k + 1) * lags * size * size + size**3
+    cost = 8 * cells + int_bytes * lags * size * size + points * points // 8
+    if cost > ARRAY_BUDGET:
         raise ResourceLimitError(
-            f"{op}: a {array} of {size} bytes exceeds the {ARRAY_BUDGET}-byte budget"
+            f"{op}: a pair-density table of {cost} bytes exceeds the {ARRAY_BUDGET}-byte budget"
         )
 
 
-def _check_table(op: str, planes: int, window_n: int, m_starts: int) -> None:
-    """Refuse a ``_plane_runs`` table over ARRAY_BUDGET bytes."""
-    _check_bytes(op, "shift table", 512 * planes * (-(-window_n // 64) + -(-m_starts // 64)))
+def _letter_frequencies(subst: Substitution) -> list[Fraction]:
+    """The letter frequencies f, the diagonal of P_0: M f = k f, sum f = 1.
 
-
-def _first_row(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
-    """Mismatches of x[0 : N] against x[D : D + N] for each lag D < M.
-
-    The window at lag D = 64q + r is run [:, r, q] of ``_plane_runs``, and
-    its mismatches with x[0 : N] are the popcount of the OR over planes of
-    the XOR with the first window: O(M * N / 64) word operations per plane.
-    Each plane is XORed into one buffer and ORed into another, so beside the
-    table at most two planes' 64 runs are held.
+    M[a][c] counts a in phi(c), so the rows of M - kI sum to zero, and for
+    a primitive phi (k a simple eigenvalue) the last may be replaced by
+    sum f = 1: Gauss-Jordan on integer rows, each divided by its gcd.
     """
-    runs, tail = _plane_runs(prefix, window_n, m_points)
-    first = runs[:, :1, 0]
-    blocks = -(-m_points // 64)
-    row = np.empty(64 * blocks, dtype=np.int32)
-    differs = np.empty((64, runs.shape[-1]), dtype=np.uint64)
-    plane = np.empty_like(differs) if len(runs) > 1 else None
-    for q in range(blocks):
-        np.bitwise_xor(runs[0, :, q], first[0], out=differs)
-        for p in range(1, len(runs)):
-            np.bitwise_xor(runs[p, :, q], first[p], out=plane)
-            differs |= plane
-        differs[:, -1] &= tail
-        row[64 * q : 64 * q + 64] = np.bitwise_count(differs).sum(axis=1)
-    return row[:m_points]
+    size, k = subst.alphabet.size, subst.length_k
+    rows = [[0] * (size + 1) for _ in range(size)]
+    for c, image in enumerate(subst.rules):
+        rows[c][c] -= k
+        for a in image:
+            rows[a][c] += 1
+    rows[-1] = [1] * (size + 1)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                scale = row[col]
+                row = [head[col] * x - scale * y for x, y in zip(row, head)]
+                divisor = math.gcd(*row)
+                rows[r] = [x // divisor for x in row]
+    return [Fraction(row[-1], row[i]) for i, row in enumerate(rows)]
 
 
-#: Rows of the count matrix compared at a time, so the compares and the
-#: dead-triangle mask take O(M * _LAG_ROWS) bytes beside its 4 * M^2.
-_LAG_ROWS = 256
+def _first_lag(subst: Substitution, freq: list[Fraction]) -> list[Fraction]:
+    """P_1, flat: entry c * |A| + e is P_1(c, e).
 
-
-def _lag_counts(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
-    """Mismatch counts of the windows prefix[i : i + N], i < M, by lag.
-
-    H[i, D] counts t < N with x[i + t] != x[i + D + t], for i + D < M, so
-    the pair (i, i + D) sits in row i.  Row 0 is ``_first_row``; each next
-    row adds [x[i - 1 + N] != x[i - 1 + N + D]] and drops
-    [x[i - 1] != x[i - 1 + D]], so the rest is two compares and a cumsum
-    down the columns, _LAG_ROWS rows at a time, each block summed on from
-    the row above it.  Entries with i + D >= M pair a window with one past
-    the sample; they hold N + 1, which no threshold counts as close.
+    With n = km + j, (u_n, u_{n+1}) is (phi(c)_j, phi(c)_{j+1}), c = u_m,
+    for j < k - 1, the mass B; and (phi(c)_{k-1}, phi(e)_0) for j = k - 1,
+    (c, e) = (u_m, u_{m+1}).  So P_1 = B + f_* P_1 / k, f(c, e) =
+    (phi(c)_{k-1}, phi(e)_0): the series sum_t k^-t f^t_* B.  Every orbit
+    of f runs down a tree into a cycle; tree points are settled leaves
+    first, and around a cycle c_0 -> ... -> c_{L-1} -> c_0 the series is
+    geometric, P_1(c_0) = sum_i k^-i in(c_{-i}) / (1 - k^-L), in(c) being B
+    plus 1/k of the tree values flowing into c.
     """
-    # row 0 first, so its word buffers are freed before the M x M counts exist
-    first = _first_row(prefix, m_points, window_n)
-    pad = np.zeros(m_points - 1, dtype=prefix.dtype)
-    windows = sliding_window_view(np.concatenate([prefix, pad]), m_points)
-    counts = np.empty((m_points, m_points), dtype=np.int32)
-    counts[0] = first
-    for lo in range(1, m_points, _LAG_ROWS):
-        hi = min(lo + _LAG_ROWS, m_points)
-        adds = windows[window_n + lo - 1 : window_n + hi - 1]
-        drops = windows[lo - 1 : hi - 1]
-        np.subtract(
-            (adds != adds[:, :1]).view(np.int8),
-            (drops != drops[:, :1]).view(np.int8),
-            out=counts[lo:hi],
-        )
-        # a dead entry of row lo - 1 only feeds entries dead in this block too
-        np.cumsum(counts[lo - 1 : hi], axis=0, dtype=np.int32, out=counts[lo - 1 : hi])
-        dead = np.tri(hi - lo, m_points, lo - 1, dtype=bool)  # i + D >= M, D reversed
-        counts[lo:hi, ::-1][dead] = window_n + 1
-    return counts
+    size, k = subst.alphabet.size, subst.length_k
+    inflow = [Fraction(0)] * (size * size)
+    for c, image in enumerate(subst.rules):
+        for a, b in zip(image, image[1:]):
+            inflow[a * size + b] += freq[c] / k
+    succ = [subst.rules[c][-1] * size + subst.rules[e][0] for c in range(size) for e in range(size)]
+    waiting = Counter(succ)
+    value: list[Fraction | None] = [None] * len(succ)
+    settled = [x for x in range(len(succ)) if not waiting[x]]
+    for x in settled:  # grows while it is walked: the trees, leaves first
+        value[x] = inflow[x]
+        y = succ[x]
+        inflow[y] += value[x] / k
+        waiting[y] -= 1
+        if waiting[y] == 0:
+            settled.append(y)
+    for x, v in enumerate(value):
+        if v is not None:
+            continue
+        cycle = [x]
+        while succ[cycle[-1]] != x:
+            cycle.append(succ[cycle[-1]])
+        total = Fraction(0)
+        for y in cycle[1:] + cycle[:1]:
+            total = total / k + inflow[y]
+        value[x] = total / (1 - Fraction(1, k ** len(cycle)))
+        for before, y in zip(cycle, cycle[1:]):
+            value[y] = inflow[y] + value[before] / k
+    return value
 
 
-def _greedy_counts(
-    lags: np.ndarray, window_n: int, grid: tuple[float, ...]
-) -> tuple[int, ...]:
-    """Sizes of the greedy nu-separated subsets, scanned in index order.
+def _pair_sums(subst: Substitution, lags: int, weights: np.ndarray) -> tuple[int, np.ndarray]:
+    """(Z, W), W[d, w] = Z * sum_{a,b} weights[w, a * |A| + b] P_d(a, b) for
+    d < ``lags``: exact integers over one common denominator Z.
+
+    ``subst`` must be primitive.  With n = km + j and j + d = qk + r,
+    u_n = phi(u_m)_j and u_{n+d} = phi(u_{m+q})_r, so (Baake and Gaehler,
+    Topology Appl. 205 (2016)), S_j[c, a] being [phi(c)_j = a],
+
+        P_d = (1/k) sum_{j < k} S_j^T P_{(j + d) // k} S_{(j + d) % k}.
+
+    P_0 = diag(``_letter_frequencies``), P_1 is ``_first_lag``, and the
+    parents of every d <= k(lo - 1) lie below lo, so the lags fill in
+    blocks [lo, k(lo - 1) + 1), one scatter-add of k parents a lag each,
+    through the index map (d, j, c, e) -> (d, phi(c)_j, phi(e)_r).  A block
+    adds a factor k to the denominators: Z is the least common denominator
+    of P_0 and P_1 times k^h, k^h >= lags - 1, and every Z * P_d must sum
+    to Z, which a division by k with a remainder would break (InternalError).
+
+    int64 is exact when k * Z < 2^63: an entry of a block before its
+    division, and each partial sum, adds nonnegative entries of k parents
+    Z * P_q, so is at most k * Z, and with 0/1 weights W is at most Z.  Past
+    that bound the same code runs on Python ints (dtype object), priced
+    again with their size.  One letter gives P_d = [[1]] and Z = 1.
+    """
+    size, k = subst.alphabet.size, subst.length_k
+    weights = np.asarray(weights).reshape(-1, size * size)
+    if size == 1:
+        return 1, np.repeat(weights.T, lags, axis=0)
+    freq = _letter_frequencies(subst)
+    first = _first_lag(subst, freq)
+    scale = 1
+    while scale < lags - 1:
+        scale *= k
+    z = math.lcm(*(x.denominator for x in freq + first)) * scale
+    dtype = np.int64 if k * z < 1 << 63 else object
+    if dtype is object:  # each entry an int object of up to sys.getsizeof(k * z) bytes
+        _check_cost("pair densities", subst, lags, int_bytes=sys.getsizeof(k * z))
+    table = np.zeros((max(lags, 2), size * size), dtype=dtype)
+    table[0, :: size + 1] = [int(x * z) for x in freq]
+    table[1] = [int(x * z) for x in first]
+    columns = np.array(subst.rules, dtype=np.intp).T  # columns[j][c] = phi(c)_j
+    lag = np.arange(2, lags)
+    parent, r = np.divmod(lag[:, None] + np.arange(k), k)
+    # flat index of (d, phi(c)_j, phi(e)_r) at [d - 2, j, c, e]
+    target = columns[r][:, :, None, :] + (columns * size)[None, :, :, None]
+    target += (lag * size * size)[:, None, None, None]
+    flat = table.reshape(-1)
+    lo = 2
+    while lo < lags:
+        top = min(k * (lo - 1) + 1, lags)  # the lags whose parents lie below lo
+        np.add.at(flat, target[lo - 2 : top - 2].ravel(), table[parent[lo - 2 : top - 2]].ravel())
+        table[lo:top] //= k
+        lo = top
+    if (table.sum(axis=1) != z).any():
+        raise InternalError(f"pair densities: {z} is no common denominator")
+    return z, (table @ weights.T)[:lags]
+
+
+def _mismatch_weights(*labellings) -> np.ndarray:
+    """0/1 weights, one row a labelling of the letters: 1 on the pairs of
+    letters whose labels differ, so range(|A|) weighs the plain mismatches
+    and the classes the S-mismatches."""
+    return np.array([np.not_equal.outer(x, x).ravel() for x in labellings], dtype=np.int64)
+
+
+def _least_numerator(nu: float, z: int) -> int:
+    """The least integer c with c / z >= nu, exactly: c / z < nu iff c < it."""
+    num, den = nu.as_integer_ratio()
+    return -(-num * z // den)
+
+
+def _greedy_counts(apart: np.ndarray, z: int, grid: tuple[float, ...]) -> tuple[int, ...]:
+    """Sizes of the greedy nu-separated subsets of M points, scanned in
+    index order, where ``apart[d] / z`` is the density of points d apart.
 
     An index is kept when its density to every kept index is >= nu.  The
-    densities are never formed: t, the least count c with float(c) / N >=
-    nu, makes ``count < t`` exactly ``count / N < nu``.  When no pair is
-    that close every index is kept.  Otherwise the kept index i blocks the
-    bits i + D of its row of ``lags < t``, and the scan jumps to the lowest
-    free bit above i; it never looks back, so one triangle of counts is all
-    it reads.
+    densities depend on the lag alone, so one mask of the close lags, those
+    d >= 1 with apart[d] < the least numerator of nu, serves every point:
+    a kept index i blocks the bits i + d, and the scan jumps to the lowest
+    free bit above i.  When no lag is close every index is kept.
     """
-    m_points = lags.shape[0]
-    closest = int(lags[:, 1:].min(initial=window_n + 1))
+    m_points = len(apart)
     counts = []
     for nu in grid:
-        threshold = bisect.bisect_left(
-            range(window_n + 1), True, key=lambda c: c / window_n >= nu
-        )
-        if closest >= threshold:
+        close = apart < min(_least_numerator(nu, z), z + 1)
+        close[0] = False
+        mask = int.from_bytes(np.packbits(close, bitorder="little").tobytes(), "little")
+        if not mask:
             counts.append(m_points)
             continue
-        rows = np.packbits(lags < threshold, axis=1, bitorder="little")
         blocked = idx = kept = 0
         while idx < m_points:
             kept += 1
-            blocked |= int.from_bytes(rows[idx], "little") << idx
+            blocked |= mask << idx
             free = ~blocked >> (idx + 1)
             idx += (free & -free).bit_length()
         counts.append(kept)
     return tuple(counts)
 
 
-def check_sample_size(m_points: int, window_n: int, letters: int) -> None:
-    """Refuse an orbit sample that separation_profile cannot take on
-    ``letters`` letters, before anything is built."""
+def check_sample_size(subst: Substitution, m_points: int, window_n: int | None = None) -> None:
+    """Refuse an orbit sample that separation_profile cannot take, before
+    anything is built.  ``window_n``, when given, is checked and ignored."""
     if m_points < _MIN_POINTS:
         raise PreconditionError(f"need at least {_MIN_POINTS} orbit points")
-    if window_n < _MIN_WINDOW:
+    if window_n is not None and window_n < _MIN_WINDOW:
         raise PreconditionError(f"need a window of at least {_MIN_WINDOW}")
-    _check_bytes("separation_profile", "count matrix", 4 * m_points * m_points)
-    _check_table("separation_profile", _planes(letters - 1), window_n, m_points)
+    _check_cost("separation_profile", subst, m_points, m_points)
 
 
 def separation_profile(
@@ -232,16 +269,15 @@ def separation_profile(
 ) -> SeparationProfile:
     """Greedy maximal nu-separated subsets of {T^i x : i < M}, per grid nu.
 
-    Deterministic: points are scanned in index order and kept when at
-    mismatch density >= nu from everything kept so far.
+    Deterministic: points are scanned in index order and kept when at exact
+    mismatch density >= nu from everything kept so far.  ``window_n`` is
+    checked (at least 1024) and ignored: the densities are exact.
     """
-    check_sample_size(m_points, window_n, subst.alphabet.size)
+    check_sample_size(subst, m_points, window_n)
     grid = tuple(nu_grid) if nu_grid is not None else build_nu_grid()
     require_primitive(subst, "separation_profile")
-    # the windows x[i : i + N], i < M, stand in for the orbit points T^i x
-    prefix = fixed_point_array(subst, m_points + window_n)
-    counts = _greedy_counts(_lag_counts(prefix, m_points, window_n), window_n, grid)
-    profile = SeparationProfile(grid, counts, m_points, window_n)
+    z, apart = _pair_sums(subst, m_points, _mismatch_weights(range(subst.alphabet.size)))
+    profile = SeparationProfile(grid, _greedy_counts(apart[:, 0], z, grid), m_points)
     try:
         fit_slope(profile)
     except EstimationError:
@@ -292,42 +328,16 @@ def fit_slope(profile: SeparationProfile) -> float:
     return slope
 
 
-def _window_counts(
-    pure: Substitution, classes: tuple[int, ...], window_n: int, m_starts: int
-):
-    """A function (starts i, starts j) -> [(plain, filtered)] mismatch counts
-    of the N-symbol windows of the fixed point of ``pure`` at those starts,
-    every start below ``m_starts``; a filtered mismatch is one whose two
-    letters lie in different ``classes``.
-
-    Letter a is coded classes[a] << low | (its rank in its class), so the
-    bit planes from ``low`` up spell the class, and the windows are read
-    from the ``_plane_runs`` of the coded prefix, whose table is checked
-    against ARRAY_BUDGET before the prefix is built.  A pair's counts
-    are the popcounts of the OR of its two windows' XORed words, the last
-    word masked to the window, over all planes and over the planes from
-    ``low`` up: O(planes * N / 64) word operations a pair.  A numpy call
-    takes 64 pairs, so its temporaries stay within a few times the table.
-    """
-    rank = [classes[:a].count(c) for a, c in enumerate(classes)]
-    low = max(rank).bit_length()
-    codes = np.array([c << low | n for c, n in zip(classes, rank)])
-    _check_table("lipschitz_ratio_probe", _planes(int(codes.max())), window_n, m_starts)
-    prefix = codes[fixed_point_array(pure, m_starts + window_n)]
-    runs, tail = _plane_runs(prefix, window_n, m_starts)
-
-    def counts(starts_i, starts_j):
-        out = []
-        for lo in range(0, len(starts_i), 64):
-            i, j = np.array([starts_i[lo : lo + 64], starts_j[lo : lo + 64]], dtype=np.intp)
-            differs = runs[:, i % 64, i // 64] ^ runs[:, j % 64, j // 64]
-            differs[:, :, -1] &= tail
-            across = np.bitwise_or.reduce(differs[low:], axis=0)
-            plain = across | np.bitwise_or.reduce(differs[:low], axis=0)
-            out += np.bitwise_count([plain, across]).sum(axis=2).T.tolist()
-        return out
-
-    return counts
+def _class_densities(
+    op: str, pure: Substitution, classes: tuple[int, ...], lags: int
+) -> tuple[int, list[int], list[int]]:
+    """(Z, plain, across): Z times the plain and the S-restricted densities
+    of the pure base's orbit points d apart, d < ``lags``, S being the pairs
+    of letters in different ``classes``; priced for ``op`` first."""
+    _check_cost(op, pure, lags)
+    z, sums = _pair_sums(pure, lags, _mismatch_weights(range(pure.alphabet.size), classes))
+    plain, across = sums.T.tolist()
+    return z, plain, across
 
 
 def lipschitz_ratio_probe(
@@ -342,12 +352,9 @@ def lipschitz_ratio_probe(
     The two densities are Lipschitz-equivalent on infinite discrete-
     spectrum systems, so the minimum should stay clear of zero.
     ``analysis`` is ``analyze_pairs(subst)`` when the caller already has
-    it.  A position of two windows is an S-mismatch iff its letters lie in
-    different classes of ``analysis.classes``, so a pair of N-symbol windows
-    costs O(planes * N / 64) word operations, planes being about
-    log2 |A| bits of class and rank (``_window_counts``).  The table of
-    those planes from max(4 * samples, 64) starts is refused with
-    ResourceLimitError past ARRAY_BUDGET, before the prefix is built.
+    it.  A position of two orbit points is an S-mismatch iff its letters
+    lie in different classes of ``analysis.classes``.  ``window_n`` is
+    checked (at least 1) and ignored: the densities are exact.
     """
     if samples < 1 or window_n < 1:
         raise PreconditionError("lipschitz_ratio_probe needs samples >= 1 and window_n >= 1")
@@ -357,63 +364,51 @@ def lipschitz_ratio_probe(
         raise PreconditionError(
             "ratio probe needs an infinite system with discrete spectrum"
         )
-    return _min_density_ratio(
-        analysis.pure.pure_base, analysis.classes, samples, window_n, seed
-    )
+    return _min_density_ratio(analysis.pure.pure_base, analysis.classes, samples, seed)
 
 
 def _min_density_ratio(
-    pure: Substitution,
-    classes: tuple[int, ...],
-    samples: int,
-    window_n: int,
-    seed: int,
+    pure: Substitution, classes: tuple[int, ...], samples: int, seed: int
 ) -> float:
     """The sampling loop of lipschitz_ratio_probe, S being the pairs of
     letters in different ``classes``.
 
-    ``pure`` must be primitive.  Of the first 50 * samples draws, the pairs
-    with i != j are taken a batch at a time, at most as many as could still
-    be accepted, and counted in one call of ``_window_counts``, so the
-    draws, the acceptance and the stop are those of a loop that counts one
-    pair a time.
+    ``pure`` must be primitive.  Of the first 50 * samples draws of two
+    points below max(4 * samples, 64), each pair with i != j and plain
+    density >= 0.01 at lag |i - j| is accepted, until ``samples`` are.
     """
     m_pool = max(4 * samples, 64)
-    counts = _window_counts(pure, classes, window_n, m_pool)
+    z, plain, across = _class_densities("lipschitz_ratio_probe", pure, classes, m_pool)
+    floor = _least_numerator(0.01, z)
     rng = random.Random(seed)
-    draws = ((rng.randrange(m_pool), rng.randrange(m_pool)) for _ in range(50 * samples))
-    pairs = ((i, j) for i, j in draws if i != j)
-
     best = math.inf
     accepted = 0
-    while accepted < samples and (batch := list(islice(pairs, samples - accepted))):
-        densities = np.array(counts(*zip(*batch))) / window_n
-        ratios = [ds / d1 for d1, ds in densities.tolist() if d1 >= 0.01]
-        accepted += len(ratios)
-        best = min([best, *ratios])
+    for _ in range(50 * samples):
+        i, j = rng.randrange(m_pool), rng.randrange(m_pool)
+        lag = abs(i - j)
+        if i == j or plain[lag] < floor:
+            continue
+        best = min(best, across[lag] / plain[lag])
+        accepted += 1
+        if accepted == samples:
+            break
     if accepted == 0:
         raise EstimationError("no sampled pair had plain density >= 0.01")
     return best
 
 
-def density_rows(
-    analysis: DiscrepancyAnalysis,
-) -> list[tuple[int, int, float, float]]:
-    """(i, j, plain density, S-restricted density) of the windows i < j < 16
-    of 4096 symbols of the pure base's fixed point, S being the pairs of
-    letters in different ``analysis.classes``.
-
-    The 120 pairs are counted as the probe counts its pairs, by one call
-    of ``_window_counts``.
-    """
-    m_points, window_n = 16, 4096
-    starts_i, starts_j = np.triu_indices(m_points, k=1)
-    counts = _window_counts(analysis.pure.pure_base, analysis.classes, window_n, m_points)
+def density_rows(analysis: DiscrepancyAnalysis) -> list[tuple[int, int, float, float]]:
+    """(i, j, plain density, S-restricted density) of the orbit points
+    i < j < 16 of the pure base's fixed point, S being the pairs of letters
+    in different ``analysis.classes``; exact densities rounded to floats."""
+    m_points = 16
+    z, plain, across = _class_densities(
+        "density_rows", analysis.pure.pure_base, analysis.classes, m_points
+    )
     return [
-        (i, j, float(plain) / window_n, float(filtered) / window_n)
-        for i, j, (plain, filtered) in zip(
-            starts_i.tolist(), starts_j.tolist(), counts(starts_i, starts_j)
-        )
+        (i, j, plain[j - i] / z, across[j - i] / z)
+        for i in range(m_points)
+        for j in range(i + 1, m_points)
     ]
 
 
@@ -426,7 +421,7 @@ def write_profile_csv(profile: SeparationProfile, path: str) -> None:
 
 
 def write_density_csv(rows: list[tuple[int, int, float, float]], path: str) -> None:
-    """Emit sampled pair densities as (i, j, d1, ds) rows."""
+    """Emit pair densities as (i, j, d1, ds) rows."""
     with open(path, "w", newline="\n") as fh:
         fh.write("i,j,d1,ds\n")
         for i, j, d1, ds in rows:

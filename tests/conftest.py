@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import string
 import sys
@@ -42,19 +43,35 @@ WIDE_KERNEL_RULES = {
 WIDE_ALPHABET_RULES = {f"x{i}": [f"x{(i + 1) % 300}", "x0"] for i in range(300)}
 
 
-def patch_recurrence(monkeypatch, bad=lambda call: False) -> list[tuple[int, bool]]:
-    """Wrap ``matrices._recurrence`` to record (p, full) of every call, and
-    to add 1 mod p to the constant term of call number ``call`` (from 0)
-    whenever ``bad(call)``."""
+def patch_recurrence(monkeypatch, bad=lambda call: False) -> list[tuple[int, bool, int]]:
+    """Wrap ``matrices._recurrence`` to record (p, full, terms) of every
+    call, terms being the Krylov terms it ran (the executions of its
+    ``terms.append`` line, counted by a trace function on its frame alone),
+    and to add 1 mod p to the constant term of call number ``call`` (from
+    0) whenever ``bad(call)``."""
     from substdyn import matrices
 
     recurrence, calls = matrices._recurrence, []
+    lines, first = inspect.getsourcelines(recurrence)
+    step = first + next(i for i, line in enumerate(lines) if "terms.append(" in line)
 
     def wrapped(rows, p, full):
-        poly = recurrence(rows, p, full)
+        terms = 0
+
+        def count(frame, event, arg):
+            nonlocal terms
+            terms += event == "line" and frame.f_lineno == step
+            return count
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count if frame.f_code is recurrence.__code__ else None)
+        try:
+            poly = recurrence(rows, p, full)
+        finally:
+            sys.settrace(previous)
         if bad(len(calls)):
             poly[-1] = (poly[-1] + 1) % p
-        calls.append((p, full))
+        calls.append((p, full, terms))
         return poly
 
     monkeypatch.setattr(matrices, "_recurrence", wrapped)

@@ -159,28 +159,19 @@ def brute_fixed_point_prefix(
 
 
 def brute_lipschitz_ratio_probe(
-    rules: tuple[tuple[int, ...], ...],
+    correlations,
     pairs: list[tuple[int, int]],
     samples: int,
-    window_n: int,
     seed: int,
 ) -> float:
     """Minimum ratio of the sampled probe, inf when no pair was accepted.
 
-    The windows are materialised, and every position is looked up in a 2-D
-    table of the flagged pairs.
+    Each draw reads the exact P_d at its lag from ``correlations``, an
+    ``exact_correlation_lookup``, and sums its entries over the flagged
+    pairs; each ratio is rounded once.
     """
-    size = len(rules)
-    table = np.zeros((size, size), dtype=bool)
-    for a, b in pairs:
-        table[a, b] = table[b, a] = True
     m_pool = max(4 * samples, 64)
-    prefix = np.array(brute_fixed_point_prefix(rules, m_pool + window_n))
-
-    def density(u, v, filtered):
-        hits = table[u, v] if filtered else u != v
-        return float(np.count_nonzero(hits)) / len(u)
-
+    flagged = {(a, b) for a, b in pairs} | {(b, a) for a, b in pairs}
     rng = random.Random(seed)
     best = math.inf
     accepted = attempts = 0
@@ -189,12 +180,13 @@ def brute_lipschitz_ratio_probe(
         i, j = rng.randrange(m_pool), rng.randrange(m_pool)
         if i == j:
             continue
-        u, v = prefix[i : i + window_n], prefix[j : j + window_n]
-        d1 = density(u, v, False)
-        if d1 < 0.01:
+        p = correlations(abs(i - j))
+        plain = sum(v for (a, b), v in p.items() if a != b)
+        if plain < Fraction(0.01):
             continue
         accepted += 1
-        best = min(best, density(u, v, True) / d1)
+        across = sum(v for ab, v in p.items() if ab in flagged)
+        best = min(best, float(across / plain))
     return best
 
 
@@ -611,3 +603,313 @@ def brute_greedy_count(density: np.ndarray, nu: float) -> int:
         if all(density[idx, j] >= nu for j in kept):
             kept.append(idx)
     return len(kept)
+
+
+# ---------------------------------------------------------------------------
+# Exact pair correlations, in Fractions
+# ---------------------------------------------------------------------------
+
+
+def exact_letter_frequencies(rules: tuple[tuple[int, ...], ...]) -> list[Fraction]:
+    """The null vector of M - kI, M[a][c] the count of a in phi(c), scaled
+    to sum 1: reduced row echelon form over Fractions, the one free
+    column set to 1."""
+    size, k = len(rules), len(rules[0])
+    m = [[Fraction(-k if a == c else 0) for c in range(size)] for a in range(size)]
+    for c, image in enumerate(rules):
+        for a in image:
+            m[a][c] += 1
+    pivots = []
+    row = 0
+    for col in range(size):
+        hit = next((r for r in range(row, size) if m[r][col] != 0), None)
+        if hit is None:
+            continue
+        m[row], m[hit] = m[hit], m[row]
+        head = m[row][col]
+        m[row] = [x / head for x in m[row]]
+        for r in range(size):
+            factor = m[r][col]
+            if r != row and factor != 0:
+                m[r] = [x - factor * y if y else x for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    (free,) = [c for c in range(size) if c not in pivots]
+    v = [Fraction(0)] * size
+    v[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        v[col] = -m[r][free]
+    total = sum(v)
+    return [x / total for x in v]
+
+
+def _first_lag_pieces(rules, freq):
+    """B, the mass of the pairs inside one image, and f, the map of a
+    pair of letters to the pair across the border of their images."""
+    size, k = len(rules), len(rules[0])
+    mass: dict[tuple[int, int], Fraction] = {}
+    for c, image in enumerate(rules):
+        for j in range(k - 1):
+            pair = (image[j], image[j + 1])
+            mass[pair] = mass.get(pair, Fraction(0)) + freq[c] / k
+
+    def f(pair):
+        return (rules[pair[0]][k - 1], rules[pair[1]][0])
+
+    return mass, f
+
+
+def exact_first_lag_orbits(
+    rules: tuple[tuple[int, ...], ...], freq: list[Fraction]
+) -> dict[tuple[int, int], Fraction]:
+    """P_1 = sum_t k^-t f^t_* B, walked point by point: each orbit runs
+    into a cycle, whose part of the series is geometric."""
+    k = len(rules[0])
+    mass, f = _first_lag_pieces(rules, freq)
+    out: dict[tuple[int, int], Fraction] = {}
+    for start, weight in mass.items():
+        orbit, seen = [start], {start: 0}
+        while f(orbit[-1]) not in seen:
+            seen[f(orbit[-1])] = len(orbit)
+            orbit.append(f(orbit[-1]))
+        tail = seen[f(orbit[-1])]
+        cycle = len(orbit) - tail
+        for t, point in enumerate(orbit):
+            share = weight / k**t
+            if t >= tail:
+                share /= 1 - Fraction(1, k**cycle)
+            out[point] = out.get(point, Fraction(0)) + share
+    return out
+
+
+def exact_first_lag_solve(
+    rules: tuple[tuple[int, ...], ...], freq: list[Fraction]
+) -> dict[tuple[int, int], Fraction]:
+    """P_1 from the |A|^2 x |A|^2 system (I - F / k) P_1 = B, F the
+    pushforward of f, by Gaussian elimination over Fractions."""
+    size, k = len(rules), len(rules[0])
+    mass, f = _first_lag_pieces(rules, freq)
+    points = [(a, b) for a in range(size) for b in range(size)]
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    m = [[Fraction(int(i == j)) for j in range(n)] + [mass.get(points[i], Fraction(0))]
+         for i in range(n)]
+    for x in points:
+        m[index[f(x)]][index[x]] -= Fraction(1, k)
+    for col in range(n):
+        hit = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[hit] = m[hit], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return {p: m[i][n] for i, p in enumerate(points) if m[i][n] != 0}
+
+
+def exact_correlation_lookup(rules: tuple[tuple[int, ...], ...]):
+    """A function d -> P_d as a dict {(a, b): Fraction} of its nonzero
+    entries, by P_d = (1/k) sum_j S_j^T P_{(j+d)//k} S_{(j+d)%k} from P_0
+    and the orbit series for P_1, each P_d computed once and on demand."""
+    size, k = len(rules), len(rules[0])
+    freq = exact_letter_frequencies(rules)
+    known = {0: {(a, a): x for a, x in enumerate(freq) if x}}
+    known[1] = exact_first_lag_orbits(rules, freq)
+
+    def correlations(d: int) -> dict[tuple[int, int], Fraction]:
+        if d not in known:
+            total: dict[tuple[int, int], Fraction] = {}
+            for j in range(k):
+                q, r = divmod(j + d, k)
+                for (c, e), v in correlations(q).items():
+                    pair = (rules[c][j], rules[e][r])
+                    total[pair] = total.get(pair, 0) + v
+            known[d] = {pair: v / k for pair, v in total.items()}
+        return known[d]
+
+    return correlations
+
+
+def exact_pair_correlations(
+    rules: tuple[tuple[int, ...], ...], lags: int
+) -> list[list[list[Fraction]]]:
+    """P_d as |A| x |A| matrices of Fractions for d < lags."""
+    size = len(rules)
+    correlations = exact_correlation_lookup(rules)
+    out = []
+    for d in range(lags):
+        p = correlations(d)
+        out.append([[p.get((a, b), Fraction(0)) for b in range(size)] for a in range(size)])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Windowed mismatch counts on bit planes: the densities at finite N
+# ---------------------------------------------------------------------------
+
+
+def planes(top: int) -> int:
+    """Bit planes of symbols up to ``top``: at least one, even for one letter."""
+    return max(1, top.bit_length())
+
+
+def table_bytes(n_planes: int, window_n: int, m_starts: int) -> int:
+    """Bytes of the ``plane_runs`` table."""
+    return 512 * n_planes * (-(-window_n // 64) + -(-m_starts // 64))
+
+
+def plane_runs(prefix: np.ndarray, window_n: int, m_starts: int) -> tuple[np.ndarray, np.uint64]:
+    """The bit planes of ``prefix`` from every start below ``m_starts``,
+    N positions of each, 64 positions a uint64 word.
+
+    Bit b of every symbol is packed into plane b, and the 64 bit-shifts of
+    each plane are built once: runs[p, r, q] is the ceil(N / 64) words of
+    plane p from position D = 64q + r on, bit t for position D + t, with
+    positions past the prefix read as 0, so no shift is left to do per
+    start.  ``tail`` masks the last word of a run to the window.  The table
+    takes ``table_bytes`` bytes.
+    """
+    words = -(-window_n // 64)  # words of one window
+    span = words + -(-m_starts // 64)  # and one block per 64 starts
+    n_planes = planes(int(prefix.max()))
+    packed = np.zeros((n_planes, span + 1), dtype="<u8")
+    for p in range(n_planes):
+        plane = np.packbits((prefix & 1 << p) != 0, bitorder="little")
+        packed[p].view(np.uint8)[: len(plane)] = plane
+    # shifted in place: the left shifts are the one table-sized temporary
+    shifts = np.empty((n_planes, 64, span), dtype=np.uint64)
+    shifts[:, 0] = packed[:, :-1]
+    r = np.arange(1, 64, dtype=np.uint64)[:, None]
+    np.right_shift(packed[:, None, :-1], r, out=shifts[:, 1:])
+    shifts[:, 1:] |= packed[:, None, 1:] << 64 - r
+    tail = np.uint64((1 << (window_n - 64 * (words - 1))) - 1)
+    return sliding_window_view(shifts, words, axis=2), tail
+
+
+def first_row(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
+    """Mismatches of x[0 : N] against x[D : D + N] for each lag D < M.
+
+    The window at lag D = 64q + r is run [:, r, q] of ``plane_runs``, and
+    its mismatches with x[0 : N] are the popcount of the OR over planes of
+    the XOR with the first window: O(M * N / 64) word operations per plane.
+    Each plane is XORed into one buffer and ORed into another, so beside the
+    table at most two planes' 64 runs are held.
+    """
+    runs, tail = plane_runs(prefix, window_n, m_points)
+    first = runs[:, :1, 0]
+    blocks = -(-m_points // 64)
+    row = np.empty(64 * blocks, dtype=np.int32)
+    differs = np.empty((64, runs.shape[-1]), dtype=np.uint64)
+    plane = np.empty_like(differs) if len(runs) > 1 else None
+    for q in range(blocks):
+        np.bitwise_xor(runs[0, :, q], first[0], out=differs)
+        for p in range(1, len(runs)):
+            np.bitwise_xor(runs[p, :, q], first[p], out=plane)
+            differs |= plane
+        differs[:, -1] &= tail
+        row[64 * q : 64 * q + 64] = np.bitwise_count(differs).sum(axis=1)
+    return row[:m_points]
+
+
+#: Rows of the count matrix compared at a time, so the compares and the
+#: dead-triangle mask take O(M * LAG_ROWS) bytes beside its 4 * M^2.
+LAG_ROWS = 256
+
+
+def lag_counts(prefix: np.ndarray, m_points: int, window_n: int) -> np.ndarray:
+    """Mismatch counts of the windows prefix[i : i + N], i < M, by lag.
+
+    H[i, D] counts t < N with x[i + t] != x[i + D + t], for i + D < M, so
+    the pair (i, i + D) sits in row i.  Row 0 is ``first_row``; each next
+    row adds [x[i - 1 + N] != x[i - 1 + N + D]] and drops
+    [x[i - 1] != x[i - 1 + D]], so the rest is two compares and a cumsum
+    down the columns, LAG_ROWS rows at a time, each block summed on from
+    the row above it.  Entries with i + D >= M pair a window with one past
+    the sample; they hold N + 1, which no threshold counts as close.
+    """
+    # row 0 first, so its word buffers are freed before the M x M counts exist
+    first = first_row(prefix, m_points, window_n)
+    pad = np.zeros(m_points - 1, dtype=prefix.dtype)
+    windows = sliding_window_view(np.concatenate([prefix, pad]), m_points)
+    counts = np.empty((m_points, m_points), dtype=np.int32)
+    counts[0] = first
+    for lo in range(1, m_points, LAG_ROWS):
+        hi = min(lo + LAG_ROWS, m_points)
+        adds = windows[window_n + lo - 1 : window_n + hi - 1]
+        drops = windows[lo - 1 : hi - 1]
+        np.subtract(
+            (adds != adds[:, :1]).view(np.int8),
+            (drops != drops[:, :1]).view(np.int8),
+            out=counts[lo:hi],
+        )
+        # a dead entry of row lo - 1 only feeds entries dead in this block too
+        np.cumsum(counts[lo - 1 : hi], axis=0, dtype=np.int32, out=counts[lo - 1 : hi])
+        dead = np.tri(hi - lo, m_points, lo - 1, dtype=bool)  # i + D >= M, D reversed
+        counts[lo:hi, ::-1][dead] = window_n + 1
+    return counts
+
+
+def window_counts(
+    rules: tuple[tuple[int, ...], ...], classes: tuple[int, ...], window_n: int, m_starts: int
+):
+    """A function (starts i, starts j) -> [(plain, filtered)] mismatch counts
+    of the N-symbol windows of the fixed point of ``rules`` at those
+    starts, every start below ``m_starts``; a filtered mismatch is one
+    whose two letters lie in different ``classes``.
+
+    Letter a is coded classes[a] << low | (its rank in its class), so the
+    bit planes from ``low`` up spell the class, and the windows are read
+    from the ``plane_runs`` of the coded prefix.  A pair's counts are the
+    popcounts of the OR of its two windows' XORed words, the last word
+    masked to the window, over all planes and over the planes from ``low``
+    up.  A numpy call takes 64 pairs.
+    """
+    rank = [classes[:a].count(c) for a, c in enumerate(classes)]
+    low = max(rank).bit_length()
+    codes = np.array([c << low | n for c, n in zip(classes, rank)])
+    prefix = codes[np.array(brute_fixed_point_prefix(rules, m_starts + window_n))]
+    runs, tail = plane_runs(prefix, window_n, m_starts)
+
+    def counts(starts_i, starts_j):
+        out = []
+        for lo in range(0, len(starts_i), 64):
+            i, j = np.array([starts_i[lo : lo + 64], starts_j[lo : lo + 64]], dtype=np.intp)
+            differs = runs[:, i % 64, i // 64] ^ runs[:, j % 64, j // 64]
+            differs[:, :, -1] &= tail
+            across = np.bitwise_or.reduce(differs[low:], axis=0)
+            plain = across | np.bitwise_or.reduce(differs[:low], axis=0)
+            out += np.bitwise_count([plain, across]).sum(axis=2).T.tolist()
+        return out
+
+    return counts
+
+
+def window_greedy_counts(
+    lags: np.ndarray, window_n: int, grid: tuple[float, ...]
+) -> tuple[int, ...]:
+    """Sizes of the greedy nu-separated subsets read off ``lag_counts``,
+    scanned in index order.
+
+    An index is kept when its density to every kept index is >= nu.  The
+    densities are never formed: t, the least count c with float(c) / N >=
+    nu, makes ``count < t`` exactly ``count / N < nu``.  When no pair is
+    that close every index is kept.  Otherwise the kept index i blocks the
+    bits i + D of its row of ``lags < t``, and the scan jumps to the lowest
+    free bit above i.
+    """
+    m_points = lags.shape[0]
+    closest = int(lags[:, 1:].min(initial=window_n + 1))
+    counts = []
+    for nu in grid:
+        threshold = next(c for c in range(window_n + 1) if c / window_n >= nu)
+        if closest >= threshold:
+            counts.append(m_points)
+            continue
+        rows = np.packbits(lags < threshold, axis=1, bitorder="little")
+        blocked = idx = kept = 0
+        while idx < m_points:
+            kept += 1
+            blocked |= int.from_bytes(rows[idx], "little") << idx
+            free = ~blocked >> (idx + 1)
+            idx += (free & -free).bit_length()
+        counts.append(kept)
+    return tuple(counts)

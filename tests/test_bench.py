@@ -29,7 +29,7 @@ import workloads  # noqa: E402
 DIGESTS = {
     "corpus": "7029df0381dab51cb3c64b2b27565eb275802a11cd5e25870ed394b13b5b439c",
     "large": "49cf8ea51c1dca78bad525bfeff0aa0f121cecf54349b653030a900fcecc4b19",
-    "verify": "b0973c35b543c750d57c2f7bb630e1353a75dcc4f0123f744742b2c798b39bd9",
+    "verify": "326b13f312b408f943a6844abb336802f7a45717fbf616f395eb12a3adeee4aa",
 }
 
 

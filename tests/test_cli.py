@@ -156,7 +156,7 @@ class TestExitCodes:
         monkeypatch.setattr(substdyn.cli, "separation_profile", counted)
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
         target = tmp_path / "missing" / "x"
-        argv = ["verify", path, "--points", "32", "--window", "1024", flag, str(target)]
+        argv = ["verify", path, "--points", "32", flag, str(target)]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {target}: ")
@@ -173,7 +173,7 @@ class TestExitCodes:
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
         created, kept = tmp_path / "profile.csv", tmp_path / "density.csv"
         kept.write_text("kept\n")
-        argv = ["verify", path, "--points", "32", "--window", "1024",
+        argv = ["verify", path, "--points", "32",
                 "--csv", str(created), "--density-csv", str(kept)]
         assert run(argv) == 4
         assert capsys.readouterr().err == "error: probe failed\n"
@@ -256,7 +256,7 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", [
-        ["analyze"], ["kernel"], ["verify", "--points", "32", "--window", "1024"],
+        ["analyze"], ["kernel"], ["verify", "--points", "32"],
     ])
     def test_full_stdout_exits_2(self, tmp_path, command):
         # every write to /dev/full fails with ENOSPC: one error line, the
@@ -321,29 +321,51 @@ class TestRefusedBeforeTheStage:
         [
             (["--points", "16"], 2),
             (["--window", "512"], 2),
-            (["--points", "8192", "--window", "8192"], 3),
-            # on e1's 3 letters the bit-plane shift table of the M + N prefix
-            # would take 128 MiB, and 1 GiB at the longest window that
-            # WORD_BUDGET admits
-            (["--points", "32", "--window", "8388608"], 3),
-            (["--points", "32", "--window", "67108832"], 3),
-            # the int32 M x M counts would take 256 MiB and 1 GiB
-            (["--points", "8192", "--window", "4096"], 3),
-            (["--points", "16384", "--window", "1024"], 3),
+            # on e1's 3 letters and k = 3 the table, its index map and the
+            # greedy bitsets are priced at 8 * (63 * M + 27) + M^2 / 8 bytes:
+            # M = 30814 is the first over 2^27, and M = 2^16 takes 512 MiB
+            # of bitsets alone
+            (["--points", "30814"], 3),
+            (["--points", "65536"], 3),
+            (["--points", "16777216"], 3),
+            (["--points", "1000000", "--window", "8192"], 3),
+            (["--points", str(2**40), "--window", "4096"], 3),
         ],
     )
     def test_verify_sample_size(self, tmp_path, capsys, monkeypatch, size, code):
         def unbuilt(*args):
-            raise AssertionError("the prefix was built")
+            raise AssertionError("the table was built")
 
         path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
         calls = self.count(monkeypatch, "analyze_pairs")
-        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
+        monkeypatch.setattr(substdyn.empirical, "_pair_sums", unbuilt)
         started = time.perf_counter()
         assert run(["verify", path, *size]) == code
         assert time.perf_counter() - started < 0.25
         assert capsys.readouterr().out == ""
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            # refused at the count matrix (M <= 5792) or the bit-plane shift
+            # table (N < 2^23 on 3 letters) while the densities came from
+            # windows; the window is now checked and ignored
+            ["--points", "8192", "--window", "8192"],
+            ["--points", "32", "--window", "8388608"],
+            ["--points", "32", "--window", "67108832"],
+            ["--points", "8192", "--window", "4096"],
+            ["--points", "16384", "--window", "1024"],
+        ],
+    )
+    def test_verify_sizes_once_refused_run(self, tmp_path, capsys, size):
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        assert run(["verify", path, *size]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "verify: --window changes no number; the densities are exact (N = infinity)\n"
+        )
+        assert "fitted slope:" in captured.out
 
     @pytest.mark.parametrize(
         "params,code",
@@ -457,10 +479,10 @@ class TestVerifyCommand:
         [
             # 3 letters in the classes {a} and {b, c}; ac is 2
             ({"a": "bbca", "b": "cabc", "c": "cacc"},
-             "f86454ae802d7aac0541353f5803fdb5dd71067faf4eaf3a345a53af0ddd36d2"),
+             "dd79d27ae014d1d1acbf4329ce78ab91cec5610cf904c0155b31683ce3d7e0fb"),
             # 6 letters in five classes, c and e sharing one
             ({"a": "ebc", "b": "dbe", "c": "aec", "d": "efb", "e": "aee", "f": "fbc"},
-             "5f5a6fb07c30a6a9918fbfa180ab7c41d62a22b5dec2a76f03f09b6ba442be1d"),
+             "cd04ffd3381483c77c19d552456815bb78ae078b56235a063e540921f48aa21a"),
         ],
         ids=["rules0", "rules1"],
     )
@@ -473,7 +495,7 @@ class TestVerifyCommand:
         # byte, so every Python and numpy writes the same CSV.
         path = write_spec(tmp_path, "fall.sub", rules)
         density = tmp_path / "density.csv"
-        argv = ["verify", path, "--points", "32", "--window", "1024",
+        argv = ["verify", path, "--points", "32",
                 "--density-csv", str(density)]
         assert run(argv) == 0
         assert "min density ratio (S-restricted / plain):" in capsys.readouterr().out
@@ -511,12 +533,12 @@ class TestVerifyCommand:
         assert len(lines) == 1 + 16 * 15 // 2
 
     def test_one_letter(self, tmp_path, capsys, monkeypatch):
-        # one letter still packs one bit plane: with none, the probe indexed
-        # an empty table, and the budget checks priced the table at 0 bytes
+        # one letter: every P_d is [[1]], so every density is 0 and every
+        # point is close to the first
         path = write_spec(tmp_path, "one.sub", {"a": "aa"})
         density = tmp_path / "density.csv"
         for extra in ([], ["--density-csv", str(density)]):
-            assert run(["verify", path, "--points", "32", "--window", "1024", *extra]) == 0
+            assert run(["verify", path, "--points", "32", *extra]) == 0
             out = capsys.readouterr().out
             assert "exact ac: 0.0000000000" in out
             assert re.findall(r"^0\.\d{6} +(\d+)$", out, re.M) == ["1"] * 13
@@ -525,14 +547,34 @@ class TestVerifyCommand:
         assert rows[0] == "i,j,d1,ds"
         assert rows[1:] == [f"{i},{j},0.0,0.0" for i in range(16) for j in range(i + 1, 16)]
 
-        def unbuilt(*args):
-            raise AssertionError("the prefix was built")
+        # a window of 2^24, refused by the one plane's shift table, runs; the
+        # greedy bitsets of 2^16 points would take 512 MiB
+        assert run(["verify", path, "--points", "32", "--window", "16777216"]) == 0
+        capsys.readouterr()
 
-        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
+        def unbuilt(*args):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(substdyn.empirical, "_pair_sums", unbuilt)
         started = time.perf_counter()
-        assert run(["verify", path, "--points", "32", "--window", "16777216"]) == 3
+        assert run(["verify", path, "--points", "65536"]) == 3
         assert time.perf_counter() - started < 0.25
-        assert "shift table" in capsys.readouterr().err
+        assert "a pair-density table of" in capsys.readouterr().err
+
+    def test_window_changes_no_number(self, tmp_path, capsys):
+        # the densities are exact, so --window is checked, noted and ignored
+        path = write_spec(tmp_path, "e1.sub", EXAMPLE_RULES["e1"])
+        outputs = []
+        for window in (["--window", "16384"], []):
+            assert run(["verify", path, "--points", "512", *window, "--seed", "5"]) == 0
+            out, err = capsys.readouterr()
+            outputs.append("".join(
+                line for line in out.splitlines(keepends=True)
+                if not line.startswith("elapsed:")
+            ))
+            assert err == ("verify: --window changes no number; the densities are "
+                           "exact (N = infinity)\n" if window else "")
+        assert outputs[0] == outputs[1]
 
     def test_bad_grid_bounds(self, tmp_path, capsys):
         path = write_spec(tmp_path, "e5.sub", EXAMPLE_RULES["e5"])
@@ -543,7 +585,7 @@ class TestVerifyCommand:
         """At the default --nu-max/--nu-min, verify samples separation_profile's grid."""
         path = write_spec(tmp_path, "e5.sub", EXAMPLE_RULES["e5"])
         cli_csv = tmp_path / "cli.csv"
-        argv = ["verify", path, "--points", "32", "--window", "1024", "--csv", str(cli_csv)]
+        argv = ["verify", path, "--points", "32", "--csv", str(cli_csv)]
         assert run(argv) == 0
         capsys.readouterr()
         library_csv = tmp_path / "library.csv"
@@ -559,12 +601,12 @@ class TestVerifyGolden:
         "e1": (
             "29d8e64d543f8d3887a17282991ddb1c03ce070d775eeec69346ca22bde356e3",
             "02c29fac6fc76ba584a8db57bacc19d51d41920acb2f4bbe437a8f8c7d9ce6e0",
-            "a0263547fd66e3e8e0d7413b2d59466184c505e60cef70d812d34c656ed2ac74",
+            "ebb7a4733e73647497d720e0b37ec28ae15a65f230f38b6d5b996789af7da4aa",
         ),
         "e3": (
             "f96d406f7eb54daf86dffdf92ab805ea0b852ce35073eac4eb3959546a4b46a2",
             "4946c84d1322222360e633de8cf04e260c3fef9bd270b9d866e8336431fb1568",
-            "dd0b1215e00cf635a2202b1ee38f6ded35ecb6bb33b5264d90a7e3665a8be2ab",
+            "f57d034a40e8e73c1eb697daab38bb65c433d6af4c371af13c9666c906aabcd3",
         ),
     }
 
@@ -879,7 +921,7 @@ class TestStageCounts:
         "kernel": ["kernel"],
         "plain_analyze": ["analyze", "--json"],
         "synthesize": ["synthesize", "--k", "2", "--n", "3", "--l", "3"],
-        "verify": ["verify", "--points", "32", "--window", "1024"],
+        "verify": ["verify", "--points", "32"],
     }
     MODULES = ("core", "structure", "matrices", "discrepancy", "invariants",
                "empirical", "cli")
@@ -941,7 +983,7 @@ class TestPreconditionsCheckedOnce:
     ARGV = {
         "analyze": ["analyze", "--json", "--m-max", "12"],
         "kernel": ["kernel"],
-        "verify": ["verify", "--points", "32", "--window", "1024"],
+        "verify": ["verify", "--points", "32"],
     }
 
     @pytest.mark.parametrize("command,name", sorted(EXPECTED))
@@ -1018,7 +1060,7 @@ class TestParserReuse:
         # usage text is wrapped to the terminal width, read at call time
         monkeypatch.setenv("COLUMNS", "80")
         env = {**os.environ, "PYTHONPATH": str(Path(substdyn.__file__).parents[1])}
-        sample = ["--points", "32", "--window", "1024"]
+        sample = ["--points", "32"]
         calls = [
             ["analyze", "--json", "--text", path],
             ["--version"],
@@ -1129,8 +1171,8 @@ class TestSeededSweep:
             ["analyze", "--json", "--m-max", "3"],
             ["kernel", "--m-max", "2"],
             ["oracle", "--t", "2", "--window", "8"],
-            ["verify", "--points", "32", "--window", "1024"],
-            ["verify", "--points", "32", "--window", "1024", "--density-csv", density],
+            ["verify", "--points", "32"],
+            ["verify", "--points", "32", "--density-csv", density],
         )
         rng = random.Random(30)
         for draw in range(150):

@@ -1,24 +1,28 @@
-"""Orbit sampling, mismatch densities, separation profiles, slope fits."""
+"""Orbit-pair densities, separation profiles, slope fits and the ratio probe."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import substdyn
 from substdyn import (
+    Alphabet,
     EstimationError,
     PreconditionError,
     ResourceLimitError,
     Substitution,
     amorphic_complexity,
     analyze_pairs,
+    height,
     kernel_monoid,
     lipschitz_ratio_probe,
     separation_profile,
@@ -26,13 +30,14 @@ from substdyn import (
 from substdyn.core import fixed_point_array, fixed_point_prefix
 from substdyn.discrepancy import LetterPair
 from substdyn.empirical import (
-    _LAG_ROWS,
+    ARRAY_BUDGET,
     SeparationProfile,
-    _first_row,
+    _first_lag,
     _greedy_counts,
-    _lag_counts,
+    _letter_frequencies,
     _min_density_ratio,
-    _window_counts,
+    _mismatch_weights,
+    _pair_sums,
     build_nu_grid,
     check_sample_size,
     density_rows,
@@ -42,15 +47,54 @@ from substdyn.empirical import (
 )
 from substdyn.matrices import RATE_TOL
 
-from conftest import example, random_primitive_substitution, sweep_draw
+from conftest import (
+    EXAMPLE_RULES,
+    example,
+    height_two_draw,
+    random_primitive_substitution,
+    sweep_draw,
+    wide_draw,
+)
 from oracles import (
+    LAG_ROWS,
     brute_greedy_count,
     brute_lipschitz_ratio_probe,
     brute_mismatch_counts,
+    exact_correlation_lookup,
+    exact_first_lag_orbits,
+    exact_first_lag_solve,
+    exact_letter_frequencies,
+    exact_pair_correlations,
+    first_row,
+    lag_counts,
     mismatch_density,
     orbit_windows,
     pair_filter_table,
+    table_bytes,
+    window_counts,
+    window_greedy_counts,
 )
+
+
+def exact_table(subst: Substitution, lags: int) -> tuple[int, np.ndarray]:
+    """Z and the shipped Z * P_d, d < lags, as (lags, |A|, |A|) integers."""
+    size = subst.alphabet.size
+    z, sums = _pair_sums(subst, lags, np.eye(size * size, dtype=np.int64))
+    return z, sums.reshape(lags, size, size)
+
+
+def exact_apart(subst: Substitution, lags: int) -> tuple[int, np.ndarray]:
+    """Z and Z * delta(d), d < lags, as the profile reads them."""
+    z, sums = _pair_sums(subst, lags, _mismatch_weights(range(subst.alphabet.size)))
+    return z, sums[:, 0]
+
+
+def toeplitz_density(z: int, apart: np.ndarray) -> np.ndarray:
+    """The M x M Fractions delta(|i - j|) of M points read off one table."""
+    m = len(apart)
+    lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    values = np.array([Fraction(int(a), z) for a in apart], dtype=object)
+    return values[lag]
 
 
 class TestNuGrid:
@@ -127,6 +171,175 @@ class TestMismatchDensity:
         assert density == pytest.approx(0.25, abs=0.02)
 
 
+def _raw_draw(draw: int) -> Substitution:
+    """Draw number ``draw`` of the seeded sweep against the Fraction
+    recursion: 2 to 6 letters and k from 2 to 5, every fourth of height 2."""
+    rng = random.Random(3100 + draw)
+    if draw % 4 == 0:
+        return height_two_draw(rng)
+    return random_primitive_substitution(rng, max_letters=6, max_k=5)
+
+
+class TestPairDensities:
+    """The shipped integer recursion against Fractions, entry for entry."""
+
+    LAGS = 40
+
+    @staticmethod
+    def assert_matches_fractions(subst: Substitution, lags: int) -> None:
+        z, table = exact_table(subst, lags)
+        want = exact_pair_correlations(subst.rules, lags)
+        got = [[[Fraction(int(x), z) for x in row] for row in matrix] for matrix in table]
+        assert got == want
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_RULES))
+    def test_golden_against_fractions(self, name):
+        self.assert_matches_fractions(example(name), self.LAGS)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_draws_against_fractions(self, chunk):
+        heights = []
+        for draw in range(55 * chunk, 55 * chunk + 55):
+            subst = _raw_draw(draw)
+            assert 2 <= subst.alphabet.size <= 8 and 2 <= subst.length_k <= 5
+            heights.append(height(subst))
+            self.assert_matches_fractions(subst, self.LAGS)
+        assert heights.count(1) > 30 and heights.count(2) >= 13
+
+    def test_draws_cover_the_sizes(self):
+        draws = [_raw_draw(draw) for draw in range(220)]
+        assert {s.alphabet.size for s in draws if height(s) == 1} == {2, 3, 4, 5, 6}
+        assert {s.length_k for s in draws} == {2, 3, 4, 5}
+
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_first_lag_three_ways(self, chunk):
+        # the shipped tree-and-cycle series, the oracle's orbit walk and the
+        # full |A|^2 x |A|^2 solve; the solve on up to 5 letters
+        substs = [example(name) for name in sorted(EXAMPLE_RULES)] if chunk == 0 else []
+        substs += [s for s in map(_raw_draw, range(110 * chunk, 110 * chunk + 110))
+                   if s.alphabet.size <= 5]
+        for subst in substs:
+            size = subst.alphabet.size
+            freq = exact_letter_frequencies(subst.rules)
+            assert _letter_frequencies(subst) == freq
+            orbits = exact_first_lag_orbits(subst.rules, freq)
+            assert exact_first_lag_solve(subst.rules, freq) == orbits
+            shipped = _first_lag(subst, freq)
+            assert {(v // size, v % size): x for v, x in enumerate(shipped) if x} == orbits
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_RULES))
+    def test_sums_and_marginals(self, name):
+        # every Z * P_d sums to Z and both its marginals are Z * f
+        subst = example(name)
+        z, table = exact_table(subst, 300)
+        freq = np.array([int(x * z) for x in _letter_frequencies(subst)], dtype=object)
+        assert (table.sum(axis=(1, 2)) == z).all()
+        assert (table.sum(axis=1) == freq).all() and (table.sum(axis=2) == freq).all()
+
+    def test_draws_sums_and_marginals(self):
+        for draw in range(40):
+            subst = _raw_draw(draw)
+            z, table = exact_table(subst, 100)
+            freq = [int(x * z) for x in _letter_frequencies(subst)]
+            assert (table.sum(axis=(1, 2)) == z).all()
+            assert (table.sum(axis=1) == freq).all() and (table.sum(axis=2) == freq).all()
+
+    #: A 7-letter, k = 4 draw whose P_0 and P_1 share a least common
+    #: denominator of 53 bits, 8936830510555200, so that k * Z passes 2^63
+    #: between 257 lags (Z = Z_1 * 4^4) and 258 (Z = Z_1 * 4^5).
+    NEAR_BOUND = {"a": "decf", "b": "aabd", "c": "cefg", "d": "fecc",
+                  "e": "bgga", "f": "efda", "g": "facb"}
+
+    def test_int64_bound_both_sides(self):
+        subst = Substitution.from_strings(self.NEAR_BOUND)
+        z1 = 8936830510555200
+        below, table_below = exact_table(subst, 257)
+        above, table_above = exact_table(subst, 258)
+        assert (below, above) == (z1 * 4**4, z1 * 4**5)
+        assert 4 * below < 2**63 <= 4 * above
+        assert table_below.dtype == np.int64 and table_above.dtype == object
+        assert (table_above[:257] == 4 * table_below).all()
+        want = exact_pair_correlations(subst.rules, 258)
+        for z, table in ((below, table_below), (above, table_above)):
+            for d in (0, 1, 2, 5, 17, 64, 65, 66, 200, 256, len(table) - 1):
+                assert [[Fraction(int(x), z) for x in row] for row in table[d]] == want[d]
+
+    def test_wide_alphabet_against_fractions(self):
+        # 40 letters: P_0 and P_1 alone pass 2^63, so the table is Python
+        # ints; read through the mismatch weights and three random 0/1 ones
+        subst = wide_draw(random.Random(2))
+        rng = random.Random(2)
+        weights = [_mismatch_weights(range(40))[0]]
+        weights += [[rng.randrange(2) for _ in range(1600)] for _ in range(3)]
+        z, sums = _pair_sums(subst, 12, np.array(weights))
+        assert sums.dtype == object and subst.length_k * z >= 2**63
+        correlations = exact_correlation_lookup(subst.rules)
+        for d in range(12):
+            want = [
+                sum(v for (a, b), v in correlations(d).items() if w[a * 40 + b])
+                for w in weights
+            ]
+            assert [Fraction(x, z) for x in sums[d]] == want
+
+    def test_python_int_table_priced_by_its_size(self):
+        # at 8 bytes a cell the wide draw's 1024 lags fit the budget, but its
+        # entries are ints of up to 40 bytes each: refused once Z is known,
+        # before the table is built
+        subst = wide_draw(random.Random(2))
+        substdyn.empirical._check_cost("op", subst, 1024)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="pair densities: a pair-density table of"):
+            _pair_sums(subst, 1024, _mismatch_weights(range(40)))
+        assert time.perf_counter() - start < 0.25
+        _pair_sums(subst, 256, _mismatch_weights(range(40)))
+
+    def test_one_letter(self):
+        for k in (1, 2, 5):
+            subst = Substitution(Alphabet("a"), ((0,) * k,))
+            z, sums = _pair_sums(subst, 40, np.array([[0], [1], [3]]))
+            assert z == 1 and sums.tolist() == [[0, 1, 3]] * 40
+
+    def test_lags_below_two(self):
+        z, table = exact_table(example("e2"), 1)
+        assert table.shape == (1, 3, 3) and table.sum() == z
+
+    @pytest.mark.parametrize(
+        "name", ["e1", "e2", "e3", "e4", "e6", "thue_morse", "period_doubling"]
+    )
+    def test_windows_converge_to_the_exact_density(self, name):
+        # the windowed oracle's density between x[0 : N] and x[d : d + N],
+        # d < 64, against delta(d), N = 2^12, 2^14, ..., 2^20: within 5e-5 at
+        # 2^20 on all but e3, whose gap shrinks by about 0.57 per 4x of N
+        subst = example(name)
+        z, apart = exact_apart(subst, 64)
+        delta = apart.astype(float) / z
+        prefix = fixed_point_array(subst, (1 << 20) + 64)
+        gaps = []
+        for n in (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20):
+            counts = first_row(prefix[: n + 64], 64, n)
+            gaps.append(float(np.abs(counts / n - delta).max()))
+        if name == "e3":
+            ratios = [b / a for a, b in zip(gaps, gaps[1:])]
+            assert all(0.45 < r < 0.7 for r in ratios), ratios
+            assert 5e-4 < gaps[-1] < 2e-3
+        else:
+            assert gaps[-1] < 5e-5
+            assert gaps[-1] < gaps[0] / 8
+
+    #: The seed-1 benchmark's verify sizes: every golden example at 256
+    #: points of 8192 symbols, and e1 and e4 at 512 of 16384.
+    VERIFY_OPS = [(name, 256, 8192) for name in sorted(EXAMPLE_RULES)] + [
+        ("e1", 512, 16384), ("e4", 512, 16384)
+    ]
+
+    @pytest.mark.parametrize("name,m,n", VERIFY_OPS)
+    def test_profile_counts_match_the_windows(self, name, m, n):
+        subst = example(name)
+        grid = build_nu_grid()
+        windowed = window_greedy_counts(lag_counts(fixed_point_array(subst, m + n), m, n), n, grid)
+        assert separation_profile(subst, m, nu_grid=grid).counts == windowed
+
+
 class TestSeparationProfile:
     def test_e5_default_grid_counts(self):
         profile = separation_profile(example("e5"))
@@ -150,27 +363,27 @@ class TestSeparationProfile:
         assert all(1 <= c <= 64 for c in profile.counts)
 
     def test_matches_naive_greedy(self):
-        """Independent quadratic greedy over raw string windows."""
+        """Independent quadratic greedy over the Fraction densities."""
         subst = example("e3")
-        m, n = 32, 1024
+        m = 32
         grid = (0.2, 0.1, 0.05)
-        profile = separation_profile(subst, m, n, grid)
-        prefix = fixed_point_prefix(subst, m + n)
-        windows = [prefix[i : i + n] for i in range(m)]
+        profile = separation_profile(subst, m, nu_grid=grid)
+        correlations = exact_pair_correlations(subst.rules, m)
 
-        def dist(u, v):
-            return sum(1 for x, y in zip(u, v) if x != y) / n
+        def dist(i, j):
+            p = correlations[abs(i - j)]
+            return 1 - sum(p[a][a] for a in range(len(p)))
 
         for nu, count in zip(grid, profile.counts):
             kept: list[int] = []
             for idx in range(m):
-                if all(dist(windows[idx], windows[j]) >= nu for j in kept):
+                if all(dist(idx, j) >= nu for j in kept):
                     kept.append(idx)
             assert len(kept) == count
             # greedy maximality: everything else is nu-close to a kept point
             for idx in range(m):
                 if idx not in kept:
-                    assert any(dist(windows[idx], windows[j]) < nu for j in kept)
+                    assert any(dist(idx, j) < nu for j in kept)
 
     # (M, N): M not a power of two, M > N (also by far), odd sizes, M = 1
     # and N = 1; then M and N on both sides of one and two 64-bit words
@@ -197,38 +410,45 @@ class TestSeparationProfile:
     def test_kernels_match_brute_force(self, draw):
         subst, m, n = self.kernel_draw(draw)
         rng = random.Random(draw)
-        prefix = fixed_point_array(subst, m + n)
-        lags = _lag_counts(prefix, m, n)
+        # the windowed oracle's counts against materialised windows
+        lags = lag_counts(fixed_point_array(subst, m + n), m, n)
         brute = brute_mismatch_counts(orbit_windows(subst.rules, m, n))
         # row i holds the pair (i, i + D) at column D while i + D < M
         i, j = np.triu_indices(m)
         assert np.array_equal(lags[i, j - i], brute[i, j])
         i, d = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) >= m)
         assert (lags[i, d] == n + 1).all()
-        density = brute / n
-        off = np.unique(density[~np.eye(m, dtype=bool)])
-        grid = build_nu_grid() + tuple(rng.sample(list(off), min(8, len(off))))
-        if len(off):  # below every density of two distinct points
-            grid += (np.nextafter(off[0], -1.0),)
-        want = tuple(brute_greedy_count(density, nu) for nu in grid)
-        assert _greedy_counts(lags, n, grid) == want
-        if len(off):
+        # the Toeplitz greedy on the exact densities against a quadratic one;
+        # the grid adds densities of the sample as floats, rounded either way,
+        # and one below the least
+        z, apart = exact_apart(subst, m)
+        density = toeplitz_density(z, apart)
+        off = sorted(set(density[~np.eye(m, dtype=bool)].tolist()))
+        grid = build_nu_grid() + tuple(float(x) for x in rng.sample(off, min(8, len(off))))
+        if off:
+            grid += (np.nextafter(float(off[0]), -1.0),)
+        want = tuple(brute_greedy_count(density, Fraction(nu)) for nu in grid)
+        assert _greedy_counts(apart, z, grid) == want
+        if off and off[0] > 0:
             assert want[-1] == m
 
     def test_all_saturated_profile(self):
         # thue_morse keeps every point at every grid value, so each count
-        # is decided by the closest pair alone
+        # is decided by the closest pair alone, at N = 1024 and at N = infinity
         subst, m, n = example("thue_morse"), 64, 1024
         prefix = fixed_point_array(subst, m + n)
         density = brute_mismatch_counts(orbit_windows(subst.rules, m, n)) / n
         grid = build_nu_grid()
-        assert _greedy_counts(_lag_counts(prefix, m, n), n, grid) == (m,) * len(grid)
+        assert window_greedy_counts(lag_counts(prefix, m, n), n, grid) == (m,) * len(grid)
         assert [brute_greedy_count(density, nu) for nu in grid] == [m] * len(grid)
+        z, apart = exact_apart(subst, m)
+        assert min(apart[1:]) / z >= 0.25
         assert separation_profile(subst, m, n).counts == (m,) * len(grid)
 
     def test_peak_memory(self):
-        # a float64 M x M density matrix alone takes 2 MB at M = 512; the
-        # int32 counts take 1 MB
+        # no M x M matrix (the int32 counts alone took 1 MiB): e4's 512
+        # points take a table of 512 x 9 entries, its index map of 3 x 9
+        # entries a lag, and the parents of the largest block as many
         e4 = example("e4")
         tracemalloc.start()
         try:
@@ -237,15 +457,15 @@ class TestSeparationProfile:
         finally:
             tracemalloc.stop()
         assert profile.counts[-1] == 512
-        assert peak < 2.0 * 2**20
+        assert peak < 0.5 * 2**20
 
     @pytest.mark.parametrize("name", ["e1", "e2"])
     def test_lag_counts_across_row_blocks(self, name):
-        # the compares and the cumsum run _LAG_ROWS rows at a time; the
-        # kernel draws above all fit in one block
-        m, n = 2 * _LAG_ROWS + 3, 37
+        # the windowed oracle's compares and cumsum run LAG_ROWS rows at a
+        # time; the kernel draws above all fit in one block
+        m, n = 2 * LAG_ROWS + 3, 37
         subst = example(name)
-        lags = _lag_counts(fixed_point_array(subst, m + n), m, n)
+        lags = lag_counts(fixed_point_array(subst, m + n), m, n)
         brute = brute_mismatch_counts(orbit_windows(subst.rules, m, n))
         i, j = np.triu_indices(m)
         assert np.array_equal(lags[i, j - i], brute[i, j])
@@ -253,29 +473,30 @@ class TestSeparationProfile:
         assert (lags[i, d] == n + 1).all()
 
     def test_lag_counts_peak_memory(self):
-        # beside the 4 * M^2 bytes of counts, the compares and the dead-triangle
-        # mask hold three bytes per entry of one block of rows
+        # beside the 4 * M^2 bytes of counts, the windowed oracle's compares
+        # and dead-triangle mask hold three bytes per entry of one block of rows
         m, n = 2048, 1024
         prefix = fixed_point_array(example("e1"), m + n)
         tracemalloc.start()
         try:
-            lags = _lag_counts(prefix, m, n)
+            lags = lag_counts(prefix, m, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * m * m + 4 * m * _LAG_ROWS
-        assert np.array_equal(lags[0], _first_row(prefix, m, n))
+        assert peak < 4 * m * m + 4 * m * LAG_ROWS
+        assert np.array_equal(lags[0], first_row(prefix, m, n))
 
     def test_first_row_peak_memory(self):
-        # e1 codes in two bit planes, so the table takes 512 * 2 * (N / 64 +
-        # 1) bytes, 16 MiB; its build and the per-plane XOR each hold about
-        # one table more
+        # e1 codes in two bit planes, so the windowed oracle's table takes
+        # 512 * 2 * (N / 64 + 1) bytes, 16 MiB; its build and the per-plane
+        # XOR each hold about one table more
         m, n = 32, 1 << 20
         prefix = fixed_point_array(example("e1"), m + n)
-        table = 512 * 2 * (n // 64 + 1)
+        table = table_bytes(2, n, m)
+        assert table == 512 * 2 * (n // 64 + 1)
         tracemalloc.start()
         try:
-            row = _first_row(prefix, m, n)
+            row = first_row(prefix, m, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -290,37 +511,40 @@ class TestSeparationProfile:
             separation_profile(example("e5"), m_points=64, window_n=512)
 
     def test_count_matrix_budget(self):
-        with pytest.raises(ResourceLimitError, match="separation_profile: a count matrix"):
-            separation_profile(example("e5"), m_points=1 << 13, window_n=1 << 13)
+        # 8192 points took an int32 M x M count matrix of 256 MiB, over the
+        # budget; the table of 8192 x 9 entries, its index map and the
+        # bitsets fit.  e5 packs about 1 / nu points, 256 at the finest nu
+        profile = separation_profile(example("e5"), m_points=1 << 13, window_n=1 << 13)
+        assert profile.counts == separation_profile(example("e5"), 256).counts
+        assert profile.counts[-1] == 256
 
     def test_count_matrix_edge(self, monkeypatch):
-        # the int32 M x M counts take 4 * M^2 bytes: 2^27 bytes admit M up to
-        # 5792 at any window, before the prefix
+        # the count matrix admitted M up to 5792 at any window; the budget
+        # now prices e1's table at 8 * (7 * 9 * M + 27) bytes and the greedy
+        # bitsets at M^2 / 8, which admits M up to 30813, checked before
+        # anything is built
         def unbuilt(*args):
-            raise AssertionError("the prefix was built")
+            raise AssertionError("the table was built")
 
-        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
-        check_sample_size(5792, 1024, 3)
+        e1 = example("e1")
+        assert 8 * (7 * 9 * 5793 + 27) + 5793**2 // 8 < ARRAY_BUDGET
+        monkeypatch.setattr(substdyn.empirical, "_pair_sums", unbuilt)
+        check_sample_size(e1, 30813, 1024)
         start = time.perf_counter()
         with pytest.raises(
             ResourceLimitError,
-            match="separation_profile: a count matrix of 134235396 bytes "
+            match="separation_profile: a pair-density table of 134218296 bytes "
             "exceeds the 134217728-byte budget",
         ):
-            separation_profile(example("e1"), 5793, 1024)
+            separation_profile(e1, 30814, 1024)
         assert time.perf_counter() - start < 0.25
 
-    def test_shift_table_budget(self, monkeypatch):
-        # on 3 letters, 2 bit planes, the table takes 1024 bytes for every 64
-        # positions of the M + N prefix: at M = 32 it admits N up to
-        # 64 * (2^17 - 1) and refuses one position more, before the prefix
-        def unbuilt(*args):
-            raise AssertionError("the prefix was built")
-
-        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
-        check_sample_size(32, 64 * (2**17 - 1), 3)
-        with pytest.raises(ResourceLimitError, match="separation_profile: a shift table"):
-            separation_profile(example("e1"), 32, 64 * (2**17 - 1) + 1)
+    def test_shift_table_budget(self):
+        # on 3 letters the bit-plane table refused N = 64 * (2^17 - 1) + 1;
+        # the window is checked and ignored, so it runs and builds no prefix
+        assert "fixed_point_array" not in vars(substdyn.empirical)
+        long = separation_profile(example("e1"), 32, 64 * (2**17 - 1) + 1)
+        assert long == separation_profile(example("e1"), 32)
 
     def test_refusal_names_separation_profile(self):
         subst = Substitution.from_strings({"a": "ab", "b": "bb"})
@@ -344,7 +568,6 @@ class TestFitSlope:
             nu_grid=tuple(grid),
             counts=tuple(counts),
             m_points=m_points,
-            window_n=4096,
         )
 
     def test_exact_line_slope_one(self):
@@ -412,9 +635,12 @@ class TestLipschitzProbe:
         assert ratio >= 0.05
 
     def test_e2_pinned_floats(self):
-        assert lipschitz_ratio_probe(example("e2")) == 0.5937185085656701
+        # exact ratios rounded once; the window changes nothing
+        assert lipschitz_ratio_probe(example("e2")) == 0.593819973130318
         ratio = lipschitz_ratio_probe(example("e2"), seed=7, window_n=2048)
-        assert ratio == 0.5769764216366158
+        assert ratio == 0.5777777777777777
+        correlations = exact_correlation_lookup(example("e2").rules)
+        assert ratio == brute_lipschitz_ratio_probe(correlations, [(0, 1), (0, 2)], 64, 7)
 
     def test_deterministic(self):
         a = lipschitz_ratio_probe(example("e3"), samples=32, window_n=4096, seed=5)
@@ -455,49 +681,48 @@ class TestLipschitzProbe:
         assert 0 < refused < 300
 
     def test_table_budget(self, monkeypatch):
-        # e2's classes (0, 1, 1) code its letters on 2 bit planes, so the
-        # table takes 1024 bytes for every 64 positions of the window and of
-        # the max(4 * samples, 64) starts: at 8 samples it admits N up to
-        # 64 * (2^17 - 1), and at N = 2^14 up to 16 * (2^17 - 2^8) samples
+        # e2's pure base has 3 letters and k = 4, so the table of the
+        # max(4 * samples, 64) lags is priced at 8 * (9 * 9 * lags + 27)
+        # bytes: 207126 lags fit, 51781 samples, and 51782 are refused before
+        # anything is built; the window is checked and ignored
         def unbuilt(*args):
-            raise AssertionError("the prefix was built")
+            raise AssertionError("the table was built")
 
         subst = example("e2")
         analysis = analyze_pairs(subst)
-        monkeypatch.setattr(substdyn.empirical, "fixed_point_array", unbuilt)
-        for admitted, refused in [
-            ((8, 8_388_544), (8, 8_388_545)),
-            ((2_093_056, 1 << 14), (2_093_057, 1 << 14)),
-        ]:
-            with pytest.raises(AssertionError, match="the prefix was built"):
-                lipschitz_ratio_probe(subst, *admitted, analysis=analysis)
-            start = time.perf_counter()
-            with pytest.raises(ResourceLimitError, match="lipschitz_ratio_probe: a shift table"):
-                lipschitz_ratio_probe(subst, *refused, analysis=analysis)
-            assert time.perf_counter() - start < 0.25
+        monkeypatch.setattr(substdyn.empirical, "_pair_sums", unbuilt)
+        with pytest.raises(AssertionError, match="the table was built"):
+            lipschitz_ratio_probe(subst, 51_781, 1 << 30, analysis=analysis)
+        start = time.perf_counter()
+        with pytest.raises(
+            ResourceLimitError,
+            match="lipschitz_ratio_probe: a pair-density table of 134219160 bytes",
+        ):
+            lipschitz_ratio_probe(subst, 51_782, analysis=analysis)
+        assert time.perf_counter() - start < 0.25
 
     def test_draw_cap(self, monkeypatch):
-        # with every pair rejected, the probe counts the pairs with i != j
-        # among its first 50 * samples draws and gives up; seed 0's next draw
-        # has i != j, so one draw more would count one pair more
+        # with every pair rejected, the probe reads the lags of the pairs with
+        # i != j among its first 50 * samples draws and gives up; seed 0's
+        # next draw has i != j, so one draw more would read one lag more
         samples, seed = 3, 0
         m_pool = max(4 * samples, 64)
         rng = random.Random(seed)
         draws = [(rng.randrange(m_pool), rng.randrange(m_pool)) for _ in range(50 * samples + 1)]
         assert draws[-1][0] != draws[-1][1]
-        counted = []
+        read = []
 
-        def rejecting(*args):
-            def counts(starts_i, starts_j):
-                counted.extend(zip(starts_i, starts_j))
-                return [(0, 0)] * len(starts_i)
+        class Zeros(list):
+            def __getitem__(self, lag):
+                read.append(lag)
+                return 0
 
-            return counts
-
-        monkeypatch.setattr(substdyn.empirical, "_window_counts", rejecting)
+        monkeypatch.setattr(
+            substdyn.empirical, "_class_densities", lambda *args: (1, Zeros(), Zeros())
+        )
         with pytest.raises(EstimationError, match="no sampled pair"):
             lipschitz_ratio_probe(example("e2"), samples, 4096, seed)
-        assert counted == [(i, j) for i, j in draws[:-1] if i != j]
+        assert read == [abs(i - j) for i, j in draws[:-1] if i != j]
 
     def test_rejects_extreme_rates(self):
         with pytest.raises(PreconditionError):
@@ -508,14 +733,14 @@ class TestLipschitzProbe:
             )  # lambda_s = 0
 
 
-def _matches_oracle(call, rules, pairs, samples, window_n, seed) -> None:
+def _matches_oracle(call, correlations, pairs, samples, seed) -> None:
     """Assert that a probe call gives the oracle's minimum; an
     InternalError is no outcome the oracle has, so it fails the test."""
     try:
         got = call()
     except EstimationError:  # no pair accepted
         got = math.inf
-    assert got == brute_lipschitz_ratio_probe(rules, pairs, samples, window_n, seed)
+    assert got == brute_lipschitz_ratio_probe(correlations, pairs, samples, seed)
 
 
 def _random_classes(rng: random.Random, size: int) -> tuple[int, ...]:
@@ -530,8 +755,8 @@ def _cross_pairs(classes: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 class TestProbeAgainstOracle:
-    """The class-plane probe against the old loop, which materialises the
-    windows and looks every position up in a 2-D pair table."""
+    """The probe against the oracle's loop, which reads each drawn lag's
+    P_d from the Fraction recursion and sums it over the flagged pairs."""
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_sweep(self, chunk):
@@ -539,25 +764,31 @@ class TestProbeAgainstOracle:
         for draw in range(50 * chunk, 50 * chunk + 50):
             subst = sweep_draw(draw)
             rng = random.Random(draw)
-            args = (rng.randint(1, 12), rng.randint(40, 700), rng.randrange(2**32))
-            pure = subst
-            if subst.alphabet.size < 40:
-                analysis = analyze_pairs(subst)
-                pure = analysis.pure.pure_base
-                rate = analysis.rate_type.rate
-                if RATE_TOL < rate < subst.length_k - RATE_TOL:
-                    pairs = [(p.lo, p.hi) for p in analysis.maximal]
-                    _matches_oracle(
-                        lambda: lipschitz_ratio_probe(subst, *args, analysis=analysis),
-                        pure.rules, pairs, *args,
-                    )
-                    public += 1
+            samples, seed = rng.randint(1, 12), rng.randrange(2**32)
+            if subst.alphabet.size == 40:
+                # test_wide_alphabet_against_fractions checks the Python-int
+                # table of a 40-letter draw; the Fractions cost seconds here
+                classes = _random_classes(rng, 40)
+                with contextlib.suppress(EstimationError):
+                    assert 0 <= _min_density_ratio(subst, classes, samples, seed) <= 1
+                continue
+            analysis = analyze_pairs(subst)
+            pure = analysis.pure.pure_base
+            correlations = exact_correlation_lookup(pure.rules)
+            rate = analysis.rate_type.rate
+            if RATE_TOL < rate < subst.length_k - RATE_TOL:
+                pairs = [(p.lo, p.hi) for p in analysis.maximal]
+                _matches_oracle(
+                    lambda: lipschitz_ratio_probe(subst, samples, seed=seed, analysis=analysis),
+                    correlations, pairs, samples, seed,
+                )
+                public += 1
             # any partition, so that S is not only a closed one; every S that
             # analyze_pairs returns is the pairs across the classes of one
             classes = _random_classes(rng, pure.alphabet.size)
             _matches_oracle(
-                lambda: _min_density_ratio(pure, classes, *args),
-                pure.rules, _cross_pairs(classes), *args,
+                lambda: _min_density_ratio(pure, classes, samples, seed),
+                correlations, _cross_pairs(classes), samples, seed,
             )
         assert public > 0
 
@@ -593,8 +824,9 @@ _PARTITIONS = [
 
 
 class TestWindowCounts:
-    """Window pairs counted on the bit planes of class and rank, at a
-    window of whole words and one with a tail."""
+    """The windowed oracle's pairs counted on the bit planes of class and
+    rank, at a window of whole words and one with a tail; and the probe and
+    the density rows against Fractions."""
 
     def test_e2_classes(self):
         # S = {(ab), (ac)}, so the classes are {a} and {b, c}
@@ -613,53 +845,49 @@ class TestWindowCounts:
         w = orbit_windows(pure.rules, m_starts, window_n)
         starts = [(0, 159), (63, 64), (64, 63), (127, 1), (5, 5)]
         starts += [(rng.randrange(m_starts), rng.randrange(m_starts)) for _ in range(100)]
-        got = _window_counts(pure, classes, window_n, m_starts)(*zip(*starts))
+        got = window_counts(pure.rules, classes, window_n, m_starts)(*zip(*starts))
         want = [
             [np.count_nonzero(w[i] != w[j]), np.count_nonzero(table[w[i], w[j]])]
             for i, j in starts
         ]
         assert [list(row) for row in got] == want
 
-    @pytest.mark.parametrize("window_n", [4096, 4000])
+    @pytest.mark.parametrize("salt", [4096, 4000])
     @pytest.mark.parametrize("size", [3, 20])
-    def test_probe_matches_oracle(self, size, window_n):
-        rng = random.Random(size * window_n)
+    def test_probe_matches_oracle(self, size, salt):
+        rng = random.Random(size * salt)
         pure = _draw_of_size(rng, size)
-        # 40 samples draw starts below 160, so from three blocks of 64; 65
-        # and 130 take more than one counting call of 64 pairs
-        for samples in (40, 65, 130):
+        correlations = exact_correlation_lookup(pure.rules)
+        # 8 and 16 samples draw lags below 64, 24 below 96
+        for samples in (8, 16, 24):
             for seed in range(4):
                 classes = tuple(range(size)) if seed == 0 else _random_classes(rng, size)
                 _matches_oracle(
-                    lambda: _min_density_ratio(pure, classes, samples, window_n, seed),
-                    pure.rules, _cross_pairs(classes), samples, window_n, seed,
+                    lambda: _min_density_ratio(pure, classes, samples, seed),
+                    correlations, _cross_pairs(classes), samples, seed,
                 )
 
     @pytest.mark.parametrize("window_n", [4096, 4000])
-    def test_probe_matches_oracle_past_rejections(self, monkeypatch, window_n):
-        # the random draws above never reject a pair; this draw has window
-        # pairs closer than density 0.01, so at 130 samples seeds 1 and 3
-        # count a second batch
+    def test_probe_matches_oracle_past_rejections(self, window_n):
+        # the random draws above never reject a pair; this draw has 4 lags
+        # below 520 closer than density 0.01, which some of these seeds draw
         pure = Substitution.from_strings({"a": "ab", "b": "cb", "c": "aa"})
-        batches = []
-
-        def counted(*args):
-            counts = _window_counts(*args)
-
-            def call(starts_i, starts_j):
-                batches.append(len(starts_i))
-                return counts(starts_i, starts_j)
-
-            return call
-
-        monkeypatch.setattr(substdyn.empirical, "_window_counts", counted)
-        for seed in (1, 3):
-            batches.clear()
+        z, apart = exact_apart(pure, 520)
+        assert np.count_nonzero(apart[1:] < math.ceil(Fraction(0.01) * z)) == 4
+        correlations = exact_correlation_lookup(pure.rules)
+        rejecting = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            lags = [abs(rng.randrange(520) - rng.randrange(520)) for _ in range(150)]
+            rejecting += any(0 < lag and apart[lag] * 100 < z for lag in lags)
             _matches_oracle(
-                lambda: _min_density_ratio(pure, (0, 0, 1), 130, window_n, seed),
-                pure.rules, [(0, 2), (1, 2)], 130, window_n, seed,
+                lambda: _min_density_ratio(pure, (0, 0, 1), 130, seed),
+                correlations, [(0, 2), (1, 2)], 130, seed,
             )
-            assert batches[0] == 130 and len(batches) > 1
+        assert rejecting > 0
+        # and the window the public probe takes changes nothing
+        e2 = example("e2")
+        assert lipschitz_ratio_probe(e2, 130, window_n, 3) == lipschitz_ratio_probe(e2, 130, seed=3)
 
     @pytest.mark.parametrize("size", [3, 20])
     def test_density_rows_match_lookups(self, size):
@@ -672,38 +900,48 @@ class TestWindowCounts:
             maximal=tuple(LetterPair(a, b) for a, b in pairs),
             classes=classes,
         )
-        table = pair_filter_table(size, pairs)
-        w = orbit_windows(subst.rules, 16, 4096)
-        want = [
-            (i, j, mismatch_density(w[i], w[j]), mismatch_density(w[i], w[j], table))
-            for i in range(16)
-            for j in range(i + 1, 16)
-        ]
-        assert density_rows(analysis) == want
+        assert density_rows(analysis) == _exact_rows(subst.rules, pairs)
+
+
+def _exact_rows(rules, pairs) -> list[tuple[int, int, float, float]]:
+    """The density rows of the points i < j < 16 from the Fraction P_d,
+    the S-restricted density looked up in a 2-D table of the pairs."""
+    size = len(rules)
+    table = pair_filter_table(size, pairs)
+    correlations = exact_pair_correlations(rules, 16)
+    rows = []
+    for i in range(16):
+        for j in range(i + 1, 16):
+            p = correlations[j - i]
+            plain = 1 - sum(p[a][a] for a in range(size))
+            across = sum(p[a][b] for a in range(size) for b in range(size) if table[a, b])
+            rows.append((i, j, float(plain), float(across)))
+    return rows
 
 
 class TestDensityRows:
     @pytest.mark.parametrize("name", ["e1", "e2", "e4"])
     def test_match_window_lookups(self, name):
-        # e2 has S = {(ab), (ac)}; e4 is read on its pure base
+        # e2 has S = {(ab), (ac)}; e4 is read on its pure base.  The rows are
+        # the Fraction densities rounded once, and windows of 2^16 symbols
+        # looked up in a 2-D table of S come within 2e-3 of them
         analysis = analyze_pairs(example(name))
         pure = analysis.pure.pure_base
         pairs = [(p.lo, p.hi) for p in analysis.maximal]
+        rows = density_rows(analysis)
+        assert rows == _exact_rows(pure.rules, pairs)
         table = pair_filter_table(pure.alphabet.size, pairs)
-        w = orbit_windows(pure.rules, 16, 4096)
-        want = [
-            (i, j, mismatch_density(w[i], w[j]), mismatch_density(w[i], w[j], table))
-            for i in range(16)
-            for j in range(i + 1, 16)
-        ]
-        assert density_rows(analysis) == want
+        w = orbit_windows(pure.rules, 16, 1 << 16)
+        for i, j, d1, ds in rows:
+            assert mismatch_density(w[i], w[j]) == pytest.approx(d1, abs=2e-3)
+            assert mismatch_density(w[i], w[j], table) == pytest.approx(ds, abs=2e-3)
         if name == "e2":
-            assert any(d1 != ds for _, _, d1, ds in want)
+            assert any(d1 != ds for _, _, d1, ds in rows)
 
 
 class TestCsvWriters:
     def test_profile_csv(self, tmp_path):
-        p = SeparationProfile((0.25, 0.125), (3, 9), 64, 4096)
+        p = SeparationProfile((0.25, 0.125), (3, 9), 64)
         path = tmp_path / "profile.csv"
         write_profile_csv(p, str(path))
         assert path.read_bytes() == b"nu,count\n0.25,3\n0.125,9\n"

@@ -25,7 +25,7 @@ from substdyn.matrices import (
     polynomial_text,
     spectral_radius,
 )
-from substdyn.matrices import _prime
+from substdyn.matrices import _QUIET_TERMS, _prime
 
 from conftest import EXAMPLE_RULES, example, patch_recurrence
 from oracles import (
@@ -435,9 +435,18 @@ class TestCharacteristicPolynomial:
         calls = patch_recurrence(monkeypatch)
         assert minimal_polynomial(m) == (1, -(a + b), a * b)
         # the coefficients pass 2^66, so the join takes several primes
-        primes_run = [q for q, _ in calls]
+        primes_run = [q for q, _, _ in calls]
         assert primes_run == [_prime(i) for i in range(len(primes_run))]
         assert len(primes_run) > 1
+
+    def test_early_stop_runs_few_terms(self, monkeypatch):
+        # mu has degree L = 2 on a block of order 2,113: a sequence stopped
+        # early runs 2L + _QUIET_TERMS = 8 terms, not 2n = 4,226
+        m, b = int64_block(2**40 + 3)
+        calls = patch_recurrence(monkeypatch)
+        assert minimal_polynomial(m) == (1, -(2**40 + 3 + b), (2**40 + 3) * b)
+        assert calls and not any(full for _, full, _ in calls)
+        assert [terms for _, _, terms in calls] == [2 * 2 + _QUIET_TERMS] * len(calls)
 
     def test_restart_keeps_the_early_stop(self, monkeypatch):
         # with a = 2, mu's residues mod the first prime are (1, -1, -2), all
@@ -447,7 +456,7 @@ class TestCharacteristicPolynomial:
         m, b = int64_block(a)
         calls = patch_recurrence(monkeypatch)
         assert minimal_polynomial(m) == (1, -(a + b), a * b)
-        assert len(calls) > 2 and not any(full for _, full in calls)
+        assert len(calls) > 2 and not any(full for _, full, _ in calls)
 
     def test_pinned_order_50_critical_block(self):
         from substdyn import analyze_pairs
@@ -503,7 +512,7 @@ class TestCharacteristicPolynomial:
             with monkeypatch.context() as patch:
                 calls = patch_recurrence(patch, lambda call: call < bad)
                 assert minimal_polynomial(critical) == want
-                assert [full for _, full in calls] == fulls
+                assert [full for _, full, _ in calls] == fulls
 
     @pytest.mark.parametrize("rules,order,degree,primes", [
         (DEKKING_A20_K3, 236, 77, 2), (DEKKING_A24_K5, 566, 127, 4), (RAW_A30_K3, 317, 291, 5),
