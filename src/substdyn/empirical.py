@@ -5,7 +5,7 @@ u_n = a and u_{n+d} = b, the same for every point of a primitive subshift.
 The mismatch density of the orbit points T^i x and T^j x, the N -> infinity
 limit of their disagreements in N symbols over N, is
 delta(|i - j|) = 1 - trace P_{|i - j|}: exact, read from one table of P_d
-built by renormalisation (``_pair_sums``).  On it sit greedy packings that
+built by renormalisation (``_pair_blocks``).  On it sit greedy packings that
 estimate separation numbers on a geometric resolution grid, a log-log slope
 that should reproduce the exact amorphic complexity where it is finite, and
 the ratio of the S-restricted density to the plain one.
@@ -17,6 +17,7 @@ import math
 import random
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,18 +64,23 @@ class SeparationProfile:
     fit_range: tuple[int, int] | None = None
 
 
+def _kept_lags(lags: int, k: int) -> int:
+    """Lags 0, 1, ... that ``_pair_blocks`` keeps: P_1 and every parent of a lag < ``lags``."""
+    return max(2, (lags + k - 2) // k + 1)
+
+
 def _check_cost(
     op: str, subst: Substitution, lags: int, points: int = 0, int_bytes: int = 0
 ) -> None:
-    """Refuse a table of P_d for d < ``lags`` over ARRAY_BUDGET bytes: 8 a
-    cell of the (2k + 1) * lags matrices of |A|^2 entries that ``_pair_sums``
-    holds at most (the table, its index map, a block's gathered parents) and
-    of the |A|^3 of the frequency solve, plus ``int_bytes`` a table entry
-    when they are Python ints; plus, for a greedy packing of ``points``
-    points, the bit per pair that its bitsets sweep at most."""
+    """Refuse P_d, d < ``lags``, over ARRAY_BUDGET bytes: 8 a cell of 2k + 2
+    |A| x |A| matrices and k|A| index rows a ``_kept_lags`` lag (the kept
+    table; a block's index map, parents, sums), |A|^3 for the frequency
+    solve, 2k + 4 a lag (parents, residues, sums, joined); ``int_bytes`` a
+    kept or block entry of Python ints; greedy bitsets of ``points``^2 bits."""
     size, k = subst.alphabet.size, subst.length_k
-    cells = (2 * k + 1) * lags * size * size + size**3
-    cost = 8 * cells + int_bytes * lags * size * size + points * points // 8
+    kept = _kept_lags(lags, k)
+    cells = (2 * k + 2) * kept * size * size + k * size * kept + size**3 + (2 * k + 4) * lags
+    cost = 8 * cells + 2 * int_bytes * kept * size * size + points * points // 8
     if cost > ARRAY_BUDGET:
         raise ResourceLimitError(
             f"{op}: a pair-density table of {cost} bytes exceeds the {ARRAY_BUDGET}-byte budget"
@@ -109,17 +115,15 @@ def _letter_frequencies(subst: Substitution) -> list[Fraction]:
 
 
 def _first_lag(subst: Substitution, freq: list[Fraction]) -> list[Fraction]:
-    """P_1, flat: entry c * |A| + e is P_1(c, e).
-
-    With n = km + j, (u_n, u_{n+1}) is (phi(c)_j, phi(c)_{j+1}), c = u_m,
-    for j < k - 1, the mass B; and (phi(c)_{k-1}, phi(e)_0) for j = k - 1,
-    (c, e) = (u_m, u_{m+1}).  So P_1 = B + f_* P_1 / k, f(c, e) =
-    (phi(c)_{k-1}, phi(e)_0): the series sum_t k^-t f^t_* B.  Every orbit
-    of f runs down a tree into a cycle; tree points are settled leaves
-    first, and around a cycle c_0 -> ... -> c_{L-1} -> c_0 the series is
-    geometric, P_1(c_0) = sum_i k^-i in(c_{-i}) / (1 - k^-L), in(c) being B
-    plus 1/k of the tree values flowing into c.
-    """
+    """P_1, flat: entry c * |A| + e is P_1(c, e).  With n = km + j,
+    (u_n, u_{n+1}) is (phi(c)_j, phi(c)_{j+1}), c = u_m, for j < k - 1, the
+    mass B; and (phi(c)_{k-1}, phi(e)_0) for j = k - 1, (c, e) =
+    (u_m, u_{m+1}).  So P_1 = B + f_* P_1 / k, f(c, e) = (phi(c)_{k-1},
+    phi(e)_0): the series sum_t k^-t f^t_* B.  Every orbit of f runs down
+    a tree into a cycle; tree points are settled leaves first, and around
+    a cycle c_0 -> ... -> c_{L-1} -> c_0 the series is geometric, P_1(c_0)
+    = sum_i k^-i in(c_{-i}) / (1 - k^-L), in(c) being B plus 1/k of the
+    tree values flowing into c."""
     size, k = subst.alphabet.size, subst.length_k
     inflow = [Fraction(0)] * (size * size)
     for c, image in enumerate(subst.rules):
@@ -151,34 +155,28 @@ def _first_lag(subst: Substitution, freq: list[Fraction]) -> list[Fraction]:
     return value
 
 
-def _pair_sums(subst: Substitution, lags: int, weights: np.ndarray) -> tuple[int, np.ndarray]:
-    """(Z, W), W[d, w] = Z * sum_{a,b} weights[w, a * |A| + b] P_d(a, b) for
-    d < ``lags``: exact integers over one common denominator Z.
+def _pair_blocks(subst: Substitution, lags: int) -> tuple[int, Iterator[np.ndarray]]:
+    """(Z, blocks): the rows Z * P_d, d < ``lags``, a block of lags at a
+    time, entry a * |A| + b being Z * P_d(a, b), exact integers.
 
     ``subst`` must be primitive.  With n = km + j and j + d = qk + r,
     u_n = phi(u_m)_j and u_{n+d} = phi(u_{m+q})_r, so (Baake and Gaehler,
-    Topology Appl. 205 (2016)), S_j[c, a] being [phi(c)_j = a],
-
-        P_d = (1/k) sum_{j < k} S_j^T P_{(j + d) // k} S_{(j + d) % k}.
-
-    P_0 = diag(``_letter_frequencies``), P_1 is ``_first_lag``, and the
-    parents of every d <= k(lo - 1) lie below lo, so the lags fill in
-    blocks [lo, k(lo - 1) + 1), one scatter-add of k parents a lag each,
-    through the index map (d, j, c, e) -> (d, phi(c)_j, phi(e)_r).  A block
-    adds a factor k to the denominators: Z is the least common denominator
-    of P_0 and P_1 times k^h, k^h >= lags - 1, and every Z * P_d must sum
-    to Z, which a division by k with a remainder would break (InternalError).
-
-    int64 is exact when k * Z < 2^63: an entry of a block before its
-    division, and each partial sum, adds nonnegative entries of k parents
-    Z * P_q, so is at most k * Z, and with 0/1 weights W is at most Z.  Past
-    that bound the same code runs on Python ints (dtype object), priced
-    again with their size.  One letter gives P_d = [[1]] and Z = 1.
+    Topology Appl. 205 (2016)) P_d = (1/k) sum_j S_j^T P_q S_r, S_j[c, a]
+    being [phi(c)_j = a].  P_0 = diag(``_letter_frequencies``), P_1 is
+    ``_first_lag``, and the parents of d <= k(lo - 1) lie below lo: the
+    lags fill in blocks [lo, k(lo - 1) + 1), each at most ``_kept_lags``
+    long, by one scatter-add of k parents a lag through the index map
+    (d, j, c, e) -> (d, phi(c)_j, phi(e)_r); only parents are kept.  Z is
+    the least common denominator of P_0 and P_1 times k^h >= lags - 1, one
+    k a block, and each Z * P_d must sum to Z, which a division with a
+    remainder would break (InternalError).  int64 is exact while
+    k * Z < 2^63: an entry or partial sum of a block adds k parents'
+    entries of at most Z.  Past that the same code runs on Python ints,
+    priced again with their size.  One letter gives Z * P_d = [1].
     """
     size, k = subst.alphabet.size, subst.length_k
-    weights = np.asarray(weights).reshape(-1, size * size)
     if size == 1:
-        return 1, np.repeat(weights.T, lags, axis=0)
+        return 1, iter([np.ones((lags, 1), dtype=np.int64)])
     freq = _letter_frequencies(subst)
     first = _first_lag(subst, freq)
     scale = 1
@@ -188,32 +186,40 @@ def _pair_sums(subst: Substitution, lags: int, weights: np.ndarray) -> tuple[int
     dtype = np.int64 if k * z < 1 << 63 else object
     if dtype is object:  # each entry an int object of up to sys.getsizeof(k * z) bytes
         _check_cost("pair densities", subst, lags, int_bytes=sys.getsizeof(k * z))
-    table = np.zeros((max(lags, 2), size * size), dtype=dtype)
+    kept = _kept_lags(lags, k)
+    table = np.zeros((kept, size * size), dtype=dtype)
     table[0, :: size + 1] = [int(x * z) for x in freq]
     table[1] = [int(x * z) for x in first]
     columns = np.array(subst.rules, dtype=np.intp).T  # columns[j][c] = phi(c)_j
-    lag = np.arange(2, lags)
-    parent, r = np.divmod(lag[:, None] + np.arange(k), k)
-    # flat index of (d, phi(c)_j, phi(e)_r) at [d - 2, j, c, e]
-    target = columns[r][:, :, None, :] + (columns * size)[None, :, :, None]
-    target += (lag * size * size)[:, None, None, None]
-    flat = table.reshape(-1)
-    lo = 2
-    while lo < lags:
-        top = min(k * (lo - 1) + 1, lags)  # the lags whose parents lie below lo
-        np.add.at(flat, target[lo - 2 : top - 2].ravel(), table[parent[lo - 2 : top - 2]].ravel())
-        table[lo:top] //= k
-        lo = top
-    if (table.sum(axis=1) != z).any():
-        raise InternalError(f"pair densities: {z} is no common denominator")
-    return z, (table @ weights.T)[:lags]
+    # flat index of (d, phi(c)_j, phi(e)_r) at [d - lo, j, c, e]: rows[d - lo, j, c, 0] + phi(e)_r
+    rows = (np.arange(kept) * size * size)[:, None, None, None] + (columns * size)[..., None]
+    parents, residues = np.divmod(np.arange(lags)[:, None] + np.arange(k), k)
+
+    def blocks() -> Iterator[np.ndarray]:
+        yield table[: min(lags, 2)]
+        lo = 2
+        while lo < lags:
+            top = min(k * (lo - 1) + 1, lags, lo + kept)
+            target = rows[: top - lo] + columns[residues[lo:top]][:, :, None, :]
+            block = np.zeros((top - lo, size * size), dtype=dtype)
+            np.add.at(block.reshape(-1), target.ravel(), table[parents[lo:top]].ravel())
+            block //= k
+            if (block.sum(axis=1) != z).any():
+                raise InternalError(f"pair densities: {z} is no common denominator")
+            table[lo : min(top, kept)] = block[: max(kept - lo, 0)]
+            yield block
+            lo = top
+
+    return z, blocks()
 
 
-def _mismatch_weights(*labellings) -> np.ndarray:
-    """0/1 weights, one row a labelling of the letters: 1 on the pairs of
-    letters whose labels differ, so range(|A|) weighs the plain mismatches
-    and the classes the S-mismatches."""
-    return np.array([np.not_equal.outer(x, x).ravel() for x in labellings], dtype=np.int64)
+def _pair_sums(subst: Substitution, lags: int, *labellings) -> tuple[int, np.ndarray]:
+    """(Z, W): W[d, w] is Z times the density of the positions n whose letters
+    u_n and u_{n+d} differ in ``labellings[w]``, d < ``lags``: range(|A|)
+    gives the plain mismatches and the classes the S-mismatches."""
+    weights = np.array([np.not_equal.outer(x, x).ravel() for x in labellings], dtype=np.int64)
+    z, blocks = _pair_blocks(subst, lags)
+    return z, np.concatenate([block @ weights.T for block in blocks])
 
 
 def _least_numerator(nu: float, z: int) -> int:
@@ -230,8 +236,7 @@ def _greedy_counts(apart: np.ndarray, z: int, grid: tuple[float, ...]) -> tuple[
     densities depend on the lag alone, so one mask of the close lags, those
     d >= 1 with apart[d] < the least numerator of nu, serves every point:
     a kept index i blocks the bits i + d, and the scan jumps to the lowest
-    free bit above i.  When no lag is close every index is kept.
-    """
+    free bit above i."""
     m_points = len(apart)
     counts = []
     for nu in grid:
@@ -276,7 +281,7 @@ def separation_profile(
     check_sample_size(subst, m_points, window_n)
     grid = tuple(nu_grid) if nu_grid is not None else build_nu_grid()
     require_primitive(subst, "separation_profile")
-    z, apart = _pair_sums(subst, m_points, _mismatch_weights(range(subst.alphabet.size)))
+    z, apart = _pair_sums(subst, m_points, range(subst.alphabet.size))
     profile = SeparationProfile(grid, _greedy_counts(apart[:, 0], z, grid), m_points)
     try:
         fit_slope(profile)
@@ -335,7 +340,7 @@ def _class_densities(
     of the pure base's orbit points d apart, d < ``lags``, S being the pairs
     of letters in different ``classes``; priced for ``op`` first."""
     _check_cost(op, pure, lags)
-    z, sums = _pair_sums(pure, lags, _mismatch_weights(range(pure.alphabet.size), classes))
+    z, sums = _pair_sums(pure, lags, range(pure.alphabet.size), classes)
     plain, across = sums.T.tolist()
     return z, plain, across
 
@@ -361,9 +366,7 @@ def lipschitz_ratio_probe(
     if analysis is None:
         analysis = analyze_pairs(subst)
     if not 0 < _ac_from_rate(analysis.rate_type.rate, subst.length_k) < math.inf:
-        raise PreconditionError(
-            "ratio probe needs an infinite system with discrete spectrum"
-        )
+        raise PreconditionError("ratio probe needs an infinite system with discrete spectrum")
     return _min_density_ratio(analysis.pure.pure_base, analysis.classes, samples, seed)
 
 

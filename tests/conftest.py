@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import inspect
 import random
 import string
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -45,30 +46,31 @@ WIDE_ALPHABET_RULES = {f"x{i}": [f"x{(i + 1) % 300}", "x0"] for i in range(300)}
 
 def patch_recurrence(monkeypatch, bad=lambda call: False) -> list[tuple[int, bool, int]]:
     """Wrap ``matrices._recurrence`` to record (p, full, terms) of every
-    call, terms being the Krylov terms it ran (the executions of its
-    ``terms.append`` line, counted by a trace function on its frame alone),
-    and to add 1 mod p to the constant term of call number ``call`` (from
-    0) whenever ``bad(call)``."""
+    call, terms being the Krylov terms it ran, and to add 1 mod p to the
+    constant term of call number ``call`` (from 0) whenever ``bad(call)``.
+
+    A Krylov step is the one ``np.add.reduceat`` call of ``matrices``, so
+    ``matrices.np`` is replaced by numpy with that call counted."""
     from substdyn import matrices
 
-    recurrence, calls = matrices._recurrence, []
-    lines, first = inspect.getsourcelines(recurrence)
-    step = first + next(i for i, line in enumerate(lines) if "terms.append(" in line)
+    recurrence, calls, steps = matrices._recurrence, [], [0]
+
+    def reduceat(*args):
+        steps[0] += 1
+        return np.add.reduceat(*args)
+
+    class CountingNumpy:
+        add = types.SimpleNamespace(reduceat=reduceat)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(matrices, "np", CountingNumpy())
 
     def wrapped(rows, p, full):
-        terms = 0
-
-        def count(frame, event, arg):
-            nonlocal terms
-            terms += event == "line" and frame.f_lineno == step
-            return count
-
-        previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: count if frame.f_code is recurrence.__code__ else None)
-        try:
-            poly = recurrence(rows, p, full)
-        finally:
-            sys.settrace(previous)
+        before = steps[0]
+        poly = recurrence(rows, p, full)
+        terms = steps[0] - before
         if bad(len(calls)):
             poly[-1] = (poly[-1] + 1) % p
         calls.append((p, full, terms))

@@ -321,11 +321,11 @@ class TestRefusedBeforeTheStage:
         [
             (["--points", "16"], 2),
             (["--window", "512"], 2),
-            # on e1's 3 letters and k = 3 the table, its index map and the
-            # greedy bitsets are priced at 8 * (63 * M + 27) + M^2 / 8 bytes:
-            # M = 30814 is the first over 2^27, and M = 2^16 takes 512 MiB
-            # of bitsets alone
-            (["--points", "30814"], 3),
+            # on e1's 3 letters and k = 3 the table and the greedy bitsets are
+            # priced at 8 * (81 * ((M + 1) // 3 + 1) + 27 + 10M) + M^2 / 8
+            # bytes: M = 31606 is the first over 2^27, and M = 2^16 takes
+            # 512 MiB of bitsets alone
+            (["--points", "31606"], 3),
             (["--points", "65536"], 3),
             (["--points", "16777216"], 3),
             (["--points", "1000000", "--window", "8192"], 3),
@@ -344,6 +344,24 @@ class TestRefusedBeforeTheStage:
         assert time.perf_counter() - started < 0.25
         assert capsys.readouterr().out == ""
         assert calls == []
+
+    def test_verify_wide_alphabet(self, tmp_path, capsys, monkeypatch):
+        # at the default 256 points an int64 table on k = 2 is priced at
+        # 8 * (6 * 129 * |A|^2 + 2 * 129 * |A| + |A|^3 + 2048) + 8192 bytes,
+        # over 2^27 from 136 letters on: the 300 of WIDE_ALPHABET_RULES,
+        # which the window counts took, are refused before any stage runs
+        rules = {a: " ".join(image) for a, image in WIDE_ALPHABET_RULES.items()}
+        path = write_spec(tmp_path, "x300.sub", rules)
+        calls = self.count(monkeypatch, "analyze_pairs")
+        started = time.perf_counter()
+        assert run(["verify", path]) == 3
+        assert time.perf_counter() - started < 0.25
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert captured.err == (
+            "error: separation_profile: a pair-density table of 773923776 bytes "
+            "exceeds the 134217728-byte budget\n"
+        )
 
     @pytest.mark.parametrize(
         "size",

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -36,7 +36,7 @@ from substdyn.empirical import (
     _greedy_counts,
     _letter_frequencies,
     _min_density_ratio,
-    _mismatch_weights,
+    _pair_blocks,
     _pair_sums,
     build_nu_grid,
     check_sample_size,
@@ -79,14 +79,26 @@ from oracles import (
 def exact_table(subst: Substitution, lags: int) -> tuple[int, np.ndarray]:
     """Z and the shipped Z * P_d, d < lags, as (lags, |A|, |A|) integers."""
     size = subst.alphabet.size
-    z, sums = _pair_sums(subst, lags, np.eye(size * size, dtype=np.int64))
-    return z, sums.reshape(lags, size, size)
+    z, blocks = _pair_blocks(subst, lags)
+    return z, np.concatenate(list(blocks)).reshape(lags, size, size)
 
 
 def exact_apart(subst: Substitution, lags: int) -> tuple[int, np.ndarray]:
     """Z and Z * delta(d), d < lags, as the profile reads them."""
-    z, sums = _pair_sums(subst, lags, _mismatch_weights(range(subst.alphabet.size)))
+    z, sums = _pair_sums(subst, lags, range(subst.alphabet.size))
     return z, sums[:, 0]
+
+
+def shipped_lookup(subst: Substitution, lags: int):
+    """An ``exact_correlation_lookup`` for d < ``lags`` read off the shipped
+    table as Fraction(x, Z), for alphabets on which the Fraction recursion
+    takes seconds; the tests of TestPairDensities check that table."""
+    size = subst.alphabet.size
+    z, table = exact_table(subst, lags)
+    return [
+        {(v // size, v % size): Fraction(int(x), z) for v, x in enumerate(row) if x}
+        for row in table.reshape(lags, -1)
+    ].__getitem__
 
 
 def toeplitz_density(z: int, apart: np.ndarray) -> np.ndarray:
@@ -266,38 +278,64 @@ class TestPairDensities:
 
     def test_wide_alphabet_against_fractions(self):
         # 40 letters: P_0 and P_1 alone pass 2^63, so the table is Python
-        # ints; read through the mismatch weights and three random 0/1 ones
+        # ints; read through the plain mismatches and three random labellings
         subst = wide_draw(random.Random(2))
         rng = random.Random(2)
-        weights = [_mismatch_weights(range(40))[0]]
-        weights += [[rng.randrange(2) for _ in range(1600)] for _ in range(3)]
-        z, sums = _pair_sums(subst, 12, np.array(weights))
+        labellings = [range(40)] + [[rng.randrange(3) for _ in range(40)] for _ in range(3)]
+        z, sums = _pair_sums(subst, 12, *labellings)
         assert sums.dtype == object and subst.length_k * z >= 2**63
         correlations = exact_correlation_lookup(subst.rules)
         for d in range(12):
             want = [
-                sum(v for (a, b), v in correlations(d).items() if w[a * 40 + b])
-                for w in weights
+                sum(v for (a, b), v in correlations(d).items() if x[a] != x[b])
+                for x in labellings
             ]
             assert [Fraction(x, z) for x in sums[d]] == want
 
     def test_python_int_table_priced_by_its_size(self):
-        # at 8 bytes a cell the wide draw's 1024 lags fit the budget, but its
-        # entries are ints of up to 40 bytes each: refused once Z is known,
-        # before the table is built
+        # at 8 bytes a cell the wide draw's 4096 lags fit the budget (up to
+        # 4121 do), but its entries are ints of up to 40 bytes each (up to
+        # 2069 lags fit): refused once Z is known, before the table is built
         subst = wide_draw(random.Random(2))
-        substdyn.empirical._check_cost("op", subst, 1024)
+        substdyn.empirical._check_cost("op", subst, 4096)
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="pair densities: a pair-density table of"):
-            _pair_sums(subst, 1024, _mismatch_weights(range(40)))
+            _pair_sums(subst, 4096, range(40))
         assert time.perf_counter() - start < 0.25
-        _pair_sums(subst, 256, _mismatch_weights(range(40)))
+        _pair_sums(subst, 256, range(40))
+
+    def test_alphabet_edge_at_default_points(self):
+        # at 256 lags int64 tables admit 135 letters at k = 2 and 147 at
+        # k = 5, checked before anything is built; x_i -> x_{i+1} x0 needs
+        # Python ints of 40 bytes there, which admit 88 letters and refuse 89
+        # once Z is known
+        def constant(size, k):
+            alphabet = Alphabet(f"x{i}" for i in range(size))
+            return Substitution(alphabet, ((0,) * k,) * size)
+
+        def cycle(size):
+            return Substitution.from_strings(
+                {f"x{i}": [f"x{(i + 1) % size}", "x0"] for i in range(size)}
+            )
+
+        for k, size in ((2, 135), (5, 147)):
+            check_sample_size(constant(size, k), 256)
+            with pytest.raises(ResourceLimitError, match="separation_profile: a pair-density"):
+                check_sample_size(constant(size + 1, k), 256)
+        z, _ = _pair_blocks(cycle(88), 256)
+        assert 2 * z >= 2**63 and sys.getsizeof(2 * z) == 40
+        with pytest.raises(
+            ResourceLimitError, match="pair densities: a pair-density table of 136631384 bytes"
+        ):
+            _pair_blocks(cycle(89), 256)
 
     def test_one_letter(self):
         for k in (1, 2, 5):
             subst = Substitution(Alphabet("a"), ((0,) * k,))
-            z, sums = _pair_sums(subst, 40, np.array([[0], [1], [3]]))
-            assert z == 1 and sums.tolist() == [[0, 1, 3]] * 40
+            z, table = exact_table(subst, 40)
+            assert z == 1 and table.tolist() == [[[1]]] * 40
+            z, sums = _pair_sums(subst, 40, range(1), [7])
+            assert z == 1 and sums.tolist() == [[0, 0]] * 40
 
     def test_lags_below_two(self):
         z, table = exact_table(example("e2"), 1)
@@ -447,8 +485,9 @@ class TestSeparationProfile:
 
     def test_peak_memory(self):
         # no M x M matrix (the int32 counts alone took 1 MiB): e4's 512
-        # points take a table of 512 x 9 entries, its index map of 3 x 9
-        # entries a lag, and the parents of the largest block as many
+        # points keep the 172 parent lags of 9 entries each, and a block of
+        # at most as many lags takes an index map and its gathered parents
+        # of 3 x 9 entries a lag
         e4 = example("e4")
         tracemalloc.start()
         try:
@@ -457,7 +496,7 @@ class TestSeparationProfile:
         finally:
             tracemalloc.stop()
         assert profile.counts[-1] == 512
-        assert peak < 0.5 * 2**20
+        assert peak < 0.25 * 2**20
 
     @pytest.mark.parametrize("name", ["e1", "e2"])
     def test_lag_counts_across_row_blocks(self, name):
@@ -520,23 +559,26 @@ class TestSeparationProfile:
 
     def test_count_matrix_edge(self, monkeypatch):
         # the count matrix admitted M up to 5792 at any window; the budget
-        # now prices e1's table at 8 * (7 * 9 * M + 27) bytes and the greedy
-        # bitsets at M^2 / 8, which admits M up to 30813, checked before
-        # anything is built
+        # now prices e1's (k = 3) table at 8 * (81 * kept + 27 + 10M) bytes,
+        # kept = (M + 1) // 3 + 1 parent lags, and the greedy bitsets at
+        # M^2 / 8, which admits M up to 31605, checked before anything is built
         def unbuilt(*args):
             raise AssertionError("the table was built")
 
+        def cost(m):
+            return 8 * (81 * ((m + 1) // 3 + 1) + 27 + 10 * m) + m * m // 8
+
         e1 = example("e1")
-        assert 8 * (7 * 9 * 5793 + 27) + 5793**2 // 8 < ARRAY_BUDGET
+        assert cost(5793) < cost(31605) <= ARRAY_BUDGET < cost(31606) == 134223428
         monkeypatch.setattr(substdyn.empirical, "_pair_sums", unbuilt)
-        check_sample_size(e1, 30813, 1024)
+        check_sample_size(e1, 31605, 1024)
         start = time.perf_counter()
         with pytest.raises(
             ResourceLimitError,
-            match="separation_profile: a pair-density table of 134218296 bytes "
+            match="separation_profile: a pair-density table of 134223428 bytes "
             "exceeds the 134217728-byte budget",
         ):
-            separation_profile(e1, 30814, 1024)
+            separation_profile(e1, 31606, 1024)
         assert time.perf_counter() - start < 0.25
 
     def test_shift_table_budget(self):
@@ -682,9 +724,10 @@ class TestLipschitzProbe:
 
     def test_table_budget(self, monkeypatch):
         # e2's pure base has 3 letters and k = 4, so the table of the
-        # max(4 * samples, 64) lags is priced at 8 * (9 * 9 * lags + 27)
-        # bytes: 207126 lags fit, 51781 samples, and 51782 are refused before
-        # anything is built; the window is checked and ignored
+        # D = max(4 * samples, 64) lags is priced at 8 * (102 * kept + 27
+        # + 12D) bytes, kept = (D + 2) // 4 + 1 parent lags: 111847 samples
+        # fit, and 111848 are refused before anything is built; the window is
+        # checked and ignored
         def unbuilt(*args):
             raise AssertionError("the table was built")
 
@@ -692,13 +735,13 @@ class TestLipschitzProbe:
         analysis = analyze_pairs(subst)
         monkeypatch.setattr(substdyn.empirical, "_pair_sums", unbuilt)
         with pytest.raises(AssertionError, match="the table was built"):
-            lipschitz_ratio_probe(subst, 51_781, 1 << 30, analysis=analysis)
+            lipschitz_ratio_probe(subst, 111_847, 1 << 30, analysis=analysis)
         start = time.perf_counter()
         with pytest.raises(
             ResourceLimitError,
-            match="lipschitz_ratio_probe: a pair-density table of 134219160 bytes",
+            match="lipschitz_ratio_probe: a pair-density table of 134218632 bytes",
         ):
-            lipschitz_ratio_probe(subst, 51_782, analysis=analysis)
+            lipschitz_ratio_probe(subst, 111_848, analysis=analysis)
         assert time.perf_counter() - start < 0.25
 
     def test_draw_cap(self, monkeypatch):
@@ -766,11 +809,15 @@ class TestProbeAgainstOracle:
             rng = random.Random(draw)
             samples, seed = rng.randint(1, 12), rng.randrange(2**32)
             if subst.alphabet.size == 40:
-                # test_wide_alphabet_against_fractions checks the Python-int
-                # table of a 40-letter draw; the Fractions cost seconds here
+                # the oracle's loop on the shipped Python-int table read as
+                # Fractions; test_wide_alphabet_against_fractions checks the
+                # table of such a draw
                 classes = _random_classes(rng, 40)
-                with contextlib.suppress(EstimationError):
-                    assert 0 <= _min_density_ratio(subst, classes, samples, seed) <= 1
+                _matches_oracle(
+                    lambda: _min_density_ratio(subst, classes, samples, seed),
+                    shipped_lookup(subst, max(4 * samples, 64)),
+                    _cross_pairs(classes), samples, seed,
+                )
                 continue
             analysis = analyze_pairs(subst)
             pure = analysis.pure.pure_base
@@ -858,8 +905,8 @@ class TestWindowCounts:
         rng = random.Random(size * salt)
         pure = _draw_of_size(rng, size)
         correlations = exact_correlation_lookup(pure.rules)
-        # 8 and 16 samples draw lags below 64, 24 below 96
-        for samples in (8, 16, 24):
+        # 40 samples draw lags below 160, 65 below 260 and 130 below 520
+        for samples in (40, 65, 130):
             for seed in range(4):
                 classes = tuple(range(size)) if seed == 0 else _random_classes(rng, size)
                 _matches_oracle(
